@@ -49,14 +49,11 @@ from .mastereq import (
     MasterEqProblem,
     TimeSeries,
     dephasing_analytic,
-    dephasing_rhs,
     gksl_resolvent,
-    gksl_rhs,
     h_tilde,
     integrate,
     make_problem,
     master_rhs,
-    redfield_rhs,
 )
 
 __all__ = [
@@ -98,12 +95,9 @@ __all__ = [
     "MasterEqProblem",
     "TimeSeries",
     "dephasing_analytic",
-    "dephasing_rhs",
     "gksl_resolvent",
-    "gksl_rhs",
     "h_tilde",
     "integrate",
     "make_problem",
     "master_rhs",
-    "redfield_rhs",
 ]

@@ -110,12 +110,7 @@ def compare(
         exact.times, approx.times
     ):
         raise ValueError("trajectories are sampled on different time grids")
-    distances = np.array(
-        [
-            trace_distance(exact.states[i], approx.states[i])
-            for i in range(exact.times.size)
-        ]
-    )
+    distances = trace_distance(exact.states, approx.states)
     over = np.flatnonzero(distances > threshold)
     breakdown = float(exact.times[over[0]]) if over.size else None
     return ComparisonReport(

@@ -13,8 +13,6 @@ them is the main correctness cross-check of the whole package.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +25,7 @@ from .linops import (
     herm_eig,
     max_abs,
     partial_trace_env,
+    propagator,
     require_density,
     require_hermitian,
     require_unitary,
@@ -48,16 +47,6 @@ __all__ = [
 # Dense-only implementation: the composite dimension d_S * d_E is capped so
 # an accidental large ensemble cannot allocate a huge total Hamiltonian.
 MAX_EMBEDDED_DIM = 4096
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("RNDUNIT_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(f"RNDUNIT_THREADS must be an integer, got {raw!r}")
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -140,38 +129,16 @@ def _check_inputs(hs, e: DisorderEnsemble, tol: Tolerances):
 def evolve_average(
     hs, e: DisorderEnsemble, rho0, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Ensemble-averaged state sum_k p_k U_k(t) rho0 U_k(t)+.
-
-    Realizations may be propagated on a thread pool (capped by the
-    RNDUNIT_THREADS environment variable); the weighted sum is always
-    accumulated in realization order, so results are bit-stable.
-    """
+    """Ensemble-averaged state sum_k p_k U_k(t) rho0 U_k(t)+, summed in order."""
     hs = _check_inputs(hs, e, tol)
     rho0 = require_density(rho0, tol, name="initial state")
     if rho0.shape[0] != e.dim:
         raise ValueError("initial state dimension does not match the ensemble")
-    t = float(t)
-
-    def term(k: int) -> np.ndarray:
-        u = _propagator_cached(hs + e.hamiltonians[k], t, tol)
-        return u @ rho0 @ dagger(u)
-
-    workers = min(_thread_cap(), e.size)
-    if workers > 1 and e.dim >= 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            terms = list(pool.map(term, range(e.size)))
-    else:
-        terms = [term(k) for k in range(e.size)]
     out = np.zeros_like(rho0)
     for k in range(e.size):
-        out += e.weights[k] * terms[k]
+        u = propagator(hs + e.hamiltonians[k], t, tol)
+        out += e.weights[k] * (u @ rho0 @ dagger(u))
     return out
-
-
-def _propagator_cached(h: np.ndarray, t: float, tol: Tolerances) -> np.ndarray:
-    eig = herm_eig(h, tol)
-    phases = np.exp(-1j * t * eig.energies)
-    return (eig.basis * phases) @ dagger(eig.basis)
 
 
 def evolve_average_series(
@@ -249,7 +216,7 @@ def evolve_embedded(
     rho0_s = require_density(rho0_s, tol, name="initial state")
     if rho0_s.shape[0] != sys.dim_s:
         raise ValueError("initial state dimension does not match the embedding")
-    u = _propagator_cached(sys.total_hamiltonian, float(t), tol)
+    u = propagator(sys.total_hamiltonian, t, tol)
     rho_t = u @ _embedded_initial(sys, rho0_s) @ dagger(u)
     return partial_trace_env(
         _to_system_major(rho_t, sys.dim_s, sys.dim_e), sys.dim_s, sys.dim_e, tol
@@ -292,10 +259,9 @@ def kraus_at(
 ) -> KrausChannel:
     """Kraus form of the channel at time t: operators sqrt(p_k) U_k(t)."""
     hs = _check_inputs(hs, e, tol)
-    t = float(t)
     ops = np.empty((e.size, e.dim, e.dim), dtype=np.complex128)
     for k in range(e.size):
-        u = _propagator_cached(hs + e.hamiltonians[k], t, tol)
+        u = propagator(hs + e.hamiltonians[k], t, tol)
         require_unitary(u, tol, name=f"propagator of realization {k}")
         ops[k] = np.sqrt(e.weights[k]) * u
     return KrausChannel(operators=ops)

@@ -14,8 +14,6 @@ Subcommands:
     demo      run one of the built-in example scenarios
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
-The RNDUNIT_THREADS environment variable caps worker threads used for
-per-realization propagation (default: hardware count).
 """
 
 from __future__ import annotations
@@ -40,7 +38,13 @@ from .ensemble import (
     gauss_hermite_ensemble,
     two_point_ensemble,
 )
-from .linops import DEFAULT_TOL, herm_eig, require_density, require_hermitian
+from .linops import (
+    DEFAULT_TOL,
+    herm_eig,
+    require_density,
+    require_hermitian,
+    trace_distance,
+)
 from .mastereq import GENERATOR_KINDS, TimeSeries, integrate, make_problem
 
 __all__ = [
@@ -71,7 +75,7 @@ SCENARIO_KEYS = {
     "t_final",
     "dt",
     "generators",
-    "seed",
+    "seed",  # accepted for older files, ignored
     "output_path",
 }
 
@@ -96,7 +100,6 @@ class Scenario:
     t_final: float
     dt: float
     generators: tuple[GeneratorChoice, ...]
-    seed: int
     output_path: str
 
 
@@ -260,7 +263,8 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError("dt: must be finite and positive")
     generators = _parse_generators(doc.get("generators"))
-    seed = int(doc.get("seed", 0))
+    if "seed" in doc:
+        log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
     output_path = str(doc.get("output_path", "rndunit_out.csv"))
     rho0 = _resolve_rho0(doc["rho0"], dim, hs_folded)
     return Scenario(
@@ -272,7 +276,6 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
         t_final=t_final,
         dt=dt,
         generators=generators,
-        seed=seed,
         output_path=output_path,
     )
 
@@ -318,7 +321,6 @@ def scenario_echo(s: Scenario) -> dict:
         "generators": [
             {"name": g.name, "epsilon": g.epsilon} for g in s.generators
         ],
-        "seed": s.seed,
         "output_path": s.output_path,
     }
 
@@ -341,10 +343,7 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
     log.info("%s: exact channel on %d grid points", s.name, times.size)
     exact_states = evolve_average_series(s.hs, s.ensemble, s.rho0, times)
     embedded_states = evolve_embedded_series(embed(s.hs, s.ensemble), s.rho0, times)
-    gap = max(
-        0.5 * float(np.sum(np.linalg.svd(a - b, compute_uv=False)))
-        for a, b in zip(exact_states, embedded_states)
-    )
+    gap = float(trace_distance(exact_states, embedded_states).max())
     if gap > DEFAULT_TOL.equivalence:
         raise RuntimeError(
             f"exact-dynamics formulations disagree: max trace distance {gap:.3e} "
@@ -467,7 +466,6 @@ def demo_scenario(name: str) -> dict:
             "t_final": 10.0,
             "dt": 0.01,
             "generators": ["redfield", "dephasing"],
-            "seed": 7,
             "output_path": "rndunit_gaussian_dephasing.csv",
         }
     if name == "two-point-breakdown":
@@ -480,7 +478,6 @@ def demo_scenario(name: str) -> dict:
             "t_final": 5.0,
             "dt": 0.01,
             "generators": ["dephasing"],
-            "seed": 11,
             "output_path": "rndunit_two_point_breakdown.csv",
         }
     if name == "gksl-qubit":
@@ -493,7 +490,6 @@ def demo_scenario(name: str) -> dict:
             "t_final": 20.0,
             "dt": 0.01,
             "generators": ["redfield", "gksl"],
-            "seed": 13,
             "output_path": "rndunit_gksl_qubit.csv",
         }
     raise ValueError(f"unknown demo {name!r}; choose from {list(DEMO_NAMES)}")
@@ -527,8 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Redfield, pure-dephasing, and GKSL master equations."
         ),
         epilog=(
-            "Exit codes: 0 success, 2 validation error, 3 numerical failure. "
-            "RNDUNIT_THREADS caps propagation worker threads."
+            "Exit codes: 0 success, 2 validation error, 3 numerical failure."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)

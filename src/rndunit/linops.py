@@ -212,13 +212,23 @@ def partial_trace_env(
     return np.einsum("ikjk->ij", arr.reshape(dim_s, dim_e, dim_s, dim_e))
 
 
-def trace_distance(a, b) -> float:
-    """Trace distance (1/2) sum of singular values of a - b."""
-    am = as_complex_matrix(a, "first state")
-    bm = as_complex_matrix(b, "second state")
+def trace_distance(a, b) -> float | np.ndarray:
+    """Trace distance (1/2) sum of singular values of a - b.
+
+    Matrices give a float; stacks (..., d, d) give the array of pairwise
+    distances, from one batched SVD.
+    """
+    am = np.asarray(a, dtype=np.complex128)
+    bm = np.asarray(b, dtype=np.complex128)
     if am.shape != bm.shape:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
-    return 0.5 * float(np.sum(np.linalg.svd(am - bm, compute_uv=False)))
+    if am.ndim < 2:
+        raise ValueError(f"states must be matrices or stacks, got shape {am.shape}")
+    diff = am - bm
+    if not np.isfinite(diff).all():
+        raise ValueError("states contain non-finite entries")
+    dist = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
+    return float(dist) if am.ndim == 2 else dist
 
 
 def commutator(a, b) -> np.ndarray:

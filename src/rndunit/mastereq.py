@@ -52,11 +52,8 @@ __all__ = [
     "TimeSeries",
     "make_problem",
     "h_tilde",
-    "redfield_rhs",
-    "dephasing_rhs",
     "dephasing_analytic",
     "gksl_resolvent",
-    "gksl_rhs",
     "master_rhs",
     "integrate",
 ]
@@ -234,71 +231,66 @@ def _check_state_arg(p: MasterEqProblem, rho) -> np.ndarray:
     return rho
 
 
-def _make_rhs(p: MasterEqProblem, tol: Tolerances):
-    """Build a fast rhs(rho, t) closure with per-problem precomputation."""
-    hs = p.hs
-    v = p.eig.basis
-    vh = dagger(v)
-    w = p.ensemble.weights
-    h_stack = p.ensemble.hamiltonians
+# Singular values of the second-moment factorization below this fraction of
+# the largest one are rounding noise (e.g. the direction removed by centering)
+# and are dropped; each one dropped moves the second moment by its square.
+_RANK_CUTOFF = 1e-12
 
+
+def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
+    """Hermitian F_j (r, d, d) with sum_j F_j (x) F_j = sum_k p_k H_k (x) H_k.
+
+    Every generator depends on the ensemble only through that second moment,
+    and Htil is linear in H_k, so the r <= min(n, d^2) factors replace the n
+    realizations. They come from the SVD of the real rows
+    sqrt(p_k) (Re H_k, Im H_k): F_j = sum_k U_kj sqrt(p_k) H_k.
+    """
+    scaled = np.sqrt(e.weights)[:, None, None] * e.hamiltonians
+    rows = np.concatenate([scaled.real, scaled.imag], axis=1).reshape(e.size, -1)
+    u, s, _ = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.count_nonzero(s > _RANK_CUTOFF * s[0]))
+    return np.tensordot(u[:, :rank].T, scaled, axes=1)
+
+
+def _make_rhs(p: MasterEqProblem, tol: Tolerances):
+    """Build rhs(rho, t) = -i[H_S, rho] - sum_j [F_j, [X_j(t), rho]].
+
+    The kinds differ only in the kernel X_j(t) = Htil of factor F_j:
+    t F_j for commuting disorder, V (G_j o phase integral(t)) V+ for
+    redfield and the fixed V (G_j o resolvent) V+ for gksl, G_j = V+ F_j V.
+    """
+    hs = p.hs
+    f = _second_moment_factors(p.ensemble)
     if p.kind == "dephasing":
         require_commuting(p.ensemble, hs, tol)
-        h_weighted = np.sqrt(w)[:, None, None] * h_stack
-        s2 = np.tensordot(w, h_stack @ h_stack, axes=1)
 
-        def rhs(rho: np.ndarray, t: float) -> np.ndarray:
-            mid = ((h_weighted @ rho) @ h_weighted).sum(axis=0)
-            diss = s2 @ rho + rho @ s2 - 2.0 * mid
-            return -1j * (hs @ rho - rho @ hs) - t * diss
+        def kernel(t: float) -> np.ndarray:
+            return t * f
 
-        return rhs
+    else:
+        v = p.eig.basis
+        vh = dagger(v)
+        g = vh @ f @ v
+        if p.kind == "redfield":
+            gaps = p.eig.energies[:, None] - p.eig.energies[None, :]
+            deg_tol = _degeneracy_threshold(p.eig, tol)
 
-    if p.kind == "redfield":
-        gaps = p.eig.energies[:, None] - p.eig.energies[None, :]
-        deg_tol = _degeneracy_threshold(p.eig, tol)
-        g_stack = vh @ h_stack @ v
+            def kernel(t: float) -> np.ndarray:
+                return v @ (g * _phase_integral(gaps, t, deg_tol)) @ vh
 
-        def rhs(rho: np.ndarray, t: float) -> np.ndarray:
-            phi = _phase_integral(gaps, t, deg_tol)
-            htil = v @ (g_stack * phi) @ vh
-            inner = htil @ rho - rho @ htil
-            outer = h_stack @ inner - inner @ h_stack
-            diss = np.tensordot(w, outer, axes=1)
-            return -1j * (hs @ rho - rho @ hs) - diss
+        else:
+            fixed = v @ (g * gksl_resolvent(p.eig, p.epsilon, tol)) @ vh
 
-        return rhs
-
-    # gksl: the kernel is time independent, so the whole stack is fixed here
-    r = gksl_resolvent(p.eig, p.epsilon, tol)
-    g_stack = vh @ h_stack @ v
-    htil_stack = v @ (g_stack * r) @ vh
+            def kernel(t: float) -> np.ndarray:
+                return fixed
 
     def rhs(rho: np.ndarray, t: float) -> np.ndarray:
-        inner = htil_stack @ rho - rho @ htil_stack
-        outer = h_stack @ inner - inner @ h_stack
-        diss = np.tensordot(w, outer, axes=1)
-        return -1j * (hs @ rho - rho @ hs) - diss
+        x = kernel(t)
+        inner = x @ rho - rho @ x
+        outer = f @ inner - inner @ f
+        return -1j * (hs @ rho - rho @ hs) - outer.sum(axis=0)
 
     return rhs
-
-
-def redfield_rhs(
-    p: MasterEqProblem, rho, t: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Time-local generator -i[H_S, rho] - sum_k p_k [H_k, [Htil_k(t), rho]]."""
-    _require_kind(p, "redfield")
-    rho = _check_state_arg(p, rho)
-    return _make_rhs(p, tol)(rho, float(t))
-
-
-def dephasing_rhs(
-    p: MasterEqProblem, rho, t: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """Commuting-disorder generator -i[H_S, rho] - t sum_k p_k [H_k, [H_k, rho]]."""
-    _require_kind(p, "dephasing")
-    rho = _check_state_arg(p, rho)
-    return _make_rhs(p, tol)(rho, float(t))
 
 
 def dephasing_analytic(
@@ -326,17 +318,10 @@ def dephasing_analytic(
     return v @ damped @ dagger(v)
 
 
-def gksl_rhs(p: MasterEqProblem, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Markov-limit generator; time independent by construction."""
-    _require_kind(p, "gksl")
-    rho = _check_state_arg(p, rho)
-    return _make_rhs(p, tol)(rho, 0.0)
-
-
 def master_rhs(
     p: MasterEqProblem, rho, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
-    """Dispatch to the generator selected by p.kind (t ignored for gksl)."""
+    """Generator selected by p.kind, evaluated at (rho, t); gksl ignores t."""
     rho = _check_state_arg(p, rho)
     return _make_rhs(p, tol)(rho, float(t))
 

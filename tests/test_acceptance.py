@@ -27,10 +27,10 @@ from rndunit.mastereq import (
     TimeSeries,
     dephasing_analytic,
     gksl_resolvent,
-    gksl_rhs,
     h_tilde,
     integrate,
     make_problem,
+    master_rhs,
 )
 
 HS_QUBIT = 0.5 * SZ
@@ -229,8 +229,8 @@ def test_criterion_6_gksl_structure():
 
     p = make_problem(HS_QUBIT, two_point_ensemble(SX, 0.4), "gksl")
     rho = random_density(np.random.default_rng(106), 2)
-    a = gksl_rhs(p, rho)
-    b = gksl_rhs(p, rho)
+    a = master_rhs(p, rho, 0.0)
+    b = master_rhs(p, rho, 0.0)
     if not np.array_equal(a, b):
         failures.append("generator is not bitwise reproducible")
 

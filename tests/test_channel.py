@@ -88,26 +88,6 @@ def test_average_series_rejects_bad_grid():
         evolve_average_series(hs, e, rho0, np.array([0.0, np.nan]))
 
 
-# --- threading --------------------------------------------------------------
-
-
-def test_thread_pool_matches_serial_bitwise(monkeypatch):
-    # ordered reduction: the pooled path must be bit-identical to serial
-    hs, e, rho0 = _random_setup(8, dim=8, size=6)
-    monkeypatch.setenv("RNDUNIT_THREADS", "1")
-    serial = evolve_average(hs, e, rho0, 1.7)
-    monkeypatch.setenv("RNDUNIT_THREADS", "4")
-    pooled = evolve_average(hs, e, rho0, 1.7)
-    np.testing.assert_array_equal(serial, pooled)
-
-
-def test_thread_cap_rejects_garbage(monkeypatch):
-    hs, e, rho0 = _random_setup(9)
-    monkeypatch.setenv("RNDUNIT_THREADS", "many")
-    with pytest.raises(ValueError, match="RNDUNIT_THREADS"):
-        evolve_average(hs, e, rho0, 1.0)
-
-
 # --- Kraus form -------------------------------------------------------------
 
 

@@ -209,3 +209,20 @@ def test_require_hermitian_scales_with_magnitude():
     require_hermitian(big)  # defect 1e-8 is within 1e-12 * 1e6
     with pytest.raises(ValueError):
         require_hermitian(SZ + np.array([[0.0, 1e-8], [0.0, 0.0]]))
+
+
+def test_trace_distance_batches_stacks():
+    rng = np.random.default_rng(210)
+    a = np.stack([random_density(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
+    b = np.stack([random_density(rng, 3) for _ in range(4)]).reshape(2, 2, 3, 3)
+    batched = trace_distance(a, b)
+    assert batched.shape == (2, 2)
+    for i in range(2):
+        for j in range(2):
+            single = trace_distance(a[i, j], b[i, j])
+            assert isinstance(single, float)
+            assert batched[i, j] == single
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_distance(a, b[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_distance(a, np.full_like(b, np.nan))

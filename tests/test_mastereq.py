@@ -20,14 +20,11 @@ from rndunit.mastereq import (
     MasterEqProblem,
     TimeSeries,
     dephasing_analytic,
-    dephasing_rhs,
     gksl_resolvent,
-    gksl_rhs,
     h_tilde,
     integrate,
     make_problem,
     master_rhs,
-    redfield_rhs,
 )
 
 HS_QUBIT = 0.5 * SZ
@@ -123,7 +120,7 @@ def test_dephasing_rhs_qubit_oracle():
     rng = np.random.default_rng(34)
     rho = random_density(rng, 2)
     for t in (0.0, 0.7, 2.0):
-        out = dephasing_rhs(p, rho, t)
+        out = master_rhs(p, rho, t)
         assert out[0, 1] == pytest.approx((-1j - 4 * g * g * t) * rho[0, 1], rel=1e-13)
         assert out[0, 0] == pytest.approx(0.0, abs=1e-15)
         assert out[1, 1] == pytest.approx(0.0, abs=1e-15)
@@ -136,14 +133,14 @@ def test_redfield_equals_dephasing_when_commuting():
     rho = random_density(rng, 2)
     for t in (0.2, 1.1, 4.0):
         np.testing.assert_allclose(
-            redfield_rhs(p_r, rho, t), dephasing_rhs(p_d, rho, t), atol=1e-13
+            master_rhs(p_r, rho, t), master_rhs(p_d, rho, t), atol=1e-13
         )
 
 
 def test_dephasing_rejects_noncommuting():
     p = make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "dephasing")
     with pytest.raises(ValueError, match="commute"):
-        dephasing_rhs(p, np.eye(2, dtype=complex) / 2, 1.0)
+        master_rhs(p, np.eye(2, dtype=complex) / 2, 1.0)
 
 
 def test_rhs_trace_free_and_hermiticity_preserving():
@@ -152,20 +149,41 @@ def test_rhs_trace_free_and_hermiticity_preserving():
     hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
     e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
     rho = random_density(rng, 3)
+    eig = herm_eig(hs)
+    t = 0.9
     for kind, eps in (("redfield", 0.0), ("gksl", 0.2)):
         p = make_problem(hs, e, kind, epsilon=eps)
-        out = master_rhs(p, rho, 0.9)
+        out = master_rhs(p, rho, t)
         assert abs(np.trace(out)) <= 1e-13
         np.testing.assert_allclose(out, dagger(out), atol=1e-13)
+        # the paper's sum over realizations, written without compression
+        want = -1j * commutator(hs, rho)
+        for k in range(e.size):
+            hk = e.hamiltonians[k]
+            if kind == "redfield":
+                htil = h_tilde(hk, eig, t)
+            else:
+                g = dagger(eig.basis) @ hk @ eig.basis
+                htil = eig.basis @ (g * gksl_resolvent(eig, eps)) @ dagger(eig.basis)
+            want = want - e.weights[k] * commutator(hk, commutator(htil, rho))
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-13)
+
+
+def test_rhs_zero_disorder_is_hamiltonian_motion():
+    # g = 0 leaves no second moment: every kind reduces to -i[H_S, rho]
+    rho = random_density(np.random.default_rng(41), 2)
+    for kind in ("redfield", "dephasing", "gksl"):
+        p = make_problem(HS_QUBIT, two_point_ensemble(SX, 0.0), kind)
+        for t in (0.0, 1.3):
+            np.testing.assert_array_equal(
+                master_rhs(p, rho, t), -1j * commutator(HS_QUBIT, rho)
+            )
 
 
 def test_rhs_kind_guards():
     p = make_problem(HS_QUBIT, two_point_ensemble(SZ, 0.5), "dephasing")
-    rho = np.eye(2, dtype=complex) / 2
-    with pytest.raises(ValueError, match="expected 'redfield'"):
-        redfield_rhs(p, rho, 1.0)
     with pytest.raises(ValueError, match="state shape"):
-        dephasing_rhs(p, np.eye(3) / 3, 1.0)
+        master_rhs(p, np.eye(3) / 3, 1.0)
 
 
 # --- gksl -------------------------------------------------------------------
@@ -202,7 +220,7 @@ def test_gksl_rhs_qubit_oracle():
         want = -1j * commutator(HS_QUBIT, rho) - g * g * commutator(
             SX, commutator(SY, rho)
         )
-        np.testing.assert_allclose(gksl_rhs(p, rho), want, atol=1e-14)
+        np.testing.assert_allclose(master_rhs(p, rho, 0.0), want, atol=1e-14)
 
 
 def test_gksl_rhs_time_independent_bitwise():
