@@ -10,7 +10,7 @@ run aborts if the two disagree; that cross-check cannot be switched off.
 
 Subcommands:
     run       execute a scenario file
-    validate  parse and check a scenario file without running it
+    validate  make every check run makes, without the heavy work
     demo      run one of the built-in example scenarios
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
@@ -31,7 +31,12 @@ import numpy as np
 
 from . import __version__
 from .analysis import ComparisonReport, compare
-from .channel import embed, evolve_average_series, evolve_embedded_series
+from .channel import (
+    embed,
+    evolve_average_series,
+    evolve_embedded_series,
+    require_embeddable,
+)
 from .ensemble import (
     DisorderEnsemble,
     center,
@@ -45,7 +50,14 @@ from .linops import (
     require_hermitian,
     trace_distance,
 )
-from .mastereq import GENERATOR_KINDS, TimeSeries, integrate, make_problem
+from .mastereq import (
+    GENERATOR_KINDS,
+    MasterEqProblem,
+    TimeSeries,
+    integrate,
+    make_problem,
+    master_rhs,
+)
 
 __all__ = [
     "GeneratorChoice",
@@ -330,15 +342,42 @@ def _time_grid(s: Scenario) -> np.ndarray:
     return np.arange(n_steps + 1, dtype=np.float64) * s.dt
 
 
+def _preflight(s: Scenario) -> dict[str, MasterEqProblem]:
+    """Every check run() makes, done before any heavy work.
+
+    Applies the dilation's dimension cap and builds each requested
+    generator's problem; one rhs evaluation at t = 0 reaches the generator
+    guards (commuting disorder for dephasing, a non-degenerate spectrum for
+    gksl at epsilon = 0). Errors name the scenario field at fault.
+    """
+    try:
+        require_embeddable(s.dim, s.ensemble.size)
+    except ValueError as err:
+        raise ValueError(f"ensemble: {err}") from err
+    problems = {}
+    for choice in s.generators:
+        try:
+            problem = make_problem(s.hs, s.ensemble, choice.name, choice.epsilon)
+            master_rhs(problem, s.rho0, 0.0)
+        except np.linalg.LinAlgError:
+            raise  # a numerical failure, not a fault of the scenario
+        except ValueError as err:
+            raise ValueError(f"generators: {choice.name}: {err}") from err
+        problems[choice.name] = problem
+    return problems
+
+
 def run(s: Scenario, write: bool = True) -> RunRecord:
     """Execute a scenario: exact dynamics, requested generators, reports.
 
-    The exact channel is evaluated both as an ensemble average and through
-    the closed-system embedding; any disagreement beyond the equivalence
+    Every check of _preflight runs first, before any heavy work. The exact
+    channel is evaluated both as an ensemble average and through the
+    closed-system embedding; any disagreement beyond the equivalence
     tolerance is a hard failure. Outputs (CSV plus a .run.json record with
     a re-runnable scenario echo) are written unless write=False.
     """
     started = time.perf_counter()
+    problems = _preflight(s)
     times = _time_grid(s)
     log.info("%s: exact channel on %d grid points", s.name, times.size)
     exact_states = evolve_average_series(s.hs, s.ensemble, s.rho0, times)
@@ -354,8 +393,7 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
     reports: dict[str, ComparisonReport] = {}
     for choice in s.generators:
         log.info("%s: integrating %s generator", s.name, choice.name)
-        problem = make_problem(s.hs, s.ensemble, choice.name, choice.epsilon)
-        trajectory = integrate(problem, s.rho0, s.t_final, s.dt)
+        trajectory = integrate(problems[choice.name], s.rho0, s.t_final, s.dt)
         series[choice.name] = trajectory
         reports[choice.name] = compare(exact, trajectory)
     record = RunRecord(
@@ -567,6 +605,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             scenario = load_scenario(args.scenario)
+            _preflight(scenario)
             if not args.quiet:
                 gens = ", ".join(g.name for g in scenario.generators) or "none"
                 log.info(
@@ -590,12 +629,14 @@ def main(argv=None) -> int:
         record = run(scenario)
         _summarize(record)
         return 0
+    except (np.linalg.LinAlgError, MemoryError, RuntimeError) as err:
+        # LinAlgError subclasses ValueError, so it is caught first
+        reason = str(err) or type(err).__name__
+        print(f"rndunit: numerical failure: {reason}", file=sys.stderr)
+        return 3
     except ValueError as err:
         print(f"rndunit: validation error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
-        print(f"rndunit: numerical failure: {err}", file=sys.stderr)
-        return 3
 
 
 def entry() -> None:

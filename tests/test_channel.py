@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import PLUS, SX, SZ, random_density, random_hermitian, random_weights
 
 from rndunit.channel import (
+    _WORKSPACE_BYTES,
     MAX_EMBEDDED_DIM,
     EmbeddedSystem,
     KrausChannel,
@@ -19,7 +22,7 @@ from rndunit.channel import (
     kraus_at,
 )
 from rndunit.ensemble import DisorderEnsemble, two_point_ensemble
-from rndunit.linops import dagger, propagator, trace_distance
+from rndunit.linops import dagger, propagator, require_density, trace_distance
 
 
 def _random_setup(seed, dim=3, size=4):
@@ -185,13 +188,21 @@ def test_three_formulations_agree():
 
 
 def test_embedded_series_matches_pointwise():
-    hs, e, rho0 = _random_setup(14)
+    # the series evolves a factor of rho0; the dense pointwise dilation is the
+    # oracle for a full-rank, a rank-1 and a slightly non-positive rho0
+    hs, e, mixed = _random_setup(14)
+    plus = np.full((3, 3), 1.0 / 3, dtype=complex)
+    u = np.linalg.qr(mixed)[0]
+    signed = require_density(u @ np.diag([0.6, 0.4 + 5e-11, -5e-11]) @ dagger(u))
     sys = embed(hs, e)
     times = np.linspace(0.0, 2.0, 9)
-    series = evolve_embedded_series(sys, rho0, times)
-    assert series.shape == (9, 3, 3)
-    for i, t in enumerate(times):
-        np.testing.assert_allclose(series[i], evolve_embedded(sys, rho0, t), atol=1e-12)
+    for rho0 in (mixed, plus, signed):
+        series = evolve_embedded_series(sys, rho0, times)
+        assert series.shape == (9, 3, 3)
+        for i, t in enumerate(times):
+            np.testing.assert_allclose(
+                series[i], evolve_embedded(sys, rho0, t), rtol=0, atol=1e-12
+            )
 
 
 def test_embedded_series_chunking_is_invisible():
@@ -201,6 +212,24 @@ def test_embedded_series_chunking_is_invisible():
     whole = evolve_embedded_series(sys, rho0, times, chunk=1024)
     tiny = evolve_embedded_series(sys, rho0, times, chunk=4)
     np.testing.assert_array_equal(whole, tiny)
+
+
+def test_embedded_series_workspace_is_bounded():
+    # a full-rank rho0 makes the evolved factor N x N, the widest it gets;
+    # at 256 samples per chunk this instance would need about 34 MB
+    hs, e, rho0 = _random_setup(16, dim=4, size=16)
+    sys = embed(hs, e)
+    n = sys.dim_s * sys.dim_e
+    tracemalloc.start()
+    try:
+        evolve_embedded_series(sys, rho0, np.linspace(0.0, 1.0, 300))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # herm_eig and its checks, V and its reordered copy, G, the phases and the
+    # output: measured at under 8 complex N x N arrays, allowed 16
+    fixed = 16 * n * n * 16
+    assert peak <= _WORKSPACE_BYTES + fixed
 
 
 def test_qubit_two_point_coherence_recurs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -303,3 +304,58 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
         code = main(["run", str(path), "--quiet"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# each case passes scenario parsing but fails a check that run() makes before
+# the exact channel: validate must fail it too, naming the field at fault
+_SX_G = {"type": "two_point", "base": [[0.0, 1.0], [1.0, 0.0]], "g": 0.1}
+PREFLIGHT_FAILURES = {
+    "noncommuting-dephasing": ({"ensemble": _SX_G}, "generators: dephasing"),
+    "degenerate-gksl": (
+        {"hs": [[0.3, 0.0], [0.0, 0.3]], "ensemble": _SX_G, "generators": ["gksl"]},
+        "generators: gksl",
+    ),
+    "over-embedding-cap": (
+        {
+            "dim": 3,
+            "hs": [[0.0] * 3] * 3,
+            "ensemble": {
+                "type": "explicit",
+                "terms": [{"matrix": [[0.0] * 3] * 3, "weight": 2.0**-11}] * 2048,
+            },
+            "rho0": "maximally_mixed",
+        },
+        "ensemble: composite dimension 3 x 2048",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFLIGHT_FAILURES))
+def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog):
+    overrides, field = PREFLIGHT_FAILURES[case]
+    out = tmp_path / "s.csv"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(output_path=str(out), **overrides)))
+    assert main(["validate", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    with caplog.at_level(logging.INFO, logger="rndunit"):
+        assert main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
+    assert "exact channel" not in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [np.linalg.LinAlgError("Eigenvalues did not converge"), MemoryError()],
+    ids=["LinAlgError", "MemoryError"],
+)
+def test_main_linalg_and_memory_errors_exit_3(error, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("rndunit.cli.make_problem", fail)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(output_path=str(tmp_path / "s.csv"))))
+    assert main(["run", str(path), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("rndunit: numerical failure: ")
