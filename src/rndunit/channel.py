@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linops
 from .ensemble import DisorderEnsemble
 from .linops import (
     DEFAULT_TOL,
@@ -58,13 +59,6 @@ __all__ = [
 # Dense-only implementation: the composite dimension d_S * d_E is capped so
 # an accidental large ensemble cannot allocate a huge total Hamiltonian.
 MAX_EMBEDDED_DIM = 4096
-
-# Byte budget of the dilation series' workspace. A chunk of samples holds two
-# complex N x (n r) temporaries per sample, so the chunk length follows from
-# this budget and memory stays bounded whatever the rank of rho0. Larger
-# budgets ran no faster on the benchmark workloads and only raised their
-# peak RSS.
-_WORKSPACE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -273,8 +267,12 @@ def evolve_embedded_series(
     by at most half that sum.
 
     Times are processed in chunks: by default as many samples as keep the
-    workspace within _WORKSPACE_BYTES (at least one), otherwise chunk
-    samples at a time. Chunking does not change the result.
+    two complex N x (n r) temporaries of each sample within
+    linops.WORKSPACE_BYTES (at least one), otherwise chunk samples at a
+    time. When one sample alone exceeds the budget, its n r columns are
+    summed in blocks that fit. Neither split changes the result of a run
+    whose samples fit the budget; the fixed N x N arrays (the
+    eigendecomposition, V, G) are not budgeted.
     """
     rho0_s = require_density(rho0_s, tol, name="initial state")
     if rho0_s.shape[0] != sys.dim_s:
@@ -294,23 +292,40 @@ def evolve_embedded_series(
     g = (dagger(eig.basis).reshape(d * n, n, d) @ q).reshape(d * n, cols)
     # rows of V reordered system-major, so Y[t] reshapes to (d, n * cols)
     v = eig.basis.reshape(n, d, d * n).transpose(1, 0, 2).reshape(d * n, d * n)
-    w = np.tile(np.outer(sys.weights, lam).ravel(), n)
+    w = np.outer(sys.weights, lam).ravel()
+    budget = linops.WORKSPACE_BYTES // (2 * 16 * d * n)  # columns in budget
     if chunk is None:
-        chunk = _WORKSPACE_BYTES // (2 * 16 * d * n * cols)
+        chunk = budget // cols
     step = max(1, int(chunk))
+    width = min(cols, max(1, budget))
+    # per block of factor columns: G's columns and their weights, tiled over
+    # the register index k, which leads within each row of Y
+    blocks = [
+        (g[:, c : c + width], np.tile(w[c : c + width], n))
+        for c in range(0, cols, width)
+    ]
     out = np.empty((times.size, d, d), dtype=np.complex128)
     for start in range(0, times.size, step):
         sl = slice(start, min(start + step, times.size))
         phases = np.exp(-1j * times[sl, None] * eig.energies[None, :])
-        out[sl] = _reduced_chunk(phases, g, v, w, d)
+        out[sl] = _reduced_chunk(phases, blocks, v, d)
     return out
 
 
-def _reduced_chunk(phases, g, v, w, dim_s: int) -> np.ndarray:
+def _reduced_chunk(phases, blocks, v, dim_s: int) -> np.ndarray:
     # Y = V (phases o G) per sample, then sum_(k, c) w_c Y Y+ over register
-    # rows and factor columns; the two temporaries die on return
-    y = (v @ (phases[:, :, None] * g)).reshape(phases.shape[0], dim_s, -1)
-    return (y * w) @ np.conjugate(y, out=y).swapaxes(1, 2)
+    # rows and factor columns, one column block at a time (the sum is
+    # additive); the two temporaries of a block die before the next one
+    out = None
+    for g, w in blocks:
+        y = (v @ (phases[:, :, None] * g)).reshape(phases.shape[0], dim_s, -1)
+        part = (y * w) @ np.conjugate(y, out=y).swapaxes(1, 2)
+        del y
+        if out is None:
+            out = part
+        else:
+            out += part
+    return out
 
 
 def kraus_at(

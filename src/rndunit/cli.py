@@ -24,7 +24,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +117,12 @@ class Scenario:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything one run produced, enough to rebuild the CSV byte for byte."""
+    """Everything one run produced, enough to rebuild the CSV byte for byte.
+
+    stages holds the seconds run() spent per stage: preflight_s, average_s,
+    dilation_s, integrate_s (per generator), compare_s and, once the CSV is
+    written, write_csv_s.
+    """
 
     scenario: Scenario
     series: dict[str, TimeSeries]
@@ -125,6 +130,7 @@ class RunRecord:
     equivalence_error: float
     wall_time_s: float
     version: str
+    stages: dict = field(default_factory=dict)
 
 
 def _parse_scalar(value, field: str) -> complex:
@@ -377,12 +383,16 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
     a re-runnable scenario echo) are written unless write=False.
     """
     started = time.perf_counter()
+    stages: dict = {"integrate_s": {}, "compare_s": 0.0}
     problems = _preflight(s)
+    stages["preflight_s"], mark = _lap(started)
     times = _time_grid(s)
     log.info("%s: exact channel on %d grid points", s.name, times.size)
     exact_states = evolve_average_series(s.hs, s.ensemble, s.rho0, times)
+    stages["average_s"], mark = _lap(mark)
     embedded_states = evolve_embedded_series(embed(s.hs, s.ensemble), s.rho0, times)
     gap = float(trace_distance(exact_states, embedded_states).max())
+    stages["dilation_s"], mark = _lap(mark)
     if gap > DEFAULT_TOL.equivalence:
         raise RuntimeError(
             f"exact-dynamics formulations disagree: max trace distance {gap:.3e} "
@@ -394,8 +404,11 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
     for choice in s.generators:
         log.info("%s: integrating %s generator", s.name, choice.name)
         trajectory = integrate(problems[choice.name], s.rho0, s.t_final, s.dt)
+        stages["integrate_s"][choice.name], mark = _lap(mark)
         series[choice.name] = trajectory
         reports[choice.name] = compare(exact, trajectory)
+        elapsed, mark = _lap(mark)
+        stages["compare_s"] += elapsed
     record = RunRecord(
         scenario=s,
         series=series,
@@ -403,13 +416,29 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
         equivalence_error=float(gap),
         wall_time_s=time.perf_counter() - started,
         version=__version__,
+        stages=stages,
     )
     if write:
+        mark = time.perf_counter()
         write_csv(record, s.output_path)
+        stages["write_csv_s"], _ = _lap(mark)
         record_path = _record_path(s.output_path)
         _write_record(record, record_path)
         log.info("%s: wrote %s and %s", s.name, s.output_path, record_path)
     return record
+
+
+def _lap(mark: float) -> tuple[float, float]:
+    """Seconds since mark, and the new mark."""
+    now = time.perf_counter()
+    return now - mark, now
+
+
+# rows end as the csv module's writers end them, "\r\n"; they are formatted in
+# blocks of about this many floats, so neither the whole table nor its Python
+# floats are ever held at once
+_CSV_TERMINATOR = csv.excel.lineterminator
+_CSV_BLOCK_FLOATS = 4096
 
 
 def csv_columns(dim: int, series_names) -> list[str]:
@@ -430,30 +459,35 @@ def write_csv(record: RunRecord, path) -> None:
     """Write the sampled trajectories; reruns are byte-identical.
 
     Floats are rendered with shortest round-trip repr, so equal doubles
-    give equal text.
+    give equal text. Rows are formatted from one float table, a block at
+    a time: per series the state entries as _re/_im pairs, then purity and
+    trace distance.
     """
-    dim = record.scenario.dim
-    names = list(record.series)
-    exact = record.series["exact"]
+    times = record.series["exact"].times
+    columns = [times[:, None]]
+    for name, series in record.series.items():
+        states = np.ascontiguousarray(series.states)
+        purity = np.empty(times.size)
+        for i, state in enumerate(states):
+            purity[i] = np.trace(state @ state).real
+        if name == "exact":
+            distance = np.zeros(times.size)
+        else:
+            distance = record.reports[name].trace_distances
+        columns += [
+            states.reshape(times.size, -1).view(np.float64),
+            purity[:, None],
+            distance[:, None],
+        ]
+    rows = max(1, _CSV_BLOCK_FLOATS // sum(c.shape[1] for c in columns))
+    header = csv_columns(record.scenario.dim, record.series)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(csv_columns(dim, names))
-        for idx in range(exact.times.size):
-            row = [repr(float(exact.times[idx]))]
-            for name in names:
-                state = record.series[name].states[idx]
-                for i in range(dim):
-                    for j in range(dim):
-                        row.append(repr(float(state[i, j].real)))
-                        row.append(repr(float(state[i, j].imag)))
-                row.append(repr(float(np.trace(state @ state).real)))
-                if name == "exact":
-                    row.append(repr(0.0))
-                else:
-                    row.append(
-                        repr(float(record.reports[name].trace_distances[idx]))
-                    )
-            writer.writerow(row)
+        handle.write(",".join(header) + _CSV_TERMINATOR)
+        for start in range(0, times.size, rows):
+            block = np.hstack([c[start : start + rows] for c in columns]).tolist()
+            handle.writelines(
+                ",".join(map(repr, row)) + _CSV_TERMINATOR for row in block
+            )
 
 
 def _record_path(csv_path) -> str:
@@ -465,6 +499,7 @@ def _write_record(record: RunRecord, path) -> None:
         "name": record.scenario.name,
         "version": record.version,
         "wall_time_s": record.wall_time_s,
+        "stages": record.stages,
         "equivalence_max_trace_distance": record.equivalence_error,
         "reports": {
             name: {

@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
+    "WORKSPACE_BYTES",
     "EigenSystem",
     "as_complex_matrix",
     "dagger",
@@ -58,6 +59,13 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Byte budget for the transient workspace of the batched loops over a time
+# grid (the dilation series, the master-equation kernel tables). They size
+# their chunks from it, so memory stays bounded whatever the grid length.
+# Larger budgets ran no faster on the benchmark workloads and only raised
+# their peak RSS. Read as linops.WORKSPACE_BYTES at call time.
+WORKSPACE_BYTES = 8 * 2**20
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import warnings
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 from conftest import SX, SZ
 
+from rndunit.analysis import ComparisonReport
 from rndunit.cli import (
     DEMO_NAMES,
+    RunRecord,
     csv_columns,
     demo_scenario,
     load_scenario,
@@ -19,7 +22,9 @@ from rndunit.cli import (
     run,
     scenario_echo,
     scenario_from_dict,
+    write_csv,
 )
+from rndunit.mastereq import TimeSeries
 
 BASE_DOC = {
     "name": "qubit-dephasing",
@@ -214,6 +219,79 @@ def test_run_record_json_fields(tmp_path):
     rep = doc["reports"]["dephasing"]
     assert set(rep) == {"max_error", "threshold", "breakdown_time"}
     assert doc["equivalence_max_trace_distance"] <= 1e-10
+
+
+def test_run_record_stage_timings(tmp_path):
+    doc = make_doc(
+        generators=["redfield", "dephasing"], output_path=str(tmp_path / "s.csv")
+    )
+    run(scenario_from_dict(doc))
+    stages = json.loads((tmp_path / "s.run.json").read_text())["stages"]
+    flat = ["preflight_s", "average_s", "dilation_s", "compare_s", "write_csv_s"]
+    assert set(stages) == {*flat, "integrate_s"}
+    assert set(stages["integrate_s"]) == {"redfield", "dephasing"}
+    for value in [stages[key] for key in flat] + list(stages["integrate_s"].values()):
+        assert isinstance(value, float) and value >= 0.0
+
+
+def _write_csv_per_entry(record, path):
+    # the per-entry writer the table writer replaced, kept as its oracle
+    dim = record.scenario.dim
+    names = list(record.series)
+    exact = record.series["exact"]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(csv_columns(dim, names))
+        for idx in range(exact.times.size):
+            row = [repr(float(exact.times[idx]))]
+            for name in names:
+                state = record.series[name].states[idx]
+                for i in range(dim):
+                    for j in range(dim):
+                        row.append(repr(float(state[i, j].real)))
+                        row.append(repr(float(state[i, j].imag)))
+                row.append(repr(float(np.trace(state @ state).real)))
+                if name == "exact":
+                    row.append(repr(0.0))
+                else:
+                    row.append(repr(float(record.reports[name].trace_distances[idx])))
+            writer.writerow(row)
+
+
+def test_write_csv_matches_per_entry_writer(tmp_path):
+    # awkward doubles: signed zero, the smallest subnormal, a huge value and
+    # decimals without an exact binary form, in three series at d = 3
+    special = np.array([-0.0, 5e-324, 1e300, 0.1, 1.0])
+    rng = np.random.default_rng(43)
+    times = np.arange(7) * 0.1
+    doc = make_doc(
+        dim=3,
+        hs=np.diag([0.5, 0.0, -0.5]).tolist(),
+        ensemble={
+            "type": "two_point",
+            "base": np.diag([1.0, 0.0, -1.0]).tolist(),
+            "g": 0.5,
+        },
+        generators=["redfield", "gksl"],
+    )
+    series, reports = {}, {}
+    for name in ("exact", "redfield", "gksl"):
+        # set the parts directly: re + 1j * im would turn -0.0 into 0.0
+        states = np.empty((7, 3, 3), dtype=complex)
+        states.real, states.imag = rng.choice(special, size=(2, 7, 3, 3))
+        series[name] = TimeSeries(times=times, states=states)
+        distances = rng.choice(special, size=7)
+        reports[name] = ComparisonReport(times, distances, 1.0, 0.05, None)
+    del reports["exact"]
+    record = RunRecord(scenario_from_dict(doc), series, reports, 0.0, 0.0, "test")
+    # 501 rows: the demo also crosses the writer's block boundaries
+    demo = run(scenario_from_dict(demo_scenario("two-point-breakdown")), write=False)
+    for i, rec in enumerate((record, demo)):
+        new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
+        with np.errstate(over="ignore", invalid="ignore"):  # purity of 1e300
+            write_csv(rec, new)
+            _write_csv_per_entry(rec, old)
+        assert new.read_bytes() == old.read_bytes()
 
 
 def test_run_grid_rounding(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SY, SZ, random_density, random_hermitian
 
+from rndunit import linops
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
     DisorderEnsemble,
@@ -186,6 +187,14 @@ def test_rhs_kind_guards():
         master_rhs(p, np.eye(3) / 3, 1.0)
 
 
+def test_rhs_rejects_nonhermitian_state():
+    # the rhs sums the double commutators as B + B+, which needs rho = rho+
+    p = make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "redfield")
+    rho = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        master_rhs(p, rho, 1.0)
+
+
 # --- gksl -------------------------------------------------------------------
 
 
@@ -318,6 +327,60 @@ def test_integrate_trace_stays_pinned():
     ts = integrate(p, random_density(rng, 3), 2.0, 0.01)
     drifts = np.abs(np.trace(ts.states, axis1=1, axis2=2) - 1.0)
     assert drifts.max() <= 1e-12
+
+
+def _paper_rk4(hs, e, kind, eps, rho0, t_final, dt):
+    # plain RK4 on the uncompressed paper formula, one double commutator per
+    # realization, re-Hermitized after every step as integrate does
+    eig = herm_eig(hs)
+
+    def htil(hk, t):
+        if kind == "redfield":
+            return h_tilde(hk, eig, t)
+        if kind == "dephasing":
+            return t * hk
+        g = dagger(eig.basis) @ hk @ eig.basis
+        return eig.basis @ (g * gksl_resolvent(eig, eps)) @ dagger(eig.basis)
+
+    def rhs(rho, t):
+        out = -1j * commutator(hs, rho)
+        for k in range(e.size):
+            hk = e.hamiltonians[k]
+            out = out - e.weights[k] * commutator(hk, commutator(htil(hk, t), rho))
+        return out
+
+    states = [rho0]
+    rho = rho0
+    for i in range(int(round(t_final / dt))):
+        t = i * dt
+        k1 = rhs(rho, t)
+        k2 = rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(rho + dt * k3, t + dt)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + dagger(rho))
+        states.append(rho)
+    return np.stack(states)
+
+
+@pytest.mark.parametrize("kind", ["redfield", "dephasing", "gksl"])
+def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
+    rng = np.random.default_rng(42)
+    hs = random_hermitian(rng, 3)
+    if kind == "dephasing":
+        # disorder diagonal in the eigenbasis of H_S commutes with it
+        v = herm_eig(hs).basis
+        hams = np.stack([v @ np.diag(rng.normal(size=3)) @ dagger(v) for _ in range(3)])
+    else:
+        hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    p = make_problem(hs, e, kind, epsilon=0.2 if kind == "gksl" else 0.0)
+    rho0 = random_density(rng, 3)
+    # a budget of five steps' tables: the 100 steps run in 20 chunks
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 40_000)
+    ts = integrate(p, rho0, 1.0, 0.01)
+    want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
+    np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13)
 
 
 def test_integrate_warns_on_coarse_dt():
