@@ -280,6 +280,8 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
         raise ValueError("t_final: must be finite and non-negative")
     if not np.isfinite(dt) or dt <= 0:
         raise ValueError("dt: must be finite and positive")
+    if not np.isfinite(t_final / dt):
+        raise ValueError("dt: too small for t_final, the step count overflows")
     generators = _parse_generators(doc.get("generators"))
     if "seed" in doc:
         log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
@@ -467,9 +469,7 @@ def write_csv(record: RunRecord, path) -> None:
     columns = [times[:, None]]
     for name, series in record.series.items():
         states = np.ascontiguousarray(series.states)
-        purity = np.empty(times.size)
-        for i, state in enumerate(states):
-            purity[i] = np.trace(state @ state).real
+        purity = np.trace(states @ states, axis1=1, axis2=2).real
         if name == "exact":
             distance = np.zeros(times.size)
         else:

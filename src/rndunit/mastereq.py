@@ -30,9 +30,16 @@ matrix products per evaluation whatever r. master_rhs therefore accepts
 only Hermitian operators.
 
 Everything is integrated with a fixed-step classical Runge-Kutta scheme,
-re-Hermitizing after every step. The kernels of a whole chunk of steps
-are tabulated in one vectorized pass, chunks sized from the shared
-workspace budget linops.WORKSPACE_BYTES.
+re-Hermitizing after every step, over one of two representations of the
+same generator, chosen from d alone. Small systems (d <= _DENSE_MAX_DIM,
+set from the measured crossover) use the dense d^2 x d^2 Liouvillian in
+the eigenbasis of H_S, which is affine in the kernel factor phi(t) of
+X~_j = G_j o phi(t): a chunk's RK4 one-step propagators are composed in
+batch, and each step is one matrix-vector product. Larger systems use the
+factored rhs above, with the kernels of a chunk tabulated in one
+vectorized pass. Either way the tables of a chunk stay within half the
+shared workspace budget linops.WORKSPACE_BYTES; the dense form is taken
+only when one step's tables fit there.
 """
 
 from __future__ import annotations
@@ -325,6 +332,80 @@ def _make_rhs(p: MasterEqProblem, tol: Tolerances):
     return kernels, rhs
 
 
+def _make_liouvillian(p: MasterEqProblem, tol: Tolerances):
+    """Build tables(ts), the generator of p as d^2 x d^2 matrices at times ts.
+
+    The matrices act on the row-major vec of rho~ = V+ rho V, the state in
+    the eigenbasis of H_S, where every kernel is X~_j = G_j o phi(t) with
+    phi = t for dephasing, the phase integral for redfield and the fixed
+    resolvent for gksl. Entry [(a, b), (c, e)] of -sum_j [G_j, [X~_j, rho~]]
+    is K[a, b, c, e] (phi_eb + phi_ac) - A_ac delta_be - delta_ac B_eb, with
+    the fixed K[a, b, c, e] = sum_j (G_j)_ac (G_j)_eb, A = sum_j G_j X~_j
+    and B = sum_j X~_j G_j. So the generator is affine in phi whatever the
+    rank r, and a table is one product [vec phi, 1] @ M with a fixed
+    (d^2 + 1, d^4) matrix M, whose last row holds -i[E, rho~].
+
+    tables(ts) is (T, d^2, d^2) for times (T,); for the time-independent
+    gksl generator it is one fixed (1, d^2, d^2) stack, whatever ts.
+    """
+    d = p.dim
+    n = d * d
+    f = _second_moment_factors(p.ensemble)
+    v = p.eig.basis
+    g = dagger(v) @ f @ v
+    k = np.einsum("jac,jeb->abce", g, g)
+    q = np.einsum("jam,jmc->amc", g, g)  # A_ac = sum_m Q_amc phi_mc, B_eb = sum_m Q_emb phi_em
+    unit = np.eye(n).reshape(n, d, d)  # each phi_mn = 1 in turn: the rows of M
+    eye = np.eye(d)
+    # axes [u, a, b, c, e]; eye[:, None, :] is delta_be, eye[:, None, :, None] delta_ac
+    rows = k * (unit.swapaxes(1, 2)[:, None, :, None, :] + unit[:, :, None, :, None])
+    rows -= np.einsum("amc,umc->uac", q, unit)[:, :, None, :, None] * eye[:, None, :]
+    rows -= np.einsum("emb,uem->ube", q, unit)[:, None, :, None, :] * eye[:, None, :, None]
+    e = p.eig.energies
+    free = -1j * np.diag((e[:, None] - e[None, :]).ravel())
+    m = np.concatenate([rows.reshape(n, n * n), free.reshape(1, n * n)])
+
+    def liouvillian(phi: np.ndarray) -> np.ndarray:
+        coords = np.concatenate([phi.reshape(-1, n), np.ones((phi.shape[0], 1))], axis=1)
+        return (coords @ m).reshape(-1, n, n)
+
+    if p.kind == "dephasing":
+        require_commuting(p.ensemble, p.hs, tol)
+        return lambda ts: liouvillian(np.broadcast_to(ts[:, None, None], (ts.size, d, d)))
+    if p.kind == "redfield":
+        gaps = e[:, None] - e[None, :]
+        deg_tol = _degeneracy_threshold(p.eig, tol)
+        return lambda ts: liouvillian(_phase_integral(gaps, ts, deg_tol))
+    fixed = liouvillian(gksl_resolvent(p.eig, p.epsilon, tol)[None])
+    return lambda ts: fixed
+
+
+def _rk4_propagators(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
+    """One-step propagators of classical RK4 for v' = L(t) v, batched.
+
+    With L1, L2 and L4 the generator at t, t + h / 2 and t + h,
+    P = I + h/6 (L1 + 2 A2 + 2 A3 + A4), where A2 = L2 + h/2 L2 L1,
+    A3 = L2 + h/2 L2 A2 and A4 = L4 + h L4 A3 map v to the stages k2..k4.
+    """
+    stage = l2 @ l1
+    stage *= 0.5 * h
+    stage += l2
+    total = stage + stage
+    total += l1
+    stage = l2 @ stage
+    stage *= 0.5 * h
+    stage += l2
+    total += stage
+    total += stage
+    stage = l4 @ stage
+    stage *= h
+    stage += l4
+    total += stage
+    total *= h / 6.0
+    np.einsum("...ii->...i", total)[...] += 1.0
+    return total
+
+
 def dephasing_analytic(
     p: MasterEqProblem, rho0, t: float, tol: Tolerances = DEFAULT_TOL
 ) -> np.ndarray:
@@ -376,11 +457,20 @@ def integrate(
 
     The state is re-Hermitized, rho <- (rho + rho+) / 2, after each step;
     together with the trace-free generators this keeps the trace drift at
-    rounding level. Steps run in chunks: the kernels at t, t + dt / 2 and
-    t + dt of every step in a chunk are tabulated at once, with as many
-    steps as keep the tables within linops.WORKSPACE_BYTES. A chunk with
-    non-finite entries aborts the run, naming its first bad step. A warning
-    is emitted when dt resolves the fastest phase poorly
+    rounding level. Steps run in chunks, each chunk's tables built at once.
+    The generator has two representations, chosen from d alone:
+
+    * dense, for d <= _DENSE_MAX_DIM when one step's tables fit in half of
+      linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian in the eigenbasis
+      of H_S, from which the chunk's RK4 one-step propagators are composed
+      in batch (the fixed gksl one once); each step is then one
+      matrix-vector product;
+    * factored, otherwise: the kernels at t, t + dt / 2 and t + dt of every
+      step are tabulated within half the budget, and each step makes four
+      master_rhs-style evaluations.
+
+    A chunk with non-finite entries aborts the run, naming its first bad
+    step. A warning is emitted when dt resolves the fastest phase poorly
     (dt * max |E_n| > 0.05).
     """
     rho0 = require_density(rho0, tol, name="initial state")
@@ -399,6 +489,8 @@ def integrate(
             f"(dt * max|E| = {dt * fastest:.3g} > 0.05); expect discretization error",
             stacklevel=2,
         )
+    if not np.isfinite(t_final / dt):
+        raise ValueError(f"dt = {dt:g} is too small: t_final / dt overflows")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(dt, t_final):
         warnings.warn(
@@ -406,8 +498,67 @@ def integrate(
             f"integrating to {n_steps * dt:g}",
             stacklevel=2,
         )
+    states = np.empty((n_steps + 1, p.dim, p.dim), dtype=np.complex128)
+    states[0] = rho0
+    chunk = _dense_chunk(p.dim)
+    if chunk:
+        chunks = _steps_dense(p, rho0, states, dt, chunk, tol)
+    else:
+        chunks = _steps_factored(p, rho0, states, dt, tol)
+    for start, stop in chunks:
+        bad = ~np.isfinite(states[start + 1 : stop + 1]).all(axis=(1, 2))
+        if bad.any():
+            step = start + int(np.argmax(bad)) + 1
+            raise RuntimeError(
+                f"integration produced non-finite entries at step {step} "
+                f"(t = {step * dt:g}); reduce dt"
+            )
+    times = np.arange(n_steps + 1, dtype=np.float64) * dt
+    return TimeSeries(times=times, states=states)
+
+
+# Largest d integrated with the dense Liouvillian. A dense step costs three
+# batched d^2 x d^2 products to compose, growing as d^6, plus a few small
+# numpy calls; a factored step is about 70 small numpy calls whatever d.
+# Per step, dense against factored, redfield then gksl (2-core Xeon, 2000
+# steps, 16 full-rank terms, two runs): d = 4: 34-47 / 8-13 us against
+# 159-167 / 142-146 us; d = 5: 56-67 / 16-17 against 206-218 / 152-155;
+# d = 6: 99-128 / 21-25 against 230-253 / 129-161; d = 7: 259-267 / 36-49
+# against 208-220 / 141-142; d = 8: 530-667 / 92 against 258-262 / 166-180.
+# Redfield crosses over between 6 and 7.
+_DENSE_MAX_DIM = 6
+
+# complex d^2 x d^2 arrays per step at the peak of a dense chunk: the
+# generator at the grid points and the midpoints, the running propagator, one
+# RK4 stage and a product (tracemalloc, redfield: 5.3 to 5.9 at d = 2, 4, 5)
+_DENSE_TABLES = 6
+
+# Bytes of tables per dense chunk, below half the budget. Larger tables went
+# back to the system between chunks: for 4000 redfield steps at d = 4,
+# chunks of 4 MiB took 25700 minor page faults and 46-50 us per step,
+# chunks of 2 MiB 590 faults and 25-27 us, chunks of 1 MiB 26-29 us.
+_DENSE_CHUNK_BYTES = 2**21
+
+
+def _dense_chunk(d: int) -> int:
+    """Steps per chunk of the dense representation, 0 to integrate factored.
+
+    The dense form is taken for d <= _DENSE_MAX_DIM, when one step's tables
+    fit in half of linops.WORKSPACE_BYTES.
+    """
+    budget = linops.WORKSPACE_BYTES // 2
+    step_bytes = _DENSE_TABLES * d**4 * 16
+    if d > _DENSE_MAX_DIM or step_bytes > budget:
+        return 0
+    return min(budget, _DENSE_CHUNK_BYTES) // step_bytes
+
+
+def _steps_factored(p: MasterEqProblem, rho0, states, dt: float, tol: Tolerances):
+    """Fill states[1:] with RK4 over the factored rhs, yielding each chunk's
+    (start, stop) once its states are stored."""
     kernels, rhs = _make_rhs(p, tol)
     d = p.dim
+    n_steps = states.shape[0] - 1
     # an empty table has the kernels' shape: r d + d rows of d complex
     # entries per time, three times per step, and up to two more copies of
     # the r d rows while the tables are built. They get half the budget:
@@ -416,8 +567,6 @@ def integrate(
     # chunks of fifty steps or more already cost under 1 us per step.
     rows = kernels(np.empty(0))[0].shape[1] + d
     chunk = max(1, linops.WORKSPACE_BYTES // (2 * 3 * 3 * rows * d * 16))
-    states = np.empty((n_steps + 1, d, d), dtype=np.complex128)
-    states[0] = rho0
     rho = rho0.copy()
     for start in range(0, n_steps, chunk):
         t = np.arange(start, min(start + chunk, n_steps)) * dt
@@ -433,12 +582,45 @@ def integrate(
             rho = 0.5 * (rho + dagger(rho))
             states[start + j + 1] = rho
         del x, a  # before the next chunk's tables are built
-        bad = ~np.isfinite(states[start + 1 : start + steps + 1]).all(axis=(1, 2))
-        if bad.any():
-            step = start + int(np.argmax(bad)) + 1
-            raise RuntimeError(
-                f"integration produced non-finite entries at step {step} "
-                f"(t = {step * dt:g}); reduce dt"
+        yield start, start + steps
+
+
+def _steps_dense(p: MasterEqProblem, rho0, states, dt: float, chunk: int, tol: Tolerances):
+    """Fill states[1:] by the dense RK4 step propagators of _make_liouvillian,
+    chunk steps at a time, yielding each chunk's (start, stop) once stored.
+
+    The state is propagated in the eigenbasis of H_S and re-Hermitized
+    after every step; each chunk is then rotated back and re-Hermitized
+    once more, so the stored states are bitwise Hermitian.
+    """
+    tables = _make_liouvillian(p, tol)
+    d = p.dim
+    n_steps = states.shape[0] - 1
+    fixed = tables(np.empty(0))
+    if fixed.shape[0]:  # time independent (gksl): one propagator for all steps
+        fixed = _rk4_propagators(fixed, fixed, fixed, dt)
+    v = p.eig.basis
+    vh = dagger(v)
+    rho = vh @ rho0 @ v
+    for start in range(0, n_steps, chunk):
+        stop = min(start + chunk, n_steps)
+        steps = stop - start
+        if fixed.shape[0]:
+            props = np.broadcast_to(fixed, (steps, d * d, d * d))
+        else:
+            # the generator at t + dt of one step is the one at t of the next
+            grid = np.arange(start, stop + 1) * dt
+            at_grid = tables(grid)
+            props = _rk4_propagators(
+                at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:], dt
             )
-    times = np.arange(n_steps + 1, dtype=np.float64) * dt
-    return TimeSeries(times=times, states=states)
+            del at_grid
+        block = np.empty((steps, d, d), dtype=np.complex128)
+        for j in range(steps):
+            rho = (props[j] @ rho.reshape(-1)).reshape(d, d)
+            rho = 0.5 * (rho + dagger(rho))
+            block[j] = rho
+        del props
+        block = v @ block @ vh
+        states[start + 1 : stop + 1] = 0.5 * (block + block.conj().swapaxes(1, 2))
+        yield start, stop

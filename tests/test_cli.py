@@ -384,6 +384,17 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_overflowing_step_count_exits_2(tmp_path, capsys):
+    # t_final and dt are finite, but t_final / dt overflows to inf
+    out = tmp_path / "s.csv"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(t_final=1e300, dt=1e-300, output_path=str(out))))
+    for command in ("validate", "run"):
+        assert main([command, str(path), "--quiet"]) == 2
+        assert "dt:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # each case passes scenario parsing but fails a check that run() makes before
 # the exact channel: validate must fail it too, naming the field at fault
 _SX_G = {"type": "two_point", "base": [[0.0, 1.0], [1.0, 0.0]], "g": 0.1}

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SY, SZ, random_density, random_hermitian
 
-from rndunit import linops
+from rndunit import linops, mastereq
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
     DisorderEnsemble,
@@ -363,6 +363,16 @@ def _paper_rk4(hs, e, kind, eps, rho0, t_final, dt):
     return np.stack(states)
 
 
+# _DENSE_MAX_DIM values that make every d <= 3 integrate with the dense
+# Liouvillian or with the factored rhs
+REPRESENTATIONS = {"dense": 3, "factored": 0}
+
+
+def _select(monkeypatch, representation: str, d: int) -> None:
+    monkeypatch.setattr(mastereq, "_DENSE_MAX_DIM", REPRESENTATIONS[representation])
+    assert (mastereq._dense_chunk(d) > 0) == (representation == "dense")
+
+
 @pytest.mark.parametrize("kind", ["redfield", "dephasing", "gksl"])
 def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     rng = np.random.default_rng(42)
@@ -376,11 +386,30 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
     p = make_problem(hs, e, kind, epsilon=0.2 if kind == "gksl" else 0.0)
     rho0 = random_density(rng, 3)
-    # a budget of five steps' tables: the 100 steps run in 20 chunks
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 40_000)
-    ts = integrate(p, rho0, 1.0, 0.01)
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
-    np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13)
+    # a budget of a few steps' tables: the 100 steps run in 20 factored
+    # chunks or 50 dense ones
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 40_000)
+    for representation in REPRESENTATIONS:
+        _select(monkeypatch, representation, 3)
+        ts = integrate(p, rho0, 1.0, 0.01)
+        np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13, err_msg=representation)
+
+
+def test_integrate_dense_keeps_rho0_bitwise(monkeypatch):
+    # non-diagonal H_S: the dense path runs in its eigenbasis, but stores
+    # states[0] as given and every later state bitwise Hermitian
+    rng = np.random.default_rng(44)
+    hams = np.stack([random_hermitian(rng, 3) for _ in range(2)])
+    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(2, 0.5))).ensemble
+    p = make_problem(random_hermitian(rng, 3), e, "redfield")
+    assert max_abs(p.hs - np.diag(np.diag(p.hs))) > 0.1
+    rho0 = random_density(rng, 3)
+    _select(monkeypatch, "dense", 3)
+    ts = integrate(p, rho0, 0.1, 0.01)
+    np.testing.assert_array_equal(ts.states[0], rho0)
+    later = ts.states[1:]
+    np.testing.assert_array_equal(later, later.conj().swapaxes(1, 2))
 
 
 def test_integrate_warns_on_coarse_dt():
@@ -396,12 +425,14 @@ def test_integrate_warns_on_grid_mismatch():
     assert ts.times[-1] == pytest.approx(0.98)
 
 
-def test_integrate_aborts_on_blowup():
+def test_integrate_aborts_on_blowup(monkeypatch):
     p = make_problem(HS_QUBIT, two_point_ensemble(SZ, 1e4), "dephasing")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(RuntimeError, match="step"):
-            integrate(p, PLUS, 10.0, 1.0)
+    for representation in REPRESENTATIONS:
+        _select(monkeypatch, representation, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(RuntimeError, match="step"):
+                integrate(p, PLUS, 10.0, 1.0)
 
 
 def test_integrate_input_checks():
@@ -410,6 +441,8 @@ def test_integrate_input_checks():
         integrate(p, PLUS, 1.0, 0.0)
     with pytest.raises(ValueError, match="t_final"):
         integrate(p, PLUS, -1.0, 0.1)
+    with pytest.raises(ValueError, match="overflows"):
+        integrate(p, PLUS, 1e300, 1e-300)
     with pytest.raises(ValueError, match="initial state"):
         integrate(p, np.eye(2), 1.0, 0.1)
 
