@@ -10,6 +10,14 @@ of a closed system-environment pair with a block-diagonal total
 Hamiltonian. All three are implemented here; agreeing results across
 them is the main correctness cross-check of the whole package.
 
+The averaged series over a time grid is a sum over the Bohr frequencies
+w = E_a - E_b of every realization. One table exp(-itw) over the pairs
+a < b, times one coefficient matrix, gives the upper triangle of every
+sample; the lower triangle is its mirrored conjugate, so the series is
+Hermitian bit for bit, as the re-Hermitized generator series are. The
+table is built a chunk of samples at a time, within a small share of
+linops.WORKSPACE_BYTES, so the stage holds little more than its output.
+
 The dilation over a time grid never forms a composite density matrix. With
 rho0 = sum_m lam_m |q_m><q_m|, the composite initial state diag(p) (x) rho0
 is a signed sum over the n r columns |k> (x) |q_m>, r the number of kept
@@ -44,11 +52,13 @@ from .linops import (
 
 __all__ = [
     "MAX_EMBEDDED_DIM",
+    "MAX_SERIES_BYTES",
     "KrausChannel",
     "EmbeddedSystem",
     "evolve_average",
     "evolve_average_series",
     "require_embeddable",
+    "require_series_fit",
     "embed",
     "evolve_embedded",
     "evolve_embedded_series",
@@ -59,6 +69,20 @@ __all__ = [
 # Dense-only implementation: the composite dimension d_S * d_E is capped so
 # an accidental large ensemble cannot allocate a huge total Hamiltonian.
 MAX_EMBEDDED_DIM = 4096
+
+# A run holds its time grid and every series whole, one (d, d) complex state
+# per grid point and series, for comparison and the CSV. Their predicted size
+# is capped so a tiny dt cannot ask for more memory than a workstation has;
+# the run's transient copies come on top, so the cap sits well below that.
+MAX_SERIES_BYTES = 2**30
+
+# evolve_average_series keeps the temporaries of a chunk of samples (its
+# frequency table and upper triangles) within this share of
+# linops.WORKSPACE_BYTES. A quarter of it ran faster at d = 8, n = 32
+# (48 against 83 ms for 1001 samples) but raised the stage's peak for a
+# 32-node qubit ensemble from 0.20 to 0.65 MiB, above the 0.38 MiB of the
+# per-realization sum over (T, d, d) arrays that this replaced
+_TABLE_SHARE = 64
 
 
 @dataclass(frozen=True)
@@ -158,22 +182,73 @@ def evolve_average_series(
 ) -> np.ndarray:
     """Ensemble-averaged states over a whole time grid, shape (T, d, d).
 
-    Each realization is eigendecomposed once; the time dependence is then a
-    pure phase pattern in that eigenbasis, which keeps long grids cheap.
+    Each realization is eigendecomposed once, H_S + H_k = V_k diag(E_k) V_k+.
+    With b_k = V_k+ rho0 V_k the average is a sum over Bohr frequencies,
+
+        rho(t)_ij = sum_(k, a, b) p_k b_k[a, b] V_k[i, a] conj(V_k[j, b])
+                    exp(-it (E_k[a] - E_k[b])),
+
+    so one frequency table exp(-it w) times one coefficient matrix gives the
+    upper triangle i <= j of every sample. The terms a = b are constant and
+    those of a > b are the conjugate phases of a < b, so the table holds
+    only the n d (d - 1) / 2 phases with a < b, and the lower triangle is
+    mirrored as the conjugate of the upper one: the series is Hermitian
+    bit for bit, with diagonal imaginary parts +0.0. Times go in chunks
+    whose table and triangles stay within 1 / _TABLE_SHARE of
+    linops.WORKSPACE_BYTES (at least one sample); the split moves the
+    result by rounding only, since the product's summation order may
+    depend on the number of rows.
     """
     hs = _check_inputs(hs, e, tol)
     rho0 = require_density(rho0, tol, name="initial state")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty finite 1d array")
-    out = np.zeros((times.size, e.dim, e.dim), dtype=np.complex128)
+    d = e.dim
+    upper, lower = np.triu_indices(d, 1)  # frequency pairs a < b
+    rows, cols = np.triu_indices(d)  # output entries i <= j
+    pairs = upper.size
+    freqs = np.empty((e.size, pairs))
+    # per pair a < b, the coefficients of cos(t w) and of -sin(t w): the
+    # terms exp(-itw) f_ab + exp(itw) f_ba are cos(tw) (f_ab + f_ba)
+    # + (-sin(tw)) i (f_ab - f_ba), so in the table's (re, im) layout one
+    # real product gives them all
+    coeffs = np.empty((e.size, pairs, 2, rows.size), dtype=np.complex128)
+    constant = np.zeros(rows.size, dtype=np.complex128)
     for k in range(e.size):
         eig = herm_eig(hs + e.hamiltonians[k], tol)
-        gaps = eig.energies[:, None] - eig.energies[None, :]
-        b = dagger(eig.basis) @ rho0 @ eig.basis
-        phases = np.exp(-1j * times[:, None, None] * gaps[None, :, :])
-        rotated = eig.basis @ (phases * b[None, :, :]) @ dagger(eig.basis)
-        out += e.weights[k] * rotated
+        v = eig.basis
+        b = e.weights[k] * (dagger(v) @ rho0 @ v)
+        # f[a, b, (i, j)] = p_k b_k[a, b] V_k[i, a] conj(V_k[j, b])
+        f = b[:, :, None] * v[rows].T[:, None, :] * v[cols].conj().T[None, :, :]
+        constant += np.einsum("aaq->q", f)
+        up, down = f[upper, lower], f[lower, upper]
+        coeffs[k, :, 0] = up + down
+        coeffs[k, :, 1] = 1j * (up - down)
+        freqs[k] = eig.energies[upper] - eig.energies[lower]
+    freqs = freqs.ravel()
+    # (2 m, 2 q) real: row (pair, re/im of the phase), column (entry, re/im)
+    coeffs = coeffs.view(np.float64).reshape(2 * freqs.size, -1)
+    # per sample: the table row, and the upper triangle with its conjugate
+    row_bytes = 16 * (freqs.size + 2 * rows.size)
+    step = max(1, linops.WORKSPACE_BYTES // (_TABLE_SHARE * row_bytes))
+    out = np.empty((times.size, d, d), dtype=np.complex128)
+    table = np.empty((min(step, times.size), freqs.size), dtype=np.complex128)
+    for start in range(0, times.size, step):
+        ts = times[start : start + step]
+        phases = table[: ts.size]
+        phases.real = 0.0
+        # -t w as a (T, 1) x (1, m) product: matmul writes the strided
+        # imaginary parts directly, where a broadcasting ufunc would first
+        # allocate a buffer as large as the table
+        np.matmul(-ts[:, None], freqs[None, :], out=phases.imag)
+        np.exp(phases, out=phases)
+        tri = (phases.view(np.float64) @ coeffs).view(np.complex128)
+        tri += constant
+        block = out[start : start + ts.size]
+        block[:, rows, cols] = tri
+        block[:, cols, rows] = tri.conj()
+        block.imag[:, range(d), range(d)] = 0.0
     return out
 
 
@@ -183,6 +258,21 @@ def require_embeddable(dim_s: int, dim_e: int) -> None:
         raise ValueError(
             f"composite dimension {dim_s} x {dim_e} = {dim_s * dim_e} exceeds the "
             f"dense-path cap {MAX_EMBEDDED_DIM}; reduce the ensemble or the system size"
+        )
+
+
+def require_series_fit(points: int, dim: int, n_series: int) -> None:
+    """Check that a grid of points samples of n_series (dim, dim) series fits.
+
+    The prediction counts the grid's float64 times and 16 bytes per complex
+    state entry, points * (8 + 16 dim^2 n_series), against MAX_SERIES_BYTES.
+    """
+    predicted = points * (8 + 16 * dim * dim * n_series)
+    if predicted > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"{points} grid points of {n_series} series at dimension {dim} need "
+            f"{predicted / 2**20:.4g} MiB, over the {MAX_SERIES_BYTES / 2**20:.4g} MiB "
+            f"ceiling; raise dt or lower t_final"
         )
 
 

@@ -36,6 +36,7 @@ from .channel import (
     evolve_average_series,
     evolve_embedded_series,
     require_embeddable,
+    require_series_fit,
 )
 from .ensemble import (
     DisorderEnsemble,
@@ -345,19 +346,28 @@ def scenario_echo(s: Scenario) -> dict:
     }
 
 
+def _grid_points(s: Scenario) -> int:
+    return int(round(s.t_final / s.dt)) + 1
+
+
 def _time_grid(s: Scenario) -> np.ndarray:
-    n_steps = int(round(s.t_final / s.dt))
-    return np.arange(n_steps + 1, dtype=np.float64) * s.dt
+    return np.arange(_grid_points(s), dtype=np.float64) * s.dt
 
 
 def _preflight(s: Scenario) -> dict[str, MasterEqProblem]:
     """Every check run() makes, done before any heavy work.
 
-    Applies the dilation's dimension cap and builds each requested
+    Admits the time grid by the predicted bytes of the grid and its series
+    (the exact one and one per generator) before anything is allocated,
+    applies the dilation's dimension cap and builds each requested
     generator's problem; one rhs evaluation at t = 0 reaches the generator
     guards (commuting disorder for dephasing, a non-degenerate spectrum for
     gksl at epsilon = 0). Errors name the scenario field at fault.
     """
+    try:
+        require_series_fit(_grid_points(s), s.dim, 1 + len(s.generators))
+    except ValueError as err:
+        raise ValueError(f"dt: {err}") from err
     try:
         require_embeddable(s.dim, s.ensemble.size)
     except ValueError as err:
@@ -441,6 +451,8 @@ def _lap(mark: float) -> tuple[float, float]:
 # floats are ever held at once
 _CSV_TERMINATOR = csv.excel.lineterminator
 _CSV_BLOCK_FLOATS = 4096
+# a double's bits without its sign bit
+_MAGNITUDE_BITS = np.uint64(2**63 - 1)
 
 
 def csv_columns(dim: int, series_names) -> list[str]:
@@ -463,7 +475,13 @@ def write_csv(record: RunRecord, path) -> None:
     Floats are rendered with shortest round-trip repr, so equal doubles
     give equal text. Rows are formatted from one float table, a block at
     a time: per series the state entries as _re/_im pairs, then purity and
-    trace distance.
+    trace distance. Within a block each distinct magnitude is formatted
+    once: the bit patterns with the sign bit cleared are made unique, each
+    is rendered by repr, and a "-" is put before the copies whose sign bit
+    is set, except on NaN, which repr prints as "nan" whatever its sign.
+    That is repr's own output for every double, -0.0 and inf included, and
+    it formats a Hermitian state's lower triangle, a zero imaginary part
+    or an all-zero column at no further cost.
     """
     times = record.series["exact"].times
     columns = [times[:, None]]
@@ -479,14 +497,23 @@ def write_csv(record: RunRecord, path) -> None:
             purity[:, None],
             distance[:, None],
         ]
-    rows = max(1, _CSV_BLOCK_FLOATS // sum(c.shape[1] for c in columns))
+    width = sum(c.shape[1] for c in columns)
+    rows = max(1, _CSV_BLOCK_FLOATS // width)
     header = csv_columns(record.scenario.dim, record.series)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + _CSV_TERMINATOR)
         for start in range(0, times.size, rows):
-            block = np.hstack([c[start : start + rows] for c in columns]).tolist()
+            block = np.hstack([c[start : start + rows] for c in columns])
+            bits = block.view(np.uint64).ravel()
+            magnitudes, where = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
+            text = list(map(repr, magnitudes.view(np.float64).tolist()))
+            text += ["-" + t for t in text]
+            signed = (bits > _MAGNITUDE_BITS) & ~np.isnan(block.ravel())
+            where += signed * magnitudes.size
+            cells = [text[i] for i in where.tolist()]
             handle.writelines(
-                ",".join(map(repr, row)) + _CSV_TERMINATOR for row in block
+                ",".join(cells[i : i + width]) + _CSV_TERMINATOR
+                for i in range(0, len(cells), width)
             )
 
 

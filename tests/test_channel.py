@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SZ, random_density, random_hermitian, random_weights
 
+from rndunit import linops
 from rndunit.channel import (
+    _TABLE_SHARE,
     MAX_EMBEDDED_DIM,
     EmbeddedSystem,
     KrausChannel,
@@ -86,6 +88,53 @@ def test_average_series_matches_pointwise():
         np.testing.assert_allclose(
             series[i], evolve_average(hs, e, rho0, t), atol=1e-12
         )
+
+
+def test_average_series_is_bitwise_hermitian():
+    hs, e, rho0 = _random_setup(8)
+    series = evolve_average_series(hs, e, rho0, np.linspace(0.0, 4.0, 37))
+    diag = np.arange(3)
+    mirrored = np.conj(series.swapaxes(1, 2))
+    mirrored.imag[:, diag, diag] = 0.0  # conj turns +0.0 into -0.0 there
+    bits = series.view(np.uint64)
+    assert np.array_equal(bits, np.ascontiguousarray(mirrored).view(np.uint64))
+    assert not np.ascontiguousarray(series.imag[:, diag, diag]).view(np.uint64).any()
+
+
+@pytest.mark.parametrize("rows", [1, 4, 23])
+def test_average_series_chunks_match_pointwise(rows, monkeypatch):
+    # d = 3, five explicit terms, a full-rank rho0: a sample's table row has
+    # 15 frequencies a < b, next to 6 upper-triangle entries and their
+    # conjugates, so this budget splits the 23 samples every rows samples
+    hs, e, rho0 = _random_setup(9, dim=3, size=5)
+    assert np.linalg.eigvalsh(rho0).min() > 1e-3
+    sample_bytes = 16 * (15 + 2 * 6)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", _TABLE_SHARE * sample_bytes * rows)
+    times = np.linspace(0.0, 6.0, 23)
+    series = evolve_average_series(hs, e, rho0, times)
+    for i, t in enumerate(times):
+        np.testing.assert_allclose(
+            series[i], evolve_average(hs, e, rho0, t), rtol=0, atol=1e-13
+        )
+
+
+def test_average_series_workspace_is_bounded():
+    # 16 terms at d = 4: 96 frequencies, so the whole 2001-sample table would
+    # take 3 MB; the chunks keep it within the budget's share
+    hs, e, rho0 = _random_setup(10, dim=4, size=16)
+    times = np.linspace(0.0, 10.0, 2001)
+    tracemalloc.start()
+    try:
+        series = evolve_average_series(hs, e, rho0, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the output, a 64th of the budget for the chunk, the (2 m, 2 q)
+    # coefficient matrix and small per-realization arrays: measured 170 kB
+    # above the output
+    coefficients = (2 * 96) * (2 * 10) * 8
+    fixed = 2 * coefficients + 64 * 1024
+    assert peak <= series.nbytes + WORKSPACE_BYTES // 64 + fixed
 
 
 def test_average_series_rejects_bad_grid():

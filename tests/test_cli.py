@@ -259,9 +259,15 @@ def _write_csv_per_entry(record, path):
 
 
 def test_write_csv_matches_per_entry_writer(tmp_path):
-    # awkward doubles: signed zero, the smallest subnormal, a huge value and
-    # decimals without an exact binary form, in three series at d = 3
-    special = np.array([-0.0, 5e-324, 1e300, 0.1, 1.0])
+    # awkward doubles: signed zeros, the smallest subnormals, huge values,
+    # decimals without an exact binary form, infinities and NaN with either
+    # sign bit, in three series at d = 3
+    nan = float("nan")
+    special = np.array(
+        [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, -0.1, 1.0,
+         np.inf, -np.inf, nan, -nan]
+    )
+    assert np.signbit(special[-1]) and np.isnan(special[-1])
     rng = np.random.default_rng(43)
     times = np.arange(7) * 0.1
     doc = make_doc(
@@ -282,16 +288,30 @@ def test_write_csv_matches_per_entry_writer(tmp_path):
         series[name] = TimeSeries(times=times, states=states)
         distances = rng.choice(special, size=7)
         reports[name] = ComparisonReport(times, distances, 1.0, 0.05, None)
+    # equal magnitudes of opposite sign in one row
+    series["gksl"].states.real[:, 0, 0] = [0.1, -np.inf, -0.0, 1e300, -nan, 5e-324, 2.5]
+    series["gksl"].states.real[:, 2, 1] = [-0.1, np.inf, 0.0, -1e300, nan, -5e-324, -2.5]
+    # a bitwise-Hermitian series, as the exact and re-Hermitized ones are:
+    # the mirrored imaginary parts of +-0.0 are -+0.0, the diagonal's are +0.0
+    upper = np.triu(series["exact"].states, 1)
+    hermitian = upper + np.conj(upper.swapaxes(1, 2))
+    hermitian.imag[:, [0, 1, 2], [0, 1, 2]] = 0.0
+    hermitian.real[:, [0, 1, 2], [0, 1, 2]] = rng.choice(special[:9], size=(7, 3))
+    hermitian.imag[:, 0, 1] = [0.0, -0.0, 0.0, -0.0, 0.25, -0.25, 0.0]
+    hermitian.imag[:, 1, 0] = -hermitian.imag[:, 0, 1]
+    series["exact"] = TimeSeries(times=times, states=hermitian)
     del reports["exact"]
     record = RunRecord(scenario_from_dict(doc), series, reports, 0.0, 0.0, "test")
     # 501 rows: the demo also crosses the writer's block boundaries
     demo = run(scenario_from_dict(demo_scenario("two-point-breakdown")), write=False)
     for i, rec in enumerate((record, demo)):
         new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
-        with np.errstate(over="ignore", invalid="ignore"):  # purity of 1e300
+        with np.errstate(over="ignore", invalid="ignore"):  # purity of 1e300, inf
             write_csv(rec, new)
             _write_csv_per_entry(rec, old)
         assert new.read_bytes() == old.read_bytes()
+    text = (tmp_path / "new0.csv").read_text()
+    assert "-0.0" in text and "-inf" in text and "-nan" not in text
 
 
 def test_run_grid_rounding(tmp_path):
@@ -395,6 +415,18 @@ def test_overflowing_step_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_series_admission_counts_grid_and_series_bytes(tmp_path, capsys, monkeypatch):
+    # 11 points, d = 2, exact plus one generator: 11 * (8 + 16 * 4 * 2) bytes
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(output_path=str(tmp_path / "s.csv"))))
+    predicted = 11 * (8 + 16 * 4 * 2)
+    monkeypatch.setattr("rndunit.channel.MAX_SERIES_BYTES", predicted)
+    assert main(["validate", str(path), "--quiet"]) == 0
+    monkeypatch.setattr("rndunit.channel.MAX_SERIES_BYTES", predicted - 1)
+    assert main(["validate", str(path), "--quiet"]) == 2
+    assert "dt: 11 grid points" in capsys.readouterr().err
+
+
 # each case passes scenario parsing but fails a check that run() makes before
 # the exact channel: validate must fail it too, naming the field at fault
 _SX_G = {"type": "two_point", "base": [[0.0, 1.0], [1.0, 0.0]], "g": 0.1}
@@ -416,11 +448,17 @@ PREFLIGHT_FAILURES = {
         },
         "ensemble: composite dimension 3 x 2048",
     ),
+    # 1e10 steps: about 80 GB for the grid alone, refused from its prediction
+    "oversized-grid": ({"t_final": 1e7, "dt": 1e-3}, "dt: 10000000001 grid points"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PREFLIGHT_FAILURES))
-def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog):
+def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monkeypatch):
+    def no_grid(s):
+        raise AssertionError("the time grid was allocated")
+
+    monkeypatch.setattr("rndunit.cli._time_grid", no_grid)
     overrides, field = PREFLIGHT_FAILURES[case]
     out = tmp_path / "s.csv"
     path = tmp_path / "s.json"
