@@ -18,13 +18,19 @@ Hermitian bit for bit, as the re-Hermitized generator series are. The
 table is built a chunk of samples at a time, within a small share of
 linops.WORKSPACE_BYTES, so the stage holds little more than its output.
 
-The dilation over a time grid never forms a composite density matrix. With
-rho0 = sum_m lam_m |q_m><q_m|, the composite initial state diag(p) (x) rho0
-is a signed sum over the n r columns |k> (x) |q_m>, r the number of kept
-eigenvalues. Only those columns are evolved, with one eigendecomposition
-of the whole dense total Hamiltonian (N = d n): one N x N x (n r) product
-per sample instead of two N^3 products, d times cheaper again for a pure
-rho0. Eigenvalues are dropped only while their total magnitude stays
+The dilation over a time grid never forms a composite density matrix. Its
+total Hamiltonian sum_k (H_S + H_k) (x) |k><k| commutes with every register
+projector, so the reduced dynamics see the register state only through its
+populations p_k: the pure register |e> = sum_k sqrt(p_k) |k> gives the same
+channel as diag(p), whose cross terms |k><l| never reach the system's
+trace. With rho0 = sum_m lam_m |q_m><q_m| the composite initial state
+|e><e| (x) rho0 is a signed sum over the r columns |e> (x) |q_m>, r the
+number of kept eigenvalues. Only those columns are evolved, with one
+eigendecomposition of the whole dense total Hamiltonian (N = d n): one
+N x N x r product per sample instead of two N^3 products. A coupling
+between registers, which the block structure forbids, moves the result at
+first order in its size, where a mixed register would hide it to second
+order. Eigenvalues are dropped only while their total magnitude stays
 within 1e-3 of the equivalence budget, which moves the result by at most
 half that in trace distance.
 """
@@ -142,6 +148,8 @@ class EmbeddedSystem:
         weights = np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (dim_e,):
             raise ValueError("weights must have one entry per register state")
+        if not np.isfinite(weights).all() or np.any(weights < 0):
+            raise ValueError("weights must be finite and non-negative")
         object.__setattr__(self, "dim_s", dim_s)
         object.__setattr__(self, "dim_e", dim_e)
         object.__setattr__(self, "total_hamiltonian", total)
@@ -318,7 +326,8 @@ def evolve_embedded(
     """Closed evolution of the dilation, then partial trace over the register.
 
     Starts from rho0 (x) diag(p), which is stationary for the register, and
-    reproduces the ensemble average exactly.
+    reproduces the ensemble average exactly. This is the oracle for
+    evolve_embedded_series, which starts from the pure register instead.
     """
     rho0_s = require_density(rho0_s, tol, name="initial state")
     if rho0_s.shape[0] != sys.dim_s:
@@ -339,30 +348,38 @@ def evolve_embedded_series(
 ) -> np.ndarray:
     """Reduced states of the dilation over a time grid, shape (T, d_s, d_s).
 
-    No composite density matrix is formed. The initial state is factored as
-    diag(p) (x) rho0 = sum_c w_c |k, q_m><k, q_m| over the columns
-    c = (k, m), with rho0 = sum_m lam_m |q_m><q_m| and signed weights
-    w_c = p_k lam_m (no square roots, so the slightly negative eigenvalues
-    that require_density admits are kept exactly). One eigendecomposition
-    H_tot = V diag(E) V+ of the whole dense total Hamiltonian then evolves
-    the N x (n r) factor columns, Y(t) = V (exp(-itE) o V+ C), and
+    No composite density matrix is formed. H_tot commutes with every
+    register projector |k><k|, so the register's populations p_k are all
+    the reduced dynamics see of its state: the pure register
+    |e> = sum_k sqrt(p_k) |k> gives the same reduced states as diag(p),
+    since the cross terms |k><l| of |e><e| stay off the register's
+    diagonal and drop out of its trace. The initial state is factored as
+    |e><e| (x) rho0 = sum_m lam_m |c_m><c_m|, c_m = |e> (x) |q_m>, with
+    rho0 = sum_m lam_m |q_m><q_m| and the signed weights lam_m kept without
+    square roots (so the slightly negative eigenvalues that require_density
+    admits are kept exactly). One eigendecomposition H_tot = V diag(E) V+
+    of the whole dense total Hamiltonian then evolves the N x r factor
+    C = [c_1 ... c_r], Y(t) = V (exp(-itE) o V+ C), and
 
-        rho_S(t)_ij = sum_k sum_c w_c Y[(k, i), c] conj(Y[(k, j), c]).
+        rho_S(t)_ij = sum_m lam_m sum_k Y[(k, i), m] conj(Y[(k, j), m]).
 
-    Each sample costs one N x N x (n r) product, N = d_s n, against two
-    N^3 products for the full composite state; a pure rho0 has n r = N / d_s.
-    The smallest |lam_m| are dropped while their sum stays within a
-    thousandth of tol.equivalence, the budget the dilation is checked
-    against; since the channel contracts trace distance, the result moves
-    by at most half that sum.
+    Each sample costs one N x N x r product, N = d_s n, against two N^3
+    products for the full composite state. A wrong H_tot that couples two
+    registers shows at first order in the coupling here, where the mixed
+    register of evolve_embedded hides it to second order. The smallest
+    |lam_m| are dropped while their sum stays within a thousandth of
+    tol.equivalence, the budget the dilation is checked against; since the
+    channel contracts trace distance, the result moves by at most half that
+    sum.
 
-    Times are processed in chunks: by default as many samples as keep the
-    two complex N x (n r) temporaries of each sample within
-    linops.WORKSPACE_BYTES (at least one), otherwise chunk samples at a
-    time. When one sample alone exceeds the budget, its n r columns are
+    Times are processed in chunks: by default as many samples as keep their
+    temporaries (the phases, and the scaled factor, Y and the weighted Y of
+    each column) within linops.WORKSPACE_BYTES, otherwise chunk samples at a
+    time. The r columns of every sample in a chunk go through one product
+    with V. When one sample alone exceeds the budget, its r columns are
     summed in blocks that fit. Neither split changes the result of a run
-    whose samples fit the budget; the fixed N x N arrays (the
-    eigendecomposition, V, G) are not budgeted.
+    whose samples fit the budget. Besides H_tot, the fixed arrays are the
+    eigendecomposition and the r x N factor G^T, G = V+ C.
     """
     rho0_s = require_density(rho0_s, tol, name="initial state")
     if rho0_s.shape[0] != sys.dim_s:
@@ -371,46 +388,58 @@ def evolve_embedded_series(
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty finite 1d array")
     d, n = sys.dim_s, sys.dim_e
+    full = d * n
     eig = herm_eig(sys.total_hamiltonian, tol)
     lam, q = np.linalg.eigh(rho0_s)
     order = np.argsort(np.abs(lam))
     dropped = np.cumsum(np.abs(lam[order])) <= 1e-3 * tol.equivalence
     keep = order[~dropped]
     lam, q = lam[keep], q[:, keep]
-    cols = n * lam.size
-    # G = V+ C with column (k, m) of C equal to |k> (x) |q_m>
-    g = (dagger(eig.basis).reshape(d * n, n, d) @ q).reshape(d * n, cols)
-    # rows of V reordered system-major, so Y[t] reshapes to (d, n * cols)
-    v = eig.basis.reshape(n, d, d * n).transpose(1, 0, 2).reshape(d * n, d * n)
-    w = np.outer(sys.weights, lam).ravel()
-    budget = linops.WORKSPACE_BYTES // (2 * 16 * d * n)  # columns in budget
+    # G^T for G = V+ C, formed as conj(C+ V) so V is neither conjugated nor
+    # reordered: _reduced_chunk multiplies by the transposed view V^T
+    c = np.kron(np.sqrt(sys.weights)[:, None], q)
+    gt = np.conjugate(dagger(c) @ eig.basis)
+    vt = eig.basis.T
+    # per sample, its phases and per factor column the scaled factor, Y and
+    # the weighted Y (Y is conjugated in place)
+    phase_row, column = 16 * full, 3 * 16 * full
+    budget = linops.WORKSPACE_BYTES
     if chunk is None:
-        chunk = budget // cols
+        chunk = budget // (phase_row + lam.size * column)
     step = max(1, int(chunk))
-    width = min(cols, max(1, budget))
-    # per block of factor columns: G's columns and their weights, tiled over
-    # the register index k, which leads within each row of Y
+    width = min(lam.size, max(1, (budget - phase_row) // column))
     blocks = [
-        (g[:, c : c + width], np.tile(w[c : c + width], n))
-        for c in range(0, cols, width)
+        (gt[m : m + width], lam[m : m + width]) for m in range(0, lam.size, width)
     ]
     out = np.empty((times.size, d, d), dtype=np.complex128)
     for start in range(0, times.size, step):
         sl = slice(start, min(start + step, times.size))
-        phases = np.exp(-1j * times[sl, None] * eig.energies[None, :])
-        out[sl] = _reduced_chunk(phases, blocks, v, d)
+        out[sl] = _reduced_chunk(times[sl], eig.energies, blocks, vt, n)
     return out
 
 
-def _reduced_chunk(phases, blocks, v, dim_s: int) -> np.ndarray:
-    # Y = V (phases o G) per sample, then sum_(k, c) w_c Y Y+ over register
-    # rows and factor columns, one column block at a time (the sum is
-    # additive); the two temporaries of a block die before the next one
+def _reduced_chunk(ts, energies, blocks, vt, dim_e: int) -> np.ndarray:
+    # per block of factor columns: the rows (sample, m) of Y^T from one
+    # product with V^T, then sum_(m, k) lam_m Y Y+ over factor columns and
+    # register rows (the sum is additive over blocks). The phases die before
+    # the product, and each temporary of a block before the next one
+    full = vt.shape[0]
     out = None
-    for g, w in blocks:
-        y = (v @ (phases[:, :, None] * g)).reshape(phases.shape[0], dim_s, -1)
-        part = (y * w) @ np.conjugate(y, out=y).swapaxes(1, 2)
-        del y
+    for gt, lam in blocks:
+        phases = -1j * np.multiply.outer(ts, energies)
+        np.exp(phases, out=phases)
+        x = (phases[:, None, :] * gt).reshape(-1, full)
+        del phases
+        if x.shape[0] == 1:
+            # matmul sends a one-row product to gemv, which rounds otherwise
+            # than gemm; a second row keeps every chunk on gemm, so how the
+            # samples are split never shows in the result
+            x = np.concatenate([x, x])
+        y = (x @ vt)[: ts.size * lam.size].reshape(ts.size, -1, full // dim_e)
+        del x
+        weighted = y * np.repeat(lam, dim_e)[:, None]
+        part = weighted.swapaxes(1, 2) @ np.conjugate(y, out=y)
+        del y, weighted
         if out is None:
             out = part
         else:

@@ -22,8 +22,13 @@ from rndunit.channel import (
     evolve_embedded_series,
     kraus_at,
 )
-from rndunit.ensemble import DisorderEnsemble, two_point_ensemble
+from rndunit.ensemble import (
+    DisorderEnsemble,
+    gauss_hermite_ensemble,
+    two_point_ensemble,
+)
 from rndunit.linops import (
+    DEFAULT_TOL,
     WORKSPACE_BYTES,
     dagger,
     propagator,
@@ -218,6 +223,10 @@ def test_embedded_system_validation():
         EmbeddedSystem(
             dim_s=2, dim_e=2, total_hamiltonian=np.eye(4), weights=np.array([1.0])
         )
+    with pytest.raises(ValueError, match="non-negative"):
+        EmbeddedSystem(
+            dim_s=2, dim_e=2, total_hamiltonian=np.eye(4), weights=np.array([1.5, -0.5])
+        )
 
 
 def test_embedded_matches_average():
@@ -260,38 +269,46 @@ def test_embedded_series_matches_pointwise():
 
 
 def test_embedded_series_chunking_is_invisible():
-    hs, e, rho0 = _random_setup(15)
+    # a rank-1 rho0 gives one factor column per sample, so chunk = 1 and the
+    # one-sample tail of chunk = 2 are one-row products
+    hs, e, mixed = _random_setup(15)
+    plus = np.full((3, 3), 1.0 / 3, dtype=complex)
     sys = embed(hs, e)
     times = np.linspace(0.0, 5.0, 23)
-    whole = evolve_embedded_series(sys, rho0, times, chunk=1024)
-    tiny = evolve_embedded_series(sys, rho0, times, chunk=4)
-    np.testing.assert_array_equal(whole, tiny)
+    for rho0 in (mixed, plus):
+        whole = evolve_embedded_series(sys, rho0, times, chunk=1024)
+        for chunk in (1, 2, 4):
+            part = evolve_embedded_series(sys, rho0, times, chunk=chunk)
+            np.testing.assert_array_equal(whole, part)
 
 
 def test_embedded_series_workspace_is_bounded():
-    # a full-rank rho0 makes the evolved factor N x N, the widest it gets;
-    # at 256 samples per chunk this instance would need about 34 MB
+    # a full-rank rho0 gives the widest factor, r = d; unchunked, the
+    # temporaries of these 2001 samples would take 26 MB
     hs, e, rho0 = _random_setup(16, dim=4, size=16)
     sys = embed(hs, e)
     n = sys.dim_s * sys.dim_e
     tracemalloc.start()
     try:
-        evolve_embedded_series(sys, rho0, np.linspace(0.0, 1.0, 300))
+        series = evolve_embedded_series(sys, rho0, np.linspace(0.0, 1.0, 2001))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # herm_eig and its checks, V and its reordered copy, G, the phases and the
-    # output: measured at under 8 complex N x N arrays, allowed 16
-    fixed = 16 * n * n * 16
+    # the chunks stay within the budget, and herm_eig with its checks, V, G
+    # and the output come on top: measured 5.9 MB in all, 2.5 MB under the
+    # budget alone; allowed the output and 4 N x N complex arrays
+    fixed = series.nbytes + 4 * n * n * 16
     assert peak <= WORKSPACE_BYTES + fixed
 
 
-def test_embedded_series_splits_a_sample_over_budget():
-    # full-rank rho0, N = 640: one sample's two N x N temporaries take
-    # 12.5 MiB, more than the whole budget, so its columns go in blocks
+def test_embedded_series_splits_a_sample_over_budget(monkeypatch):
+    # full-rank rho0, N = 640, r = 4 columns a sample; a budget of one
+    # sample's phases and three columns' temporaries sums them in blocks
+    # of 3 and 1
     hs, e, rho0 = _random_setup(17, dim=4, size=160)
     sys = embed(hs, e)
     n = sys.dim_s * sys.dim_e
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 16 * n * (1 + 3 * 3))
     times = np.array([0.0, 0.7, 1.5])
     tracemalloc.start()
     try:
@@ -299,11 +316,64 @@ def test_embedded_series_splits_a_sample_over_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # V, its reordered copy and G stay live (3 N x N arrays) next to the
-    # block temporaries and the tiled weights: measured 27.7 MiB against
-    # 32.2 MiB when the sample is not split
-    fixed = 3.5 * n * n * 16
-    assert peak <= WORKSPACE_BYTES + fixed
+    # the checks of herm_eig set the peak, before the blocks: measured at
+    # 3.0 N x N complex arrays, against 3 N x N arrays held through the
+    # loop and 8 MiB of blocks before the factor shrank to r columns
+    fixed = 3.25 * n * n * 16
+    assert peak <= linops.WORKSPACE_BYTES + fixed
+    for i, t in enumerate(times):
+        np.testing.assert_allclose(
+            series[i], evolve_embedded(sys, rho0, t), rtol=0, atol=1e-12
+        )
+
+
+def test_embedded_series_sees_a_coupling_between_registers():
+    # the register starts pure, so a coupling eps between two registers,
+    # which the block structure forbids, moves the series at first order in
+    # eps; a mixed register diag(p) would hide it to second order
+    hs, e, rho0 = _random_setup(18, dim=3, size=4)
+    d, n = e.dim, e.size
+    k, l = np.argsort(e.weights)[-2:]
+    assert e.weights[[k, l]].min() >= 0.1
+    sys = embed(hs, e)
+    times = np.linspace(0.0, 4.0, 41)
+    exact = evolve_average_series(hs, e, rho0, times)
+
+    def gap(eps):
+        total = sys.total_hamiltonian.copy()
+        total[k * d, l * d + 1] += eps
+        total[l * d + 1, k * d] += eps
+        coupled = EmbeddedSystem(
+            dim_s=d, dim_e=n, total_hamiltonian=total, weights=sys.weights
+        )
+        return trace_distance(exact, evolve_embedded_series(coupled, rho0, times)).max()
+
+    assert gap(0.0) <= 1e-12
+    assert gap(1e-8) > DEFAULT_TOL.equivalence
+
+
+def _zero_weight_ensemble():
+    hs, e, rho0 = _random_setup(19, dim=3, size=4)
+    weights = e.weights.copy()
+    weights[0] += weights[2]
+    weights[2] = 0.0
+    return hs, DisorderEnsemble(hamiltonians=e.hamiltonians, weights=weights), rho0
+
+
+def _gauss_hermite_32():
+    e = gauss_hermite_ensemble(SX, 0.3, 32)
+    assert e.weights.min() < 1e-22
+    return 0.5 * SZ, e, PLUS
+
+
+@pytest.mark.parametrize("setup", [_zero_weight_ensemble, _gauss_hermite_32])
+def test_embedded_series_matches_pointwise_at_tiny_populations(setup):
+    # the pure register holds sqrt(p_k); a zero or a 4e-23 population must
+    # still reproduce the mixed register's dilation
+    hs, e, rho0 = setup()
+    sys = embed(hs, e)
+    times = np.linspace(0.0, 3.0, 7)
+    series = evolve_embedded_series(sys, rho0, times)
     for i, t in enumerate(times):
         np.testing.assert_allclose(
             series[i], evolve_embedded(sys, rho0, t), rtol=0, atol=1e-12
