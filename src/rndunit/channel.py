@@ -344,7 +344,6 @@ def evolve_embedded_series(
     rho0_s,
     times,
     tol: Tolerances = DEFAULT_TOL,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """Reduced states of the dilation over a time grid, shape (T, d_s, d_s).
 
@@ -372,14 +371,14 @@ def evolve_embedded_series(
     channel contracts trace distance, the result moves by at most half that
     sum.
 
-    Times are processed in chunks: by default as many samples as keep their
+    Times are processed in chunks of as many samples as keep their
     temporaries (the phases, and the scaled factor, Y and the weighted Y of
-    each column) within linops.WORKSPACE_BYTES, otherwise chunk samples at a
-    time. The r columns of every sample in a chunk go through one product
-    with V. When one sample alone exceeds the budget, its r columns are
-    summed in blocks that fit. Neither split changes the result of a run
-    whose samples fit the budget. Besides H_tot, the fixed arrays are the
-    eigendecomposition and the r x N factor G^T, G = V+ C.
+    each column) within linops.WORKSPACE_BYTES. The r columns of every
+    sample in a chunk go through one product with V. When one sample alone
+    exceeds the budget, its r columns are summed in blocks that fit.
+    Neither split changes the result of a run whose samples fit the
+    budget. Besides H_tot, the fixed arrays are the eigendecomposition and
+    the r x N factor G^T, G = V+ C.
     """
     rho0_s = require_density(rho0_s, tol, name="initial state")
     if rho0_s.shape[0] != sys.dim_s:
@@ -404,9 +403,7 @@ def evolve_embedded_series(
     # the weighted Y (Y is conjugated in place)
     phase_row, column = 16 * full, 3 * 16 * full
     budget = linops.WORKSPACE_BYTES
-    if chunk is None:
-        chunk = budget // (phase_row + lam.size * column)
-    step = max(1, int(chunk))
+    step = max(1, budget // (phase_row + lam.size * column))
     width = min(lam.size, max(1, (budget - phase_row) // column))
     blocks = [
         (gt[m : m + width], lam[m : m + width]) for m in range(0, lam.size, width)

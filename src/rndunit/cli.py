@@ -134,6 +134,19 @@ class RunRecord:
     stages: dict = field(default_factory=dict)
 
 
+def _number(value, field: str, kind=float):
+    """kind(value), raising a ValueError that names field where it fails.
+
+    It takes what kind takes, numeric strings among them; a list, an
+    object, null or an infinite integer is refused naming the field, not
+    with a TypeError or OverflowError that no exit code covers.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{field}: expected a number, got {value!r}") from None
+
+
 def _parse_scalar(value, field: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return complex(float(value), 0.0)
@@ -169,7 +182,7 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
         raise ValueError('ensemble: expected an object with a "type" key')
     kind = spec["type"]
     known = {"explicit", "gaussian", "two_point"}
-    if kind not in known:
+    if not isinstance(kind, str) or kind not in known:
         raise ValueError(f"ensemble.type: {kind!r} is not one of {sorted(known)}")
     extra = set(spec) - {"type", "terms", "base", "sigma", "n_nodes", "g"}
     if extra:
@@ -185,16 +198,20 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
                     f"ensemble.terms[{i}]: expected keys matrix and weight"
                 )
             matrix = _parse_matrix(term["matrix"], dim, f"ensemble.terms[{i}].matrix")
-            pairs.append((matrix, float(term["weight"])))
+            pairs.append((matrix, _number(term["weight"], f"ensemble.terms[{i}].weight")))
         return DisorderEnsemble.from_pairs(pairs)
     base = _parse_matrix(spec.get("base"), dim, "ensemble.base")
     if kind == "gaussian":
         if "sigma" not in spec or "n_nodes" not in spec:
             raise ValueError("ensemble: gaussian needs sigma and n_nodes")
-        return gauss_hermite_ensemble(base, float(spec["sigma"]), int(spec["n_nodes"]))
+        return gauss_hermite_ensemble(
+            base,
+            _number(spec["sigma"], "ensemble.sigma"),
+            _number(spec["n_nodes"], "ensemble.n_nodes", int),
+        )
     if "g" not in spec:
         raise ValueError("ensemble: two_point needs g")
-    return two_point_ensemble(base, float(spec["g"]))
+    return two_point_ensemble(base, _number(spec["g"], "ensemble.g"))
 
 
 def _parse_generators(value) -> tuple[GeneratorChoice, ...]:
@@ -213,7 +230,7 @@ def _parse_generators(value) -> tuple[GeneratorChoice, ...]:
                     f"generators[{i}]: expected keys name and optional epsilon"
                 )
             name = item["name"]
-            epsilon = float(item.get("epsilon", 0.0))
+            epsilon = _number(item.get("epsilon", 0.0), f"generators[{i}].epsilon")
         else:
             raise ValueError(f"generators[{i}]: expected a name or an object")
         if name not in GENERATOR_KINDS:
@@ -261,7 +278,7 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     if missing:
         raise ValueError(f"{source}: missing keys {sorted(missing)}")
     name = str(doc.get("name", "scenario"))
-    dim = int(doc["dim"])
+    dim = _number(doc["dim"], "dim", int)
     if dim < 1:
         raise ValueError("dim: must be a positive integer")
     hs = require_hermitian(_parse_matrix(doc["hs"], dim, "hs"), name="hs")
@@ -275,8 +292,8 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     else:
         log.info("%s: ensemble mean already zero", name)
     hs_folded = hs + centered.mean
-    t_final = float(doc["t_final"])
-    dt = float(doc["dt"])
+    t_final = _number(doc["t_final"], "t_final")
+    dt = _number(doc["dt"], "dt")
     if not np.isfinite(t_final) or t_final < 0:
         raise ValueError("t_final: must be finite and non-negative")
     if not np.isfinite(dt) or dt <= 0:

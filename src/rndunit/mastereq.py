@@ -22,24 +22,23 @@ Three generators are offered:
               resolvent of H_S. The result is of Lindblad form and is a
               crude approximation here; it exists to expose exactly that.
 
-The ensemble enters only through r Hermitian second-moment factors F_j,
-and each kind only through the kernels X_j(t) that stand in for Htil.
-Because F_j, X_j and rho are all Hermitian, the dissipator is B + B+ with
-B = (sum_j F_j X_j) rho - [F_1 rho ... F_r rho] [X_1; ...; X_r]: five
-matrix products per evaluation whatever r. master_rhs therefore accepts
-only Hermitian operators.
+All three are one generator in the eigenbasis of H_S = V diag(E) V+,
+acting on rho~ = V+ rho V. The ensemble enters only through r Hermitian
+second-moment factors G_j = V+ F_j V, and the kind only through the
+kernel factor phi(t) of X~_j(t) = G_j o phi(t), which stands in for Htil:
+t (dephasing), the phase integral (redfield) or the fixed resolvent
+(gksl). Since G_j, X~_j and rho~ are Hermitian, the generator is
+-i (E_m - E_n) o rho~ - (B + B+) with
+B = (sum_j G_j X~_j) rho~ - [G_1 rho~ ... G_r rho~] [X~_1; ...; X~_r],
+three matrix products whatever r; so master_rhs takes Hermitian rho only.
 
-Everything is integrated with a fixed-step classical Runge-Kutta scheme,
-re-Hermitizing after every step, over one of two representations of the
-same generator, chosen from d alone. Small systems (d <= _DENSE_MAX_DIM,
-set from the measured crossover) use the dense d^2 x d^2 Liouvillian in
-the eigenbasis of H_S, which is affine in the kernel factor phi(t) of
-X~_j = G_j o phi(t): a chunk's RK4 one-step propagators are composed in
-batch, and each step is one matrix-vector product. Larger systems use the
-factored rhs above, with the kernels of a chunk tabulated in one
-vectorized pass. Either way the tables of a chunk stay within half the
-shared workspace budget linops.WORKSPACE_BYTES; the dense form is taken
-only when one step's tables fit there.
+integrate runs fixed-step classical Runge-Kutta in the eigenbasis over
+one of two representations of that generator, chosen from d alone: for
+d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
+Liouvillian, affine in phi, so a chunk's one-step propagators are composed
+in batch; above it the factored form, with the kernels of a chunk
+tabulated at once. A chunk's tables stay within half the shared budget
+linops.WORKSPACE_BYTES.
 """
 
 from __future__ import annotations
@@ -173,6 +172,11 @@ def _degeneracy_threshold(eig: EigenSystem, tol: Tolerances) -> float:
     return tol.degeneracy * max(1.0, span)
 
 
+def _gaps(eig: EigenSystem) -> np.ndarray:
+    """Bohr frequencies E_m - E_n as a (d, d) matrix."""
+    return eig.energies[:, None] - eig.energies[None, :]
+
+
 def _phase_integral(gaps: np.ndarray, t, deg_tol: float) -> np.ndarray:
     """Elementwise int_0^t dt' exp(-it' gap) = (1 - exp(-it gap)) / (i gap).
 
@@ -199,8 +203,7 @@ def h_tilde(h_lambda, eig: EigenSystem, t: float, tol: Tolerances = DEFAULT_TOL)
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and non-negative")
-    gaps = eig.energies[:, None] - eig.energies[None, :]
-    phi = _phase_integral(gaps, t, _degeneracy_threshold(eig, tol))
+    phi = _phase_integral(_gaps(eig), t, _degeneracy_threshold(eig, tol))
     g = dagger(eig.basis) @ h_lambda @ eig.basis
     return eig.basis @ (g * phi) @ dagger(eig.basis)
 
@@ -239,15 +242,6 @@ def _require_kind(p: MasterEqProblem, kind: str) -> None:
         raise ValueError(f"problem kind is {p.kind!r}, expected {kind!r}")
 
 
-def _check_state_arg(p: MasterEqProblem, rho) -> np.ndarray:
-    rho = as_complex_matrix(rho, "state")
-    if rho.shape != (p.dim, p.dim):
-        raise ValueError(
-            f"state shape {rho.shape} does not match problem dimension {p.dim}"
-        )
-    return rho
-
-
 # Singular values of the second-moment factorization below this fraction of
 # the largest one are rounding noise (e.g. the direction removed by centering)
 # and are dropped; each one dropped moves the second moment by its square.
@@ -269,65 +263,60 @@ def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
     return np.tensordot(u[:, :rank].T, scaled, axes=1)
 
 
-def _make_rhs(p: MasterEqProblem, tol: Tolerances):
-    """Build kernels(ts) and rhs(rho, x, a) for the generator of p.
+def _generator(p: MasterEqProblem, tol: Tolerances):
+    """The generator of p in the eigenbasis of H_S, as (G, phi).
 
-    The generator is -i[H_S, rho] - sum_j [F_j, [X_j(t), rho]], where the
-    kinds differ only in the kernel X_j(t) = Htil of factor F_j: t F_j for
-    commuting disorder, V (G_j o phase integral(t)) V+ for redfield and the
-    fixed V (G_j o resolvent) V+ for gksl, G_j = V+ F_j V.
-
-    kernels(ts) tabulates x = [X_1; ...; X_r] as (T, r d, d) and
-    a = sum_j F_j X_j as (T, d, d) for times (T,); the fixed gksl kernel is
-    only broadcast. rhs(rho, x, a) is -i[H_S, rho] - (B + B+) with
-    B = a rho - [F_1 rho ... F_r rho] x, which needs a Hermitian rho.
+    G (r, d, d) holds the second-moment factors G_j = V+ F_j V, and phi(ts)
+    the kernel factor of X~_j(t) = G_j o phi(t) at times ts (T,) as a
+    (T, d, d) stack: t for dephasing, the phase integral for redfield, and
+    for gksl the fixed resolvent, one (1, d, d) stack whatever ts. This is
+    the only place the kind is read, and the kind's guards run here:
+    dephasing needs disorder that commutes with H_S, and gksl at
+    epsilon = 0 a non-degenerate spectrum.
     """
-    hs = p.hs
-    f = _second_moment_factors(p.ensemble)
-    r, d = f.shape[0], p.dim
-    # row (m, j) holds row m of F_j: f_rows @ rho reshapes to the row block
-    # [F_1 rho ... F_r rho] and f_rows.reshape(d, r d) is [F_1 ... F_r]
-    f_rows = np.ascontiguousarray(f.transpose(1, 0, 2)).reshape(d * r, d)
-    f_cols = f_rows.reshape(d, r * d)
+    v = p.eig.basis
+    g = dagger(v) @ _second_moment_factors(p.ensemble) @ v
     if p.kind == "dephasing":
-        require_commuting(p.ensemble, hs, tol)
-        f_stack = f.reshape(r * d, d)
+        require_commuting(p.ensemble, p.hs, tol)
+        d = p.dim
+        return g, lambda ts: np.broadcast_to(ts[:, None, None], (ts.size, d, d))
+    if p.kind == "redfield":
+        gaps = _gaps(p.eig)
+        deg_tol = _degeneracy_threshold(p.eig, tol)
+        return g, lambda ts: _phase_integral(gaps, ts, deg_tol)
+    fixed = gksl_resolvent(p.eig, p.epsilon, tol)[None]
+    return g, lambda ts: fixed
 
-        def kernels(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            x = ts[:, None, None] * f_stack
-            return x, f_cols @ x
 
-    else:
-        v = p.eig.basis
-        vh = dagger(v)
-        g = vh @ f @ v
-        if p.kind == "redfield":
-            gaps = p.eig.energies[:, None] - p.eig.energies[None, :]
-            deg_tol = _degeneracy_threshold(p.eig, tol)
+def _make_rhs(p: MasterEqProblem, tol: Tolerances):
+    """Build kernels(ts) and rhs(rho~, x, a), the generator of p acting on
+    rho~ = V+ rho V in the eigenbasis of H_S.
 
-            def kernels(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                # W = (G_j o phi) V+ and X_j = V W = W+ V+, as X_j is
-                # Hermitian: two products over all blocks, not two per block
-                phi = _phase_integral(gaps, ts, deg_tol)[:, None]
-                w = ((g * phi).reshape(-1, d) @ vh).reshape(-1, d, d)
-                w = np.conjugate(w, out=w).swapaxes(1, 2).reshape(-1, d)
-                x = (w @ vh).reshape(ts.size, r * d, d)
-                return x, f_cols @ x
+    kernels(ts) tabulates x = [X~_1; ...; X~_r] with X~_j = G_j o phi(t) as
+    (T, r d, d) and a = sum_j G_j X~_j as (T, d, d) for times (T,); the
+    fixed gksl kernels are only broadcast. rhs(rho~, x, a) is
+    -i (E_m - E_n) o rho~ - (B + B+) with B = a rho~ - [G_1 rho~ ... G_r rho~] x,
+    which needs a Hermitian rho~.
+    """
+    g, phi = _generator(p, tol)
+    r, d = g.shape[0], p.dim
+    # row (m, j) holds row m of G_j: g_rows @ rho reshapes to the row block
+    # [G_1 rho ... G_r rho] and g_rows.reshape(d, r d) is [G_1 ... G_r]
+    g_rows = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(d * r, d)
+    g_cols = g_rows.reshape(d, r * d)
+    free = -1j * _gaps(p.eig)
 
-        else:
-            resolvent = gksl_resolvent(p.eig, p.epsilon, tol)
-            fixed = (v @ (g * resolvent) @ vh).reshape(r * d, d)
-            fixed_a = f_cols @ fixed
-
-            def kernels(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                return (
-                    np.broadcast_to(fixed, (ts.size, r * d, d)),
-                    np.broadcast_to(fixed_a, (ts.size, d, d)),
-                )
+    def kernels(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = phi(ts)
+        x = (g * at[:, None]).reshape(at.shape[0], r * d, d)
+        return (
+            np.broadcast_to(x, (ts.size, r * d, d)),
+            np.broadcast_to(g_cols @ x, (ts.size, d, d)),
+        )
 
     def rhs(rho: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        b = a @ rho - (f_rows @ rho).reshape(d, r * d) @ x
-        return -1j * (hs @ rho - rho @ hs) - (b + dagger(b))
+        b = a @ rho - (g_rows @ rho).reshape(d, r * d) @ x
+        return free * rho - (b + dagger(b))
 
     return kernels, rhs
 
@@ -335,11 +324,9 @@ def _make_rhs(p: MasterEqProblem, tol: Tolerances):
 def _make_liouvillian(p: MasterEqProblem, tol: Tolerances):
     """Build tables(ts), the generator of p as d^2 x d^2 matrices at times ts.
 
-    The matrices act on the row-major vec of rho~ = V+ rho V, the state in
-    the eigenbasis of H_S, where every kernel is X~_j = G_j o phi(t) with
-    phi = t for dephasing, the phase integral for redfield and the fixed
-    resolvent for gksl. Entry [(a, b), (c, e)] of -sum_j [G_j, [X~_j, rho~]]
-    is K[a, b, c, e] (phi_eb + phi_ac) - A_ac delta_be - delta_ac B_eb, with
+    The matrices act on the row-major vec of rho~ = V+ rho V. Entry
+    [(a, b), (c, e)] of -sum_j [G_j, [X~_j, rho~]] with X~_j = G_j o phi is
+    K[a, b, c, e] (phi_eb + phi_ac) - A_ac delta_be - delta_ac B_eb, with
     the fixed K[a, b, c, e] = sum_j (G_j)_ac (G_j)_eb, A = sum_j G_j X~_j
     and B = sum_j X~_j G_j. So the generator is affine in phi whatever the
     rank r, and a table is one product [vec phi, 1] @ M with a fixed
@@ -348,11 +335,9 @@ def _make_liouvillian(p: MasterEqProblem, tol: Tolerances):
     tables(ts) is (T, d^2, d^2) for times (T,); for the time-independent
     gksl generator it is one fixed (1, d^2, d^2) stack, whatever ts.
     """
+    g, phi = _generator(p, tol)
     d = p.dim
     n = d * d
-    f = _second_moment_factors(p.ensemble)
-    v = p.eig.basis
-    g = dagger(v) @ f @ v
     k = np.einsum("jac,jeb->abce", g, g)
     q = np.einsum("jam,jmc->amc", g, g)  # A_ac = sum_m Q_amc phi_mc, B_eb = sum_m Q_emb phi_em
     unit = np.eye(n).reshape(n, d, d)  # each phi_mn = 1 in turn: the rows of M
@@ -361,23 +346,15 @@ def _make_liouvillian(p: MasterEqProblem, tol: Tolerances):
     rows = k * (unit.swapaxes(1, 2)[:, None, :, None, :] + unit[:, :, None, :, None])
     rows -= np.einsum("amc,umc->uac", q, unit)[:, :, None, :, None] * eye[:, None, :]
     rows -= np.einsum("emb,uem->ube", q, unit)[:, None, :, None, :] * eye[:, None, :, None]
-    e = p.eig.energies
-    free = -1j * np.diag((e[:, None] - e[None, :]).ravel())
+    free = -1j * np.diag(_gaps(p.eig).ravel())
     m = np.concatenate([rows.reshape(n, n * n), free.reshape(1, n * n)])
 
-    def liouvillian(phi: np.ndarray) -> np.ndarray:
-        coords = np.concatenate([phi.reshape(-1, n), np.ones((phi.shape[0], 1))], axis=1)
+    def tables(ts: np.ndarray) -> np.ndarray:
+        at = phi(ts)
+        coords = np.concatenate([at.reshape(-1, n), np.ones((at.shape[0], 1))], axis=1)
         return (coords @ m).reshape(-1, n, n)
 
-    if p.kind == "dephasing":
-        require_commuting(p.ensemble, p.hs, tol)
-        return lambda ts: liouvillian(np.broadcast_to(ts[:, None, None], (ts.size, d, d)))
-    if p.kind == "redfield":
-        gaps = e[:, None] - e[None, :]
-        deg_tol = _degeneracy_threshold(p.eig, tol)
-        return lambda ts: liouvillian(_phase_integral(gaps, ts, deg_tol))
-    fixed = liouvillian(gksl_resolvent(p.eig, p.epsilon, tol)[None])
-    return lambda ts: fixed
+    return tables
 
 
 def _rk4_propagators(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
@@ -425,9 +402,8 @@ def dephasing_analytic(
         raise ValueError("t must be finite and non-negative")
     c2 = c2_matrix(p.ensemble, p.eig, tol)
     v = p.eig.basis
-    gaps = p.eig.energies[:, None] - p.eig.energies[None, :]
     in_eig = dagger(v) @ rho0 @ v
-    damped = in_eig * np.exp(-1j * t * gaps) * np.exp(-0.5 * t * t * c2)
+    damped = in_eig * np.exp(-1j * t * _gaps(p.eig)) * np.exp(-0.5 * t * t * c2)
     return v @ damped @ dagger(v)
 
 
@@ -437,13 +413,17 @@ def master_rhs(
     """Generator selected by p.kind, evaluated at (rho, t); gksl ignores t.
 
     rho must be Hermitian (within tol.hermitian): the generator is evaluated
-    in a form that holds for Hermitian operators only.
+    in a form that holds for Hermitian operators only, as V rhs(V+ rho V) V+
+    in the eigenbasis of H_S.
     """
-    rho = _check_state_arg(p, rho)
+    rho = as_complex_matrix(rho, "state")
+    if rho.shape != (p.dim, p.dim):
+        raise ValueError(f"state shape {rho.shape} does not match problem dimension {p.dim}")
     require_hermitian(rho, tol, name="state")
     kernels, rhs = _make_rhs(p, tol)
     x, a = kernels(np.array([float(t)]))
-    return rhs(rho, x[0], a[0])
+    v = p.eig.basis
+    return v @ rhs(dagger(v) @ rho @ v, x[0], a[0]) @ dagger(v)
 
 
 def integrate(
@@ -455,23 +435,25 @@ def integrate(
 ) -> TimeSeries:
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
-    The state is re-Hermitized, rho <- (rho + rho+) / 2, after each step;
-    together with the trace-free generators this keeps the trace drift at
-    rounding level. Steps run in chunks, each chunk's tables built at once.
-    The generator has two representations, chosen from d alone:
+    The state is evolved as rho~ = V+ rho V in the eigenbasis of H_S, where
+    every kind is one generator with its kernel factor phi(t) from
+    _generator, and re-Hermitized, rho~ <- (rho~ + rho~+) / 2, after each
+    step; together with the trace-free generator this keeps the trace
+    drift at rounding level. Steps run in chunks, each chunk's tables built
+    at once, with one of two representations, chosen from d alone:
 
     * dense, for d <= _DENSE_MAX_DIM when one step's tables fit in half of
-      linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian in the eigenbasis
-      of H_S, from which the chunk's RK4 one-step propagators are composed
-      in batch (the fixed gksl one once); each step is then one
-      matrix-vector product;
+      linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian, from which the
+      chunk's RK4 one-step propagators are composed in batch (the fixed
+      gksl one once); each step is then one matrix-vector product;
     * factored, otherwise: the kernels at t, t + dt / 2 and t + dt of every
       step are tabulated within half the budget, and each step makes four
       master_rhs-style evaluations.
 
-    A chunk with non-finite entries aborts the run, naming its first bad
-    step. A warning is emitted when dt resolves the fastest phase poorly
-    (dt * max |E_n| > 0.05).
+    Each chunk is rotated back and re-Hermitized once more, so the states
+    after states[0] = rho0 are bitwise Hermitian. A chunk with non-finite
+    entries aborts the run, naming its first bad step. A warning is emitted
+    when dt resolves the fastest phase poorly (dt * max |E_n| > 0.05).
     """
     rho0 = require_density(rho0, tol, name="initial state")
     if rho0.shape[0] != p.dim:
@@ -500,19 +482,25 @@ def integrate(
         )
     states = np.empty((n_steps + 1, p.dim, p.dim), dtype=np.complex128)
     states[0] = rho0
+    v = p.eig.basis
+    vh = dagger(v)
+    rho = vh @ rho0 @ v
     chunk = _dense_chunk(p.dim)
     if chunk:
-        chunks = _steps_dense(p, rho0, states, dt, chunk, tol)
+        blocks = _steps_dense(p, rho, n_steps, dt, chunk, tol)
     else:
-        chunks = _steps_factored(p, rho0, states, dt, tol)
-    for start, stop in chunks:
-        bad = ~np.isfinite(states[start + 1 : stop + 1]).all(axis=(1, 2))
+        blocks = _steps_factored(p, rho, n_steps, dt, tol)
+    for start, block in blocks:
+        block = v @ block @ vh
+        block = 0.5 * (block + block.conj().swapaxes(1, 2))
+        bad = ~np.isfinite(block).all(axis=(1, 2))
         if bad.any():
             step = start + int(np.argmax(bad)) + 1
             raise RuntimeError(
                 f"integration produced non-finite entries at step {step} "
                 f"(t = {step * dt:g}); reduce dt"
             )
+        states[start + 1 : start + 1 + block.shape[0]] = block
     times = np.arange(n_steps + 1, dtype=np.float64) * dt
     return TimeSeries(times=times, states=states)
 
@@ -553,12 +541,12 @@ def _dense_chunk(d: int) -> int:
     return min(budget, _DENSE_CHUNK_BYTES) // step_bytes
 
 
-def _steps_factored(p: MasterEqProblem, rho0, states, dt: float, tol: Tolerances):
-    """Fill states[1:] with RK4 over the factored rhs, yielding each chunk's
-    (start, stop) once its states are stored."""
+def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float, tol: Tolerances):
+    """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S,
+    yielding (start, block) with the states after steps start + 1, ...
+    of each chunk."""
     kernels, rhs = _make_rhs(p, tol)
     d = p.dim
-    n_steps = states.shape[0] - 1
     # an empty table has the kernels' shape: r d + d rows of d complex
     # entries per time, three times per step, and up to two more copies of
     # the r d rows while the tables are built. They get half the budget:
@@ -567,11 +555,11 @@ def _steps_factored(p: MasterEqProblem, rho0, states, dt: float, tol: Tolerances
     # chunks of fifty steps or more already cost under 1 us per step.
     rows = kernels(np.empty(0))[0].shape[1] + d
     chunk = max(1, linops.WORKSPACE_BYTES // (2 * 3 * 3 * rows * d * 16))
-    rho = rho0.copy()
     for start in range(0, n_steps, chunk):
         t = np.arange(start, min(start + chunk, n_steps)) * dt
         x, a = kernels(np.concatenate([t, t + 0.5 * dt, t + dt]))
         steps = t.size
+        block = np.empty((steps, d, d), dtype=np.complex128)
         for j in range(steps):
             h = steps + j  # t + dt / 2; t + dt is h + steps
             k1 = rhs(rho, x[j], a[j])
@@ -580,28 +568,20 @@ def _steps_factored(p: MasterEqProblem, rho0, states, dt: float, tol: Tolerances
             k4 = rhs(rho + dt * k3, x[h + steps], a[h + steps])
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             rho = 0.5 * (rho + dagger(rho))
-            states[start + j + 1] = rho
+            block[j] = rho
         del x, a  # before the next chunk's tables are built
-        yield start, start + steps
+        yield start, block
 
 
-def _steps_dense(p: MasterEqProblem, rho0, states, dt: float, chunk: int, tol: Tolerances):
-    """Fill states[1:] by the dense RK4 step propagators of _make_liouvillian,
-    chunk steps at a time, yielding each chunk's (start, stop) once stored.
-
-    The state is propagated in the eigenbasis of H_S and re-Hermitized
-    after every step; each chunk is then rotated back and re-Hermitized
-    once more, so the stored states are bitwise Hermitian.
-    """
+def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float, chunk: int, tol: Tolerances):
+    """The dense RK4 step propagators of _make_liouvillian applied to
+    rho~ = rho in the eigenbasis of H_S, chunk steps at a time, yielding
+    (start, block) like _steps_factored."""
     tables = _make_liouvillian(p, tol)
     d = p.dim
-    n_steps = states.shape[0] - 1
     fixed = tables(np.empty(0))
     if fixed.shape[0]:  # time independent (gksl): one propagator for all steps
         fixed = _rk4_propagators(fixed, fixed, fixed, dt)
-    v = p.eig.basis
-    vh = dagger(v)
-    rho = vh @ rho0 @ v
     for start in range(0, n_steps, chunk):
         stop = min(start + chunk, n_steps)
         steps = stop - start
@@ -621,6 +601,4 @@ def _steps_dense(p: MasterEqProblem, rho0, states, dt: float, chunk: int, tol: T
             rho = 0.5 * (rho + dagger(rho))
             block[j] = rho
         del props
-        block = v @ block @ vh
-        states[start + 1 : stop + 1] = 0.5 * (block + block.conj().swapaxes(1, 2))
-        yield start, stop
+        yield start, block

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SZ, random_density, random_hermitian, random_weights
 
-from rndunit import linops
+from rndunit import channel, linops
 from rndunit.channel import (
     _TABLE_SHARE,
     MAX_EMBEDDED_DIM,
@@ -268,17 +268,33 @@ def test_embedded_series_matches_pointwise():
             )
 
 
-def test_embedded_series_chunking_is_invisible():
-    # a rank-1 rho0 gives one factor column per sample, so chunk = 1 and the
-    # one-sample tail of chunk = 2 are one-row products
+def test_embedded_series_chunking_is_invisible(monkeypatch):
+    # a budget of k 16 N (1 + 3 r) bytes holds the temporaries of k samples
+    # of r factor columns. A rank-1 rho0 gives one column per sample, so
+    # k = 1 and the one-sample tail of k = 2 are one-row products
     hs, e, mixed = _random_setup(15)
     plus = np.full((3, 3), 1.0 / 3, dtype=complex)
     sys = embed(hs, e)
+    n = sys.dim_s * sys.dim_e
     times = np.linspace(0.0, 5.0, 23)
-    for rho0 in (mixed, plus):
-        whole = evolve_embedded_series(sys, rho0, times, chunk=1024)
-        for chunk in (1, 2, 4):
-            part = evolve_embedded_series(sys, rho0, times, chunk=chunk)
+    sizes = []
+    reduced_chunk = channel._reduced_chunk
+
+    def spy(ts, *args):
+        sizes.append(ts.size)
+        return reduced_chunk(ts, *args)
+
+    monkeypatch.setattr(channel, "_reduced_chunk", spy)
+    for rho0, rank in ((mixed, 3), (plus, 1)):
+        sizes.clear()
+        whole = evolve_embedded_series(sys, rho0, times)
+        assert sizes == [times.size]
+        for k in (1, 2, 4):
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(linops, "WORKSPACE_BYTES", k * 16 * n * (1 + 3 * rank))
+                part = evolve_embedded_series(sys, rho0, times)
+            assert max(sizes) == k and sum(sizes) == times.size
             np.testing.assert_array_equal(whole, part)
 
 

@@ -452,14 +452,42 @@ PREFLIGHT_FAILURES = {
     "oversized-grid": ({"t_final": 1e7, "dt": 1e-3}, "dt: 10000000001 grid points"),
 }
 
+# a mistyped numeric field is a validation error naming it, not a TypeError
+_TWO_POINT = BASE_DOC["ensemble"]
+_ONE_TERM = {"matrix": [[1.0, 0.0], [0.0, -1.0]], "weight": 1.0}
+MISTYPED_FIELDS = {
+    "dim-list": ({"dim": [2]}, "dim: expected a number"),
+    "t_final-list": ({"t_final": [1.0]}, "t_final: expected a number"),
+    "dt-object": ({"dt": {"value": 0.05}}, "dt: expected a number"),
+    "g-null": ({"ensemble": {**_TWO_POINT, "g": None}}, "ensemble.g: expected a number"),
+    "sigma-null": (
+        {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": None, "n_nodes": 4}},
+        "ensemble.sigma: expected a number",
+    ),
+    # JSON's Infinity: int() overflows
+    "n_nodes-infinite": (
+        {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": float("inf")}},
+        "ensemble.n_nodes: expected a number",
+    ),
+    "weight-null": (
+        {"ensemble": {"type": "explicit", "terms": [_ONE_TERM, {**_ONE_TERM, "weight": None}]}},
+        "ensemble.terms[1].weight: expected a number",
+    ),
+    "epsilon-list": (
+        {"ensemble": _SX_G, "generators": [{"name": "gksl", "epsilon": [0.1]}]},
+        "generators[0].epsilon: expected a number",
+    ),
+    "type-list": ({"ensemble": {**_TWO_POINT, "type": ["two_point"]}}, "ensemble.type"),
+}
 
-@pytest.mark.parametrize("case", sorted(PREFLIGHT_FAILURES))
+
+@pytest.mark.parametrize("case", sorted({**PREFLIGHT_FAILURES, **MISTYPED_FIELDS}))
 def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monkeypatch):
     def no_grid(s):
         raise AssertionError("the time grid was allocated")
 
     monkeypatch.setattr("rndunit.cli._time_grid", no_grid)
-    overrides, field = PREFLIGHT_FAILURES[case]
+    overrides, field = {**PREFLIGHT_FAILURES, **MISTYPED_FIELDS}[case]
     out = tmp_path / "s.csv"
     path = tmp_path / "s.json"
     path.write_text(json.dumps(make_doc(output_path=str(out), **overrides)))

@@ -181,10 +181,23 @@ def test_rhs_zero_disorder_is_hamiltonian_motion():
             )
 
 
-def test_rhs_kind_guards():
+def test_rhs_kind_guards(monkeypatch):
     p = make_problem(HS_QUBIT, two_point_ensemble(SZ, 0.5), "dephasing")
     with pytest.raises(ValueError, match="state shape"):
         master_rhs(p, np.eye(3) / 3, 1.0)
+    # each kind's guard runs where the generator is built, for master_rhs
+    # and for both representations of integrate
+    guarded = {
+        "commute": make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "dephasing"),
+        "degenerate": make_problem(0.3 * np.eye(2), two_point_ensemble(SX, 0.5), "gksl"),
+    }
+    for error, p in guarded.items():
+        with pytest.raises(ValueError, match=error):
+            master_rhs(p, PLUS, 1.0)
+        for representation in REPRESENTATIONS:
+            _select(monkeypatch, representation, 2)
+            with pytest.raises(ValueError, match=error):
+                integrate(p, PLUS, 0.1, 0.01)
 
 
 def test_rhs_rejects_nonhermitian_state():
@@ -396,20 +409,23 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
         np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13, err_msg=representation)
 
 
-def test_integrate_dense_keeps_rho0_bitwise(monkeypatch):
-    # non-diagonal H_S: the dense path runs in its eigenbasis, but stores
-    # states[0] as given and every later state bitwise Hermitian
+def test_integrate_keeps_rho0_bitwise(monkeypatch):
+    # non-diagonal H_S: both representations run in its eigenbasis, but
+    # store states[0] as given and every later state bitwise Hermitian
     rng = np.random.default_rng(44)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(2)])
     e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(2, 0.5))).ensemble
     p = make_problem(random_hermitian(rng, 3), e, "redfield")
     assert max_abs(p.hs - np.diag(np.diag(p.hs))) > 0.1
     rho0 = random_density(rng, 3)
-    _select(monkeypatch, "dense", 3)
-    ts = integrate(p, rho0, 0.1, 0.01)
-    np.testing.assert_array_equal(ts.states[0], rho0)
-    later = ts.states[1:]
-    np.testing.assert_array_equal(later, later.conj().swapaxes(1, 2))
+    for representation in REPRESENTATIONS:
+        _select(monkeypatch, representation, 3)
+        ts = integrate(p, rho0, 0.1, 0.01)
+        np.testing.assert_array_equal(ts.states[0], rho0, err_msg=representation)
+        later = ts.states[1:]
+        np.testing.assert_array_equal(
+            later, later.conj().swapaxes(1, 2), err_msg=representation
+        )
 
 
 def test_integrate_warns_on_coarse_dt():
