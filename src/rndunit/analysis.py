@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import DEFAULT_TOL, EigenSystem, Tolerances, require_density, trace_distance
+from .linops import DEFAULT_TOL, EigenSystem, require_density, trace_distance
 from .mastereq import TimeSeries
 
 __all__ = [
@@ -41,13 +41,13 @@ class ComparisonReport:
     breakdown_time: float | None
 
 
-def purity(rho, tol: Tolerances = DEFAULT_TOL) -> float:
+def purity(rho) -> float:
     """tr(rho^2); 1 for pure states, 1/d for the maximally mixed state."""
-    rho = require_density(rho, tol)
+    rho = require_density(rho)
     return float(np.trace(rho @ rho).real)
 
 
-def heisenberg_time(eig: EigenSystem, tol: Tolerances = DEFAULT_TOL) -> float:
+def heisenberg_time(eig: EigenSystem) -> float:
     """Inverse mean level gap, 1 / <|E_m - E_n|> over all pairs m < n.
 
     This is the time scale on which the time-local master equations lose
@@ -60,7 +60,7 @@ def heisenberg_time(eig: EigenSystem, tol: Tolerances = DEFAULT_TOL) -> float:
     gaps = np.abs(e[None, :] - e[:, None])[np.triu_indices(eig.dim, k=1)]
     mean_gap = float(gaps.mean())
     span = float(e[-1] - e[0])
-    if mean_gap <= tol.degeneracy * max(1.0, span):
+    if mean_gap <= DEFAULT_TOL.degeneracy * max(1.0, span):
         raise ValueError("spectrum is fully degenerate; Heisenberg time undefined")
     return 1.0 / mean_gap
 

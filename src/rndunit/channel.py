@@ -45,7 +45,6 @@ from . import linops
 from .ensemble import DisorderEnsemble
 from .linops import (
     DEFAULT_TOL,
-    Tolerances,
     dagger,
     herm_eig,
     max_abs,
@@ -161,8 +160,8 @@ class EmbeddedSystem:
         return self.total_hamiltonian[k * d : (k + 1) * d, k * d : (k + 1) * d]
 
 
-def _check_inputs(hs, e: DisorderEnsemble, tol: Tolerances):
-    hs = require_hermitian(hs, tol, name="system Hamiltonian")
+def _check_inputs(hs, e: DisorderEnsemble):
+    hs = require_hermitian(hs, name="system Hamiltonian")
     if hs.shape[0] != e.dim:
         raise ValueError(
             f"system dimension {hs.shape[0]} does not match ensemble dimension {e.dim}"
@@ -170,24 +169,25 @@ def _check_inputs(hs, e: DisorderEnsemble, tol: Tolerances):
     return hs
 
 
-def evolve_average(
-    hs, e: DisorderEnsemble, rho0, t: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def _check_state(rho, dim: int, owner: str, name: str = "initial state") -> np.ndarray:
+    rho = require_density(rho, name=name)
+    if rho.shape[0] != dim:
+        raise ValueError(f"{name} dimension does not match the {owner}")
+    return rho
+
+
+def evolve_average(hs, e: DisorderEnsemble, rho0, t: float) -> np.ndarray:
     """Ensemble-averaged state sum_k p_k U_k(t) rho0 U_k(t)+, summed in order."""
-    hs = _check_inputs(hs, e, tol)
-    rho0 = require_density(rho0, tol, name="initial state")
-    if rho0.shape[0] != e.dim:
-        raise ValueError("initial state dimension does not match the ensemble")
+    hs = _check_inputs(hs, e)
+    rho0 = _check_state(rho0, e.dim, "ensemble")
     out = np.zeros_like(rho0)
     for k in range(e.size):
-        u = propagator(hs + e.hamiltonians[k], t, tol)
+        u = propagator(hs + e.hamiltonians[k], t)
         out += e.weights[k] * (u @ rho0 @ dagger(u))
     return out
 
 
-def evolve_average_series(
-    hs, e: DisorderEnsemble, rho0, times, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     """Ensemble-averaged states over a whole time grid, shape (T, d, d).
 
     Each realization is eigendecomposed once, H_S + H_k = V_k diag(E_k) V_k+.
@@ -207,8 +207,8 @@ def evolve_average_series(
     result by rounding only, since the product's summation order may
     depend on the number of rows.
     """
-    hs = _check_inputs(hs, e, tol)
-    rho0 = require_density(rho0, tol, name="initial state")
+    hs = _check_inputs(hs, e)
+    rho0 = _check_state(rho0, e.dim, "ensemble")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty finite 1d array")
@@ -224,7 +224,7 @@ def evolve_average_series(
     coeffs = np.empty((e.size, pairs, 2, rows.size), dtype=np.complex128)
     constant = np.zeros(rows.size, dtype=np.complex128)
     for k in range(e.size):
-        eig = herm_eig(hs + e.hamiltonians[k], tol)
+        eig = herm_eig(hs + e.hamiltonians[k])
         v = eig.basis
         b = e.weights[k] * (dagger(v) @ rho0 @ v)
         # f[a, b, (i, j)] = p_k b_k[a, b] V_k[i, a] conj(V_k[j, b])
@@ -284,7 +284,7 @@ def require_series_fit(points: int, dim: int, n_series: int) -> None:
         )
 
 
-def embed(hs, e: DisorderEnsemble, tol: Tolerances = DEFAULT_TOL) -> EmbeddedSystem:
+def embed(hs, e: DisorderEnsemble) -> EmbeddedSystem:
     """Dilate to a closed system: one register state per realization.
 
     The total Hamiltonian is sum_k (H_S + H_k) (x) |k><k| with the register
@@ -292,7 +292,7 @@ def embed(hs, e: DisorderEnsemble, tol: Tolerances = DEFAULT_TOL) -> EmbeddedSys
     term would commute with everything here and drop out of the reduced
     dynamics, so none is added.
     """
-    hs = _check_inputs(hs, e, tol)
+    hs = _check_inputs(hs, e)
     dim_s, dim_e = e.dim, e.size
     require_embeddable(dim_s, dim_e)
     total = np.zeros((dim_s * dim_e, dim_s * dim_e), dtype=np.complex128)
@@ -320,31 +320,22 @@ def _to_system_major(rho: np.ndarray, dim_s: int, dim_e: int) -> np.ndarray:
     )
 
 
-def evolve_embedded(
-    sys: EmbeddedSystem, rho0_s, t: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def evolve_embedded(sys: EmbeddedSystem, rho0_s, t: float) -> np.ndarray:
     """Closed evolution of the dilation, then partial trace over the register.
 
     Starts from rho0 (x) diag(p), which is stationary for the register, and
     reproduces the ensemble average exactly. This is the oracle for
     evolve_embedded_series, which starts from the pure register instead.
     """
-    rho0_s = require_density(rho0_s, tol, name="initial state")
-    if rho0_s.shape[0] != sys.dim_s:
-        raise ValueError("initial state dimension does not match the embedding")
-    u = propagator(sys.total_hamiltonian, t, tol)
+    rho0_s = _check_state(rho0_s, sys.dim_s, "embedding")
+    u = propagator(sys.total_hamiltonian, t)
     rho_t = u @ _embedded_initial(sys, rho0_s) @ dagger(u)
     return partial_trace_env(
-        _to_system_major(rho_t, sys.dim_s, sys.dim_e), sys.dim_s, sys.dim_e, tol
+        _to_system_major(rho_t, sys.dim_s, sys.dim_e), sys.dim_s, sys.dim_e
     )
 
 
-def evolve_embedded_series(
-    sys: EmbeddedSystem,
-    rho0_s,
-    times,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     """Reduced states of the dilation over a time grid, shape (T, d_s, d_s).
 
     No composite density matrix is formed. H_tot commutes with every
@@ -367,7 +358,7 @@ def evolve_embedded_series(
     registers shows at first order in the coupling here, where the mixed
     register of evolve_embedded hides it to second order. The smallest
     |lam_m| are dropped while their sum stays within a thousandth of
-    tol.equivalence, the budget the dilation is checked against; since the
+    DEFAULT_TOL.equivalence, the budget the dilation is checked against; since the
     channel contracts trace distance, the result moves by at most half that
     sum.
 
@@ -380,18 +371,16 @@ def evolve_embedded_series(
     budget. Besides H_tot, the fixed arrays are the eigendecomposition and
     the r x N factor G^T, G = V+ C.
     """
-    rho0_s = require_density(rho0_s, tol, name="initial state")
-    if rho0_s.shape[0] != sys.dim_s:
-        raise ValueError("initial state dimension does not match the embedding")
+    rho0_s = _check_state(rho0_s, sys.dim_s, "embedding")
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty finite 1d array")
     d, n = sys.dim_s, sys.dim_e
     full = d * n
-    eig = herm_eig(sys.total_hamiltonian, tol)
+    eig = herm_eig(sys.total_hamiltonian)
     lam, q = np.linalg.eigh(rho0_s)
     order = np.argsort(np.abs(lam))
-    dropped = np.cumsum(np.abs(lam[order])) <= 1e-3 * tol.equivalence
+    dropped = np.cumsum(np.abs(lam[order])) <= 1e-3 * DEFAULT_TOL.equivalence
     keep = order[~dropped]
     lam, q = lam[keep], q[:, keep]
     # G^T for G = V+ C, formed as conj(C+ V) so V is neither conjugated nor
@@ -444,24 +433,20 @@ def _reduced_chunk(ts, energies, blocks, vt, dim_e: int) -> np.ndarray:
     return out
 
 
-def kraus_at(
-    hs, e: DisorderEnsemble, t: float, tol: Tolerances = DEFAULT_TOL
-) -> KrausChannel:
+def kraus_at(hs, e: DisorderEnsemble, t: float) -> KrausChannel:
     """Kraus form of the channel at time t: operators sqrt(p_k) U_k(t)."""
-    hs = _check_inputs(hs, e, tol)
+    hs = _check_inputs(hs, e)
     ops = np.empty((e.size, e.dim, e.dim), dtype=np.complex128)
     for k in range(e.size):
-        u = propagator(hs + e.hamiltonians[k], t, tol)
-        require_unitary(u, tol, name=f"propagator of realization {k}")
+        u = propagator(hs + e.hamiltonians[k], t)
+        require_unitary(u, name=f"propagator of realization {k}")
         ops[k] = np.sqrt(e.weights[k]) * u
     return KrausChannel(operators=ops)
 
 
-def apply_kraus(k: KrausChannel, rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def apply_kraus(k: KrausChannel, rho) -> np.ndarray:
     """Apply the channel: sum_k K_k rho K_k+."""
-    rho = require_density(rho, tol, name="input state")
-    if rho.shape[0] != k.dim:
-        raise ValueError("state dimension does not match the channel")
+    rho = _check_state(rho, k.dim, "channel", name="input state")
     out = np.zeros_like(rho)
     for j in range(k.size):
         op = k.operators[j]

@@ -13,7 +13,8 @@ Subcommands:
     validate  make every check run makes, without the heavy work
     demo      run one of the built-in example scenarios
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error or unwritable output, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -137,14 +138,21 @@ class RunRecord:
 def _number(value, field: str, kind=float):
     """kind(value), raising a ValueError that names field where it fails.
 
-    It takes what kind takes, numeric strings among them; a list, an
-    object, null or an infinite integer is refused naming the field, not
-    with a TypeError or OverflowError that no exit code covers.
+    It takes what kind takes, numeric strings among them, except booleans
+    and, for kind int, finite floats with a fractional part, which int()
+    would truncate; a list, an object, null or an infinite integer is
+    refused naming the field, not with a TypeError or OverflowError that
+    no exit code covers.
     """
     try:
-        return kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{field}: expected a number, got {value!r}") from None
+        number = None
+    if number is None:
+        raise ValueError(f"{field}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and number != value:
+        raise ValueError(f"{field}: expected an integer, got {value!r}")
+    return number
 
 
 def _parse_scalar(value, field: str) -> complex:
@@ -204,11 +212,14 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
     if kind == "gaussian":
         if "sigma" not in spec or "n_nodes" not in spec:
             raise ValueError("ensemble: gaussian needs sigma and n_nodes")
-        return gauss_hermite_ensemble(
-            base,
-            _number(spec["sigma"], "ensemble.sigma"),
-            _number(spec["n_nodes"], "ensemble.n_nodes", int),
-        )
+        sigma = _number(spec["sigma"], "ensemble.sigma")
+        n_nodes = _number(spec["n_nodes"], "ensemble.n_nodes", int)
+        # before numpy builds the rule, whose cost grows as n_nodes^3
+        try:
+            require_embeddable(dim, n_nodes)
+        except ValueError as err:
+            raise ValueError(f"ensemble.n_nodes: {err}") from err
+        return gauss_hermite_ensemble(base, sigma, n_nodes)
     if "g" not in spec:
         raise ValueError("ensemble: two_point needs g")
     return two_point_ensemble(base, _number(spec["g"], "ensemble.g"))
@@ -379,8 +390,12 @@ def _preflight(s: Scenario) -> dict[str, MasterEqProblem]:
     applies the dilation's dimension cap and builds each requested
     generator's problem; one rhs evaluation at t = 0 reaches the generator
     guards (commuting disorder for dephasing, a non-degenerate spectrum for
-    gksl at epsilon = 0). Errors name the scenario field at fault.
+    gksl at epsilon = 0), and checks that the directory of output_path
+    exists. Errors name the scenario field at fault.
     """
+    folder = Path(s.output_path).parent
+    if not folder.is_dir():
+        raise ValueError(f"output_path: directory {str(folder)!r} does not exist")
     try:
         require_series_fit(_grid_points(s), s.dim, 1 + len(s.generators))
     except ValueError as err:
@@ -640,7 +655,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "Redfield, pure-dephasing, and GKSL master equations."
         ),
         epilog=(
-            "Exit codes: 0 success, 2 validation error, 3 numerical failure."
+            "Exit codes: 0 success, 2 validation error or unwritable output, "
+            "3 numerical failure."
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
@@ -715,6 +731,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as err:
         print(f"rndunit: validation error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"rndunit: cannot write output: {err}", file=sys.stderr)
         return 2
 
 

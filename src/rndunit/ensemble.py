@@ -18,7 +18,6 @@ import numpy as np
 from .linops import (
     DEFAULT_TOL,
     EigenSystem,
-    Tolerances,
     as_complex_matrix,
     commutator,
     dagger,
@@ -114,17 +113,17 @@ def mean_hamiltonian(e: DisorderEnsemble) -> np.ndarray:
     return np.einsum("l,lab->ab", e.weights, e.hamiltonians)
 
 
-def center(e: DisorderEnsemble, tol: Tolerances = DEFAULT_TOL) -> CenteredEnsemble:
+def center(e: DisorderEnsemble) -> CenteredEnsemble:
     """Split off the weighted mean: H_k -> H_k - Hbar, so the rest averages to zero.
 
     Adding the mean to the system Hamiltonian leaves every total block
     H_S + H_k unchanged, so the dynamics is invariant under this split.
-    A mean below tol.zero_mean (relative to the realization scale) is
+    A mean below DEFAULT_TOL.zero_mean (relative to the realization scale) is
     treated as exactly zero, which makes centering idempotent bit for bit.
     """
     mean = mean_hamiltonian(e)
     scale = max(1.0, max(max_abs(e.hamiltonians[k]) for k in range(e.size)))
-    if max_abs(mean) <= tol.zero_mean * scale:
+    if max_abs(mean) <= DEFAULT_TOL.zero_mean * scale:
         return CenteredEnsemble(mean=np.zeros_like(mean), ensemble=e)
     shifted = e.hamiltonians - mean[None, :, :]
     return CenteredEnsemble(
@@ -140,6 +139,8 @@ def gauss_hermite_ensemble(base, sigma: float, n_nodes: int) -> DisorderEnsemble
     weight function exp(-x^2) become lambda_k = sigma * sqrt(2) * x_k and
     p_k = v_k / sqrt(pi). Moments of the Gaussian up to degree 2n - 1 are
     reproduced exactly; in particular sum p_k lambda_k^2 = sigma^2 for n >= 2.
+    numpy's rule overflows in double precision beyond a few hundred nodes
+    (from 371 with numpy 2.4); such a rule is refused, naming n_nodes.
     """
     base = require_hermitian(base, name="base operator")
     sigma = float(sigma)
@@ -148,9 +149,16 @@ def gauss_hermite_ensemble(base, sigma: float, n_nodes: int) -> DisorderEnsemble
     n_nodes = int(n_nodes)
     if n_nodes < 1:
         raise ValueError("n_nodes must be at least 1")
-    nodes, raw = np.polynomial.hermite.hermgauss(n_nodes)
-    lams = np.sqrt(2.0) * sigma * nodes
+    with np.errstate(all="ignore"):
+        nodes, raw = np.polynomial.hermite.hermgauss(n_nodes)
     weights = raw / np.sqrt(np.pi)
+    finite = np.isfinite(nodes).all() and np.isfinite(weights).all()
+    if not finite or abs(weights.sum() - 1.0) > DEFAULT_TOL.trace:
+        raise ValueError(
+            f"n_nodes = {n_nodes} is too many: numpy's Gauss-Hermite rule "
+            "overflows in double precision; use fewer nodes"
+        )
+    lams = np.sqrt(2.0) * sigma * nodes
     hams = lams[:, None, None] * base[None, :, :]
     return DisorderEnsemble(hamiltonians=hams, weights=weights)
 
@@ -184,20 +192,18 @@ def gaussian_monte_carlo_ensemble(
     return DisorderEnsemble(hamiltonians=hams, weights=weights)
 
 
-def require_commuting(
-    e: DisorderEnsemble, reference, tol: Tolerances = DEFAULT_TOL
-) -> None:
+def require_commuting(e: DisorderEnsemble, reference) -> None:
     """Check every realization commutes with `reference` within tolerance.
 
-    The bound is |[H_k, H]|_max <= tol.commutation * |H_k|_max * |H|_max,
+    The bound is |[H_k, H]|_max <= DEFAULT_TOL.commutation * |H_k|_max * |H|_max,
     so scaling either operator does not change the verdict.
     """
-    ref = require_hermitian(reference, tol, name="reference operator")
+    ref = require_hermitian(reference, name="reference operator")
     ref_scale = max_abs(ref)
     for k in range(e.size):
         h_k = e.hamiltonians[k]
         defect = max_abs(commutator(h_k, ref))
-        bound = tol.commutation * max_abs(h_k) * ref_scale
+        bound = DEFAULT_TOL.commutation * max_abs(h_k) * ref_scale
         if defect > bound:
             raise ValueError(
                 f"realization {k} does not commute with the system Hamiltonian: "
@@ -205,9 +211,7 @@ def require_commuting(
             )
 
 
-def c2_matrix(
-    e: DisorderEnsemble, eig: EigenSystem, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def c2_matrix(e: DisorderEnsemble, eig: EigenSystem) -> np.ndarray:
     """All-pairs second-moment correlator of the disorder level shifts.
 
     C2[n, m] = sum_k p_k (E_n^k - E_m^k)^2 with E_n^k = <n|H_k|n> in the
@@ -216,7 +220,7 @@ def c2_matrix(
     """
     if eig.dim != e.dim:
         raise ValueError("eigensystem dimension does not match the ensemble")
-    require_commuting(e, eig.matrix(), tol)
+    require_commuting(e, eig.matrix())
     # diagonal of V+ H_k V per realization; real for Hermitian H_k
     shifts = np.einsum(
         "an,lab,bn->ln", eig.basis.conj(), e.hamiltonians, eig.basis
@@ -225,15 +229,9 @@ def c2_matrix(
     return np.einsum("l,lnm->nm", e.weights, diffs**2)
 
 
-def c2(
-    e: DisorderEnsemble,
-    eig: EigenSystem,
-    n: int,
-    m: int,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def c2(e: DisorderEnsemble, eig: EigenSystem, n: int, m: int) -> float:
     """Second-moment correlator for one level pair; see c2_matrix."""
     n, m = int(n), int(m)
     if not (0 <= n < eig.dim and 0 <= m < eig.dim):
         raise ValueError(f"level indices ({n}, {m}) out of range for dim {eig.dim}")
-    return float(c2_matrix(e, eig, tol)[n, m])
+    return float(c2_matrix(e, eig)[n, m])

@@ -36,7 +36,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric tolerances shared by every validation check.
+    """Numeric tolerances of the validation checks.
+
+    Every check reads the one instance DEFAULT_TOL; none takes a record
+    as an argument, so the values below are the package's contract.
 
     hermitian    allowed max-norm of A - A+, relative to max(1, |A|_max)
     unitary      allowed max-norm of U+U - 1 (also Kraus completeness)
@@ -93,14 +96,12 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def require_hermitian(
-    h, tol: Tolerances = DEFAULT_TOL, name: str = "operator"
-) -> np.ndarray:
-    """Validate |A - A+|_max <= tol.hermitian * max(1, |A|_max); return the array."""
+def require_hermitian(h, name: str = "operator") -> np.ndarray:
+    """Validate |A - A+|_max <= DEFAULT_TOL.hermitian max(1, |A|_max); return A."""
     arr = as_complex_matrix(h, name)
     _require_square(arr, name)
     defect = max_abs(arr - dagger(arr))
-    bound = tol.hermitian * max(1.0, max_abs(arr))
+    bound = DEFAULT_TOL.hermitian * max(1.0, max_abs(arr))
     if defect > bound:
         raise ValueError(
             f"{name} is not Hermitian: |A - A+|_max = {defect:.3e} exceeds {bound:.3e}"
@@ -108,30 +109,27 @@ def require_hermitian(
     return arr
 
 
-def require_unitary(
-    u, tol: Tolerances = DEFAULT_TOL, name: str = "operator"
-) -> np.ndarray:
-    """Validate |U+U - 1|_max <= tol.unitary; return the array."""
+def require_unitary(u, name: str = "operator") -> np.ndarray:
+    """Validate |U+U - 1|_max <= DEFAULT_TOL.unitary; return the array."""
     arr = as_complex_matrix(u, name)
     _require_square(arr, name)
     defect = max_abs(dagger(arr) @ arr - np.eye(arr.shape[0]))
-    if defect > tol.unitary:
+    if defect > DEFAULT_TOL.unitary:
         raise ValueError(
-            f"{name} is not unitary: |U+U - 1|_max = {defect:.3e} exceeds {tol.unitary:.3e}"
+            f"{name} is not unitary: |U+U - 1|_max = {defect:.3e} "
+            f"exceeds {DEFAULT_TOL.unitary:.3e}"
         )
     return arr
 
 
-def require_density(
-    rho, tol: Tolerances = DEFAULT_TOL, name: str = "state"
-) -> np.ndarray:
+def require_density(rho, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, unit trace, and near-positivity of a state."""
-    arr = require_hermitian(rho, tol, name)
+    arr = require_hermitian(rho, name)
     tr = complex(np.trace(arr))
-    if abs(tr - 1.0) > tol.trace:
+    if abs(tr - 1.0) > DEFAULT_TOL.trace:
         raise ValueError(f"{name} must have unit trace, got tr = {tr:.12g}")
     lowest = float(np.linalg.eigvalsh(0.5 * (arr + dagger(arr)))[0])
-    if lowest < -tol.positivity:
+    if lowest < -DEFAULT_TOL.positivity:
         raise ValueError(
             f"{name} is not positive semidefinite: lowest eigenvalue {lowest:.3e}"
         )
@@ -175,19 +173,19 @@ class EigenSystem:
         return (self.basis * self.energies) @ dagger(self.basis)
 
 
-def herm_eig(h, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
+def herm_eig(h) -> EigenSystem:
     """Eigendecompose a Hermitian operator into an EigenSystem."""
-    arr = require_hermitian(h, tol)
+    arr = require_hermitian(h)
     energies, basis = np.linalg.eigh(arr)
     return EigenSystem(energies=energies, basis=basis)
 
 
-def propagator(h, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def propagator(h, t: float) -> np.ndarray:
     """Unitary exp(-itH) of a Hermitian H, via eigendecomposition."""
     t = float(t)
     if not np.isfinite(t):
         raise ValueError("propagation time must be finite")
-    eig = herm_eig(h, tol)
+    eig = herm_eig(h)
     phases = np.exp(-1j * t * eig.energies)
     return (eig.basis * phases) @ dagger(eig.basis)
 
@@ -199,9 +197,7 @@ def kron(a, b) -> np.ndarray:
     )
 
 
-def partial_trace_env(
-    rho_total, dim_s: int, dim_e: int, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def partial_trace_env(rho_total, dim_s: int, dim_e: int) -> np.ndarray:
     """Trace out the environment factor of a system (x) environment state.
 
     The composite index is (i, k) = i * dim_e + k with i on the system,

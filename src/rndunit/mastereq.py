@@ -53,7 +53,6 @@ from .ensemble import DisorderEnsemble, mean_hamiltonian, require_commuting, c2_
 from .linops import (
     DEFAULT_TOL,
     EigenSystem,
-    Tolerances,
     as_complex_matrix,
     dagger,
     herm_eig,
@@ -154,22 +153,18 @@ class TimeSeries:
 
 
 def make_problem(
-    hs,
-    ensemble: DisorderEnsemble,
-    kind: str,
-    epsilon: float = 0.0,
-    tol: Tolerances = DEFAULT_TOL,
+    hs, ensemble: DisorderEnsemble, kind: str, epsilon: float = 0.0
 ) -> MasterEqProblem:
     """Convenience constructor that eigendecomposes hs itself."""
-    hs = require_hermitian(hs, tol, name="system Hamiltonian")
+    hs = require_hermitian(hs, name="system Hamiltonian")
     return MasterEqProblem(
-        hs=hs, ensemble=ensemble, eig=herm_eig(hs, tol), kind=kind, epsilon=epsilon
+        hs=hs, ensemble=ensemble, eig=herm_eig(hs), kind=kind, epsilon=epsilon
     )
 
 
-def _degeneracy_threshold(eig: EigenSystem, tol: Tolerances) -> float:
+def _degeneracy_threshold(eig: EigenSystem) -> float:
     span = float(eig.energies[-1] - eig.energies[0])
-    return tol.degeneracy * max(1.0, span)
+    return DEFAULT_TOL.degeneracy * max(1.0, span)
 
 
 def _gaps(eig: EigenSystem) -> np.ndarray:
@@ -189,7 +184,7 @@ def _phase_integral(gaps: np.ndarray, t, deg_tol: float) -> np.ndarray:
     return np.where(live, (1.0 - np.exp(-1j * t * g)) / (1j * g), t)
 
 
-def h_tilde(h_lambda, eig: EigenSystem, t: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def h_tilde(h_lambda, eig: EigenSystem, t: float) -> np.ndarray:
     """Time-integrated interaction picture of one realization.
 
     In the eigenbasis of the system Hamiltonian the integral is elementwise:
@@ -197,20 +192,18 @@ def h_tilde(h_lambda, eig: EigenSystem, t: float, tol: Tolerances = DEFAULT_TOL)
     degenerate gaps contributing a factor t. If the realization commutes
     with the system Hamiltonian this reduces to t * H_k exactly.
     """
-    h_lambda = require_hermitian(h_lambda, tol, name="realization")
+    h_lambda = require_hermitian(h_lambda, name="realization")
     if h_lambda.shape[0] != eig.dim:
         raise ValueError("realization dimension does not match the eigensystem")
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and non-negative")
-    phi = _phase_integral(_gaps(eig), t, _degeneracy_threshold(eig, tol))
+    phi = _phase_integral(_gaps(eig), t, _degeneracy_threshold(eig))
     g = dagger(eig.basis) @ h_lambda @ eig.basis
     return eig.basis @ (g * phi) @ dagger(eig.basis)
 
 
-def gksl_resolvent(
-    eig: EigenSystem, epsilon: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def gksl_resolvent(eig: EigenSystem, epsilon: float) -> np.ndarray:
     """Markov-limit kernel matrix R_mn = i / (E_n - E_m + i epsilon).
 
     This is the t -> inf limit of the elementwise time integral behind
@@ -225,7 +218,7 @@ def gksl_resolvent(
     diffs = eig.energies[None, :] - eig.energies[:, None]  # entry (m, n): E_n - E_m
     if epsilon > 0:
         return 1j / (diffs + 1j * epsilon)
-    deg_tol = _degeneracy_threshold(eig, tol)
+    deg_tol = _degeneracy_threshold(eig)
     off = ~np.eye(eig.dim, dtype=bool)
     if np.any(np.abs(diffs[off]) <= deg_tol):
         raise ValueError(
@@ -263,7 +256,7 @@ def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
     return np.tensordot(u[:, :rank].T, scaled, axes=1)
 
 
-def _generator(p: MasterEqProblem, tol: Tolerances):
+def _generator(p: MasterEqProblem):
     """The generator of p in the eigenbasis of H_S, as (G, phi).
 
     G (r, d, d) holds the second-moment factors G_j = V+ F_j V, and phi(ts)
@@ -277,18 +270,18 @@ def _generator(p: MasterEqProblem, tol: Tolerances):
     v = p.eig.basis
     g = dagger(v) @ _second_moment_factors(p.ensemble) @ v
     if p.kind == "dephasing":
-        require_commuting(p.ensemble, p.hs, tol)
+        require_commuting(p.ensemble, p.hs)
         d = p.dim
         return g, lambda ts: np.broadcast_to(ts[:, None, None], (ts.size, d, d))
     if p.kind == "redfield":
         gaps = _gaps(p.eig)
-        deg_tol = _degeneracy_threshold(p.eig, tol)
+        deg_tol = _degeneracy_threshold(p.eig)
         return g, lambda ts: _phase_integral(gaps, ts, deg_tol)
-    fixed = gksl_resolvent(p.eig, p.epsilon, tol)[None]
+    fixed = gksl_resolvent(p.eig, p.epsilon)[None]
     return g, lambda ts: fixed
 
 
-def _make_rhs(p: MasterEqProblem, tol: Tolerances):
+def _make_rhs(p: MasterEqProblem):
     """Build kernels(ts) and rhs(rho~, x, a), the generator of p acting on
     rho~ = V+ rho V in the eigenbasis of H_S.
 
@@ -298,7 +291,7 @@ def _make_rhs(p: MasterEqProblem, tol: Tolerances):
     -i (E_m - E_n) o rho~ - (B + B+) with B = a rho~ - [G_1 rho~ ... G_r rho~] x,
     which needs a Hermitian rho~.
     """
-    g, phi = _generator(p, tol)
+    g, phi = _generator(p)
     r, d = g.shape[0], p.dim
     # row (m, j) holds row m of G_j: g_rows @ rho reshapes to the row block
     # [G_1 rho ... G_r rho] and g_rows.reshape(d, r d) is [G_1 ... G_r]
@@ -321,7 +314,7 @@ def _make_rhs(p: MasterEqProblem, tol: Tolerances):
     return kernels, rhs
 
 
-def _make_liouvillian(p: MasterEqProblem, tol: Tolerances):
+def _make_liouvillian(p: MasterEqProblem):
     """Build tables(ts), the generator of p as d^2 x d^2 matrices at times ts.
 
     The matrices act on the row-major vec of rho~ = V+ rho V. Entry
@@ -335,7 +328,7 @@ def _make_liouvillian(p: MasterEqProblem, tol: Tolerances):
     tables(ts) is (T, d^2, d^2) for times (T,); for the time-independent
     gksl generator it is one fixed (1, d^2, d^2) stack, whatever ts.
     """
-    g, phi = _generator(p, tol)
+    g, phi = _generator(p)
     d = p.dim
     n = d * d
     k = np.einsum("jac,jeb->abce", g, g)
@@ -383,9 +376,7 @@ def _rk4_propagators(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -
     return total
 
 
-def dephasing_analytic(
-    p: MasterEqProblem, rho0, t: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def dephasing_analytic(p: MasterEqProblem, rho0, t: float) -> np.ndarray:
     """Closed pure-dephasing solution in the system eigenbasis.
 
     rho_nm(t) = rho_nm(0) exp(-it(E_n - E_m)) exp(-t^2 C2(n, m) / 2).
@@ -394,45 +385,37 @@ def dephasing_analytic(
     disorder, second-order accurate otherwise.
     """
     _require_kind(p, "dephasing")
-    rho0 = require_density(rho0, tol, name="initial state")
+    rho0 = require_density(rho0, name="initial state")
     if rho0.shape[0] != p.dim:
         raise ValueError("initial state dimension does not match the problem")
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and non-negative")
-    c2 = c2_matrix(p.ensemble, p.eig, tol)
+    c2 = c2_matrix(p.ensemble, p.eig)
     v = p.eig.basis
     in_eig = dagger(v) @ rho0 @ v
     damped = in_eig * np.exp(-1j * t * _gaps(p.eig)) * np.exp(-0.5 * t * t * c2)
     return v @ damped @ dagger(v)
 
 
-def master_rhs(
-    p: MasterEqProblem, rho, t: float, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def master_rhs(p: MasterEqProblem, rho, t: float) -> np.ndarray:
     """Generator selected by p.kind, evaluated at (rho, t); gksl ignores t.
 
-    rho must be Hermitian (within tol.hermitian): the generator is evaluated
+    rho must be Hermitian (within DEFAULT_TOL.hermitian): the generator is evaluated
     in a form that holds for Hermitian operators only, as V rhs(V+ rho V) V+
     in the eigenbasis of H_S.
     """
     rho = as_complex_matrix(rho, "state")
     if rho.shape != (p.dim, p.dim):
         raise ValueError(f"state shape {rho.shape} does not match problem dimension {p.dim}")
-    require_hermitian(rho, tol, name="state")
-    kernels, rhs = _make_rhs(p, tol)
+    require_hermitian(rho, name="state")
+    kernels, rhs = _make_rhs(p)
     x, a = kernels(np.array([float(t)]))
     v = p.eig.basis
     return v @ rhs(dagger(v) @ rho @ v, x[0], a[0]) @ dagger(v)
 
 
-def integrate(
-    p: MasterEqProblem,
-    rho0,
-    t_final: float,
-    dt: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> TimeSeries:
+def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries:
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
     The state is evolved as rho~ = V+ rho V in the eigenbasis of H_S, where
@@ -455,7 +438,7 @@ def integrate(
     entries aborts the run, naming its first bad step. A warning is emitted
     when dt resolves the fastest phase poorly (dt * max |E_n| > 0.05).
     """
-    rho0 = require_density(rho0, tol, name="initial state")
+    rho0 = require_density(rho0, name="initial state")
     if rho0.shape[0] != p.dim:
         raise ValueError("initial state dimension does not match the problem")
     dt = float(dt)
@@ -487,9 +470,9 @@ def integrate(
     rho = vh @ rho0 @ v
     chunk = _dense_chunk(p.dim)
     if chunk:
-        blocks = _steps_dense(p, rho, n_steps, dt, chunk, tol)
+        blocks = _steps_dense(p, rho, n_steps, dt, chunk)
     else:
-        blocks = _steps_factored(p, rho, n_steps, dt, tol)
+        blocks = _steps_factored(p, rho, n_steps, dt)
     for start, block in blocks:
         block = v @ block @ vh
         block = 0.5 * (block + block.conj().swapaxes(1, 2))
@@ -541,11 +524,11 @@ def _dense_chunk(d: int) -> int:
     return min(budget, _DENSE_CHUNK_BYTES) // step_bytes
 
 
-def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float, tol: Tolerances):
+def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
     """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S,
     yielding (start, block) with the states after steps start + 1, ...
     of each chunk."""
-    kernels, rhs = _make_rhs(p, tol)
+    kernels, rhs = _make_rhs(p)
     d = p.dim
     # an empty table has the kernels' shape: r d + d rows of d complex
     # entries per time, three times per step, and up to two more copies of
@@ -573,11 +556,11 @@ def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float, tol: Toler
         yield start, block
 
 
-def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float, chunk: int, tol: Tolerances):
+def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float, chunk: int):
     """The dense RK4 step propagators of _make_liouvillian applied to
     rho~ = rho in the eigenbasis of H_S, chunk steps at a time, yielding
     (start, block) like _steps_factored."""
-    tables = _make_liouvillian(p, tol)
+    tables = _make_liouvillian(p)
     d = p.dim
     fixed = tables(np.empty(0))
     if fixed.shape[0]:  # time independent (gksl): one propagator for all steps

@@ -82,6 +82,8 @@ def test_average_dimension_mismatch():
         evolve_average(np.eye(3), e, np.eye(2) / 2, 1.0)
     with pytest.raises(ValueError, match="initial state"):
         evolve_average(0.5 * SZ, e, np.eye(3) / 3, 1.0)
+    with pytest.raises(ValueError, match="initial state dimension"):
+        evolve_average_series(0.5 * SZ, e, np.eye(3) / 3, [0.0, 1.0])
 
 
 def test_average_series_matches_pointwise():

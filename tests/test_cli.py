@@ -450,6 +450,8 @@ PREFLIGHT_FAILURES = {
     ),
     # 1e10 steps: about 80 GB for the grid alone, refused from its prediction
     "oversized-grid": ({"t_final": 1e7, "dt": 1e-3}, "dt: 10000000001 grid points"),
+    # refused before the work, not when the CSV is opened after it
+    "missing-output-dir": ({"output_path": "no-such-dir/s.csv"}, "output_path: directory"),
 }
 
 # a mistyped numeric field is a validation error naming it, not a TypeError
@@ -478,6 +480,14 @@ MISTYPED_FIELDS = {
         "generators[0].epsilon: expected a number",
     ),
     "type-list": ({"ensemble": {**_TWO_POINT, "type": ["two_point"]}}, "ensemble.type"),
+    # float() and int() would read these as 1.0, 2 and 4
+    "g-bool": ({"ensemble": {**_TWO_POINT, "g": True}}, "ensemble.g: expected a number"),
+    "t_final-bool": ({"t_final": True}, "t_final: expected a number"),
+    "dim-fraction": ({"dim": 2.9}, "dim: expected an integer"),
+    "n_nodes-fraction": (
+        {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": 4.9}},
+        "ensemble.n_nodes: expected an integer",
+    ),
 }
 
 
@@ -488,9 +498,11 @@ def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monke
 
     monkeypatch.setattr("rndunit.cli._time_grid", no_grid)
     overrides, field = {**PREFLIGHT_FAILURES, **MISTYPED_FIELDS}[case]
-    out = tmp_path / "s.csv"
+    doc = make_doc(**overrides)
+    out = tmp_path / doc.get("output_path", "s.csv")
+    doc["output_path"] = str(out)
     path = tmp_path / "s.json"
-    path.write_text(json.dumps(make_doc(output_path=str(out), **overrides)))
+    path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert field in capsys.readouterr().err
     with caplog.at_level(logging.INFO, logger="rndunit"):
@@ -498,6 +510,39 @@ def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monke
     assert field in capsys.readouterr().err
     assert "exact channel" not in caplog.text
     assert not out.exists()
+
+
+def test_gauss_hermite_node_count_exits_2(tmp_path, capsys, monkeypatch):
+    gaussian = {**_TWO_POINT, "type": "gaussian", "sigma": 0.1}
+    path = tmp_path / "s.json"
+    # numpy's 400-node rule overflows; refused naming n_nodes, without warnings
+    path.write_text(json.dumps(make_doc(ensemble={**gaussian, "n_nodes": 400})))
+    for command in ("validate", "run"):
+        assert main([command, str(path), "--quiet"]) == 2
+        assert "n_nodes" in capsys.readouterr().err
+
+    def no_rule(n_nodes):
+        raise AssertionError("the Gauss-Hermite rule was built")
+
+    # over the dilation cap: refused before numpy builds the rule
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_rule)
+    path.write_text(json.dumps(make_doc(ensemble={**gaussian, "n_nodes": 10**9})))
+    for command in ("validate", "run"):
+        assert main([command, str(path), "--quiet"]) == 2
+        assert "ensemble.n_nodes: composite dimension" in capsys.readouterr().err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    # the directory exists, but the CSV path is a directory: open() fails
+    # after the work, which ends with one line and exit 2, not a traceback
+    out = tmp_path / "s.csv"
+    out.mkdir()
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(output_path=str(out))))
+    assert main(["run", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rndunit: cannot write output: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,13 @@ def test_gauss_hermite_moments_three_nodes():
         assert np.dot(e.weights, lams**k) == pytest.approx(target, abs=1e-14)
 
 
+def test_gauss_hermite_refuses_an_overflowing_rule():
+    # numpy's 400-node rule overflows to NaN weights; its RuntimeWarnings
+    # would fail the test, so the rule must be built without any
+    with pytest.raises(ValueError, match="n_nodes = 400"):
+        gauss_hermite_ensemble(SZ, 0.1, 400)
+
+
 @pytest.mark.parametrize("n_nodes", [2, 5, 16])
 def test_gauss_hermite_second_moment_exact(n_nodes):
     sigma = 1.3

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 from conftest import SX, SY, SZ, random_density, random_hermitian
 from scipy.linalg import expm
 
+import rndunit
 from rndunit.linops import (
+    DEFAULT_TOL,
     EigenSystem,
-    Tolerances,
     commutator,
     herm_eig,
     kron,
@@ -200,8 +206,47 @@ def test_require_density_rejects_bad_states():
 def test_require_unitary_and_tolerance_knob():
     with pytest.raises(ValueError, match="unitary"):
         require_unitary(np.diag([1.0, 1.0 + 1e-6]))
-    loose = Tolerances(unitary=1e-3)
-    require_unitary(np.diag([1.0, 1.0 + 1e-6]), loose)
+    # the one record every check reads
+    assert dataclasses.asdict(DEFAULT_TOL) == {
+        "hermitian": 1e-12,
+        "unitary": 1e-10,
+        "trace": 1e-12,
+        "positivity": 1e-10,
+        "zero_mean": 1e-12,
+        "commutation": 1e-10,
+        "degeneracy": 1e-12,
+        "equivalence": 1e-10,
+    }
+
+
+def test_no_function_takes_a_tolerance_argument():
+    # a tolerance passed by a caller can silently miss its check; every
+    # check reads DEFAULT_TOL instead, so no function or method offers one
+    modules = [rndunit] + [
+        importlib.import_module(f"rndunit.{info.name}")
+        for info in pkgutil.iter_modules(rndunit.__path__)
+    ]
+    checked, offenders = set(), []
+    for module in modules:
+        names = set(module.__all__) | set(vars(module))
+        for obj in (getattr(module, name) for name in names):
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else []
+            # a classmethod or staticmethod wraps its function as __func__
+            members = [getattr(m, "__func__", m) for m in members]
+            for fn in filter(inspect.isfunction, [obj, *members]):
+                checked.add(fn.__qualname__)
+                if "tol" in inspect.signature(fn).parameters:
+                    offenders.append(f"{module.__name__}.{fn.__qualname__}")
+    assert {
+        "integrate",
+        "herm_eig",
+        "_generator",
+        "EigenSystem.__init__",
+        "DisorderEnsemble.from_pairs",
+    } <= checked
+    assert offenders == []
 
 
 def test_require_hermitian_scales_with_magnitude():
