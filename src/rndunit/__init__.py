@@ -24,12 +24,11 @@ from .channel import (
 from .ensemble import (
     CenteredEnsemble,
     DisorderEnsemble,
-    c2,
     c2_matrix,
     center,
     gauss_hermite_ensemble,
-    gaussian_monte_carlo_ensemble,
     mean_hamiltonian,
+    mean_vanishes,
     require_commuting,
     two_point_ensemble,
 )
@@ -74,12 +73,11 @@ __all__ = [
     "kraus_at",
     "CenteredEnsemble",
     "DisorderEnsemble",
-    "c2",
     "c2_matrix",
     "center",
     "gauss_hermite_ensemble",
-    "gaussian_monte_carlo_ensemble",
     "mean_hamiltonian",
+    "mean_vanishes",
     "require_commuting",
     "two_point_ensemble",
     "DEFAULT_TOL",

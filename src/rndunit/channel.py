@@ -52,6 +52,7 @@ from .linops import (
     propagator,
     require_density,
     require_hermitian,
+    require_probabilities,
     require_unitary,
 )
 
@@ -147,8 +148,7 @@ class EmbeddedSystem:
         weights = np.asarray(self.weights, dtype=np.float64)
         if weights.shape != (dim_e,):
             raise ValueError("weights must have one entry per register state")
-        if not np.isfinite(weights).all() or np.any(weights < 0):
-            raise ValueError("weights must be finite and non-negative")
+        require_probabilities(weights)
         object.__setattr__(self, "dim_s", dim_s)
         object.__setattr__(self, "dim_e", dim_e)
         object.__setattr__(self, "total_hamiltonian", total)

@@ -58,7 +58,6 @@ from .mastereq import (
     TimeSeries,
     integrate,
     make_problem,
-    master_rhs,
 )
 
 __all__ = [
@@ -294,7 +293,10 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
         raise ValueError("dim: must be a positive integer")
     hs = require_hermitian(_parse_matrix(doc["hs"], dim, "hs"), name="hs")
     raw_ensemble = _parse_ensemble(doc["ensemble"], dim)
-    centered = center(raw_ensemble)
+    try:
+        centered = center(raw_ensemble)
+    except ValueError as err:
+        raise ValueError(f"ensemble: {err}") from err
     mean_scale = float(np.max(np.abs(centered.mean)))
     if mean_scale > 0.0:
         log.info(
@@ -387,11 +389,11 @@ def _preflight(s: Scenario) -> dict[str, MasterEqProblem]:
 
     Admits the time grid by the predicted bytes of the grid and its series
     (the exact one and one per generator) before anything is allocated,
-    applies the dilation's dimension cap and builds each requested
-    generator's problem; one rhs evaluation at t = 0 reaches the generator
-    guards (commuting disorder for dephasing, a non-degenerate spectrum for
-    gksl at epsilon = 0), and checks that the directory of output_path
-    exists. Errors name the scenario field at fault.
+    applies the dilation's dimension cap, builds each requested generator's
+    problem, which runs the generator's guards (commuting disorder for
+    dephasing, a non-degenerate spectrum for gksl at epsilon = 0), and
+    checks that the directory of output_path exists. Errors name the
+    scenario field at fault.
     """
     folder = Path(s.output_path).parent
     if not folder.is_dir():
@@ -408,7 +410,6 @@ def _preflight(s: Scenario) -> dict[str, MasterEqProblem]:
     for choice in s.generators:
         try:
             problem = make_problem(s.hs, s.ensemble, choice.name, choice.epsilon)
-            master_rhs(problem, s.rho0, 0.0)
         except np.linalg.LinAlgError:
             raise  # a numerical failure, not a fault of the scenario
         except ValueError as err:

@@ -3,10 +3,10 @@
 A DisorderEnsemble models a classical probability distribution over
 Hamiltonians H_k with weights p_k >= 0, sum p_k = 1. Centering splits
 off the weighted mean so the fluctuation part averages to zero; the
-master-equation generators require that centered form. Gaussian
+master-equation generators require that centered form, and mean_vanishes
+is the one rule that decides when a mean counts as zero. Gaussian
 distributions are discretized by Gauss-Hermite quadrature, which keeps
-low moments exact with a handful of nodes; Monte Carlo sampling exists
-only as a cross-check, never as the default path.
+low moments exact with a handful of nodes.
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ from .linops import (
     EigenSystem,
     as_complex_matrix,
     commutator,
-    dagger,
     max_abs,
     require_hermitian,
+    require_probabilities,
 )
 
 __all__ = [
     "DisorderEnsemble",
     "CenteredEnsemble",
     "mean_hamiltonian",
+    "mean_vanishes",
     "center",
     "gauss_hermite_ensemble",
     "two_point_ensemble",
-    "gaussian_monte_carlo_ensemble",
     "require_commuting",
-    "c2",
     "c2_matrix",
 ]
 
@@ -61,11 +60,7 @@ class DisorderEnsemble:
             raise ValueError(
                 f"weights shape {weights.shape} does not match {hams.shape[0]} realizations"
             )
-        if not np.isfinite(weights).all() or np.any(weights < 0):
-            raise ValueError("weights must be finite and non-negative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > DEFAULT_TOL.trace:
-            raise ValueError(f"weights must sum to 1, got {total:.15g}")
+        require_probabilities(weights)
         object.__setattr__(self, "hamiltonians", hams)
         object.__setattr__(self, "weights", weights)
 
@@ -99,9 +94,8 @@ class CenteredEnsemble:
         mean = require_hermitian(self.mean, name="ensemble mean")
         if mean.shape[0] != self.ensemble.dim:
             raise ValueError("mean dimension does not match the ensemble")
-        residual = max_abs(mean_hamiltonian(self.ensemble))
-        bound = DEFAULT_TOL.zero_mean * max(1.0, max_abs(mean))
-        if residual > bound:
+        if not mean_vanishes(self.ensemble, offset=mean):
+            residual = max_abs(mean_hamiltonian(self.ensemble))
             raise ValueError(
                 f"centered ensemble has nonzero mean: |mean|_max = {residual:.3e}"
             )
@@ -113,17 +107,31 @@ def mean_hamiltonian(e: DisorderEnsemble) -> np.ndarray:
     return np.einsum("l,lab->ab", e.weights, e.hamiltonians)
 
 
+def mean_vanishes(e: DisorderEnsemble, offset=None) -> bool:
+    """Whether the weighted mean of e counts as zero.
+
+    The bound is DEFAULT_TOL.zero_mean * max(1, |offset|_max, max_k |H_k|_max),
+    where offset is the Hamiltonian the ensemble sits on: the mean removed
+    by centering, or the system Hamiltonian it was folded into. Rounding in
+    sum_k p_k H_k and in H_k - Hbar scales with both, so a centered
+    ensemble passes whatever the size of the field it was centered on.
+    """
+    scale = max(1.0, max_abs(e.hamiltonians))
+    if offset is not None:
+        scale = max(scale, max_abs(offset))
+    return max_abs(mean_hamiltonian(e)) <= DEFAULT_TOL.zero_mean * scale
+
+
 def center(e: DisorderEnsemble) -> CenteredEnsemble:
     """Split off the weighted mean: H_k -> H_k - Hbar, so the rest averages to zero.
 
     Adding the mean to the system Hamiltonian leaves every total block
     H_S + H_k unchanged, so the dynamics is invariant under this split.
-    A mean below DEFAULT_TOL.zero_mean (relative to the realization scale) is
-    treated as exactly zero, which makes centering idempotent bit for bit.
+    A mean that mean_vanishes (on no offset) is treated as exactly zero,
+    which makes centering idempotent bit for bit.
     """
     mean = mean_hamiltonian(e)
-    scale = max(1.0, max(max_abs(e.hamiltonians[k]) for k in range(e.size)))
-    if max_abs(mean) <= DEFAULT_TOL.zero_mean * scale:
+    if mean_vanishes(e):
         return CenteredEnsemble(mean=np.zeros_like(mean), ensemble=e)
     shifted = e.hamiltonians - mean[None, :, :]
     return CenteredEnsemble(
@@ -173,25 +181,6 @@ def two_point_ensemble(base, g: float) -> DisorderEnsemble:
     return DisorderEnsemble(hamiltonians=hams, weights=np.array([0.5, 0.5]))
 
 
-def gaussian_monte_carlo_ensemble(
-    base, sigma: float, n_samples: int, seed: int
-) -> DisorderEnsemble:
-    """Equal-weight Gaussian sampling of lambda * base; cross-check path only.
-
-    Quadrature (gauss_hermite_ensemble) is the production discretization;
-    this sampler exists so statistical estimates can confirm it.
-    """
-    base = require_hermitian(base, name="base operator")
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    lams = rng.normal(0.0, float(sigma), size=n_samples)
-    hams = lams[:, None, None] * base[None, :, :]
-    weights = np.full(n_samples, 1.0 / n_samples)
-    return DisorderEnsemble(hamiltonians=hams, weights=weights)
-
-
 def require_commuting(e: DisorderEnsemble, reference) -> None:
     """Check every realization commutes with `reference` within tolerance.
 
@@ -227,11 +216,3 @@ def c2_matrix(e: DisorderEnsemble, eig: EigenSystem) -> np.ndarray:
     ).real
     diffs = shifts[:, :, None] - shifts[:, None, :]
     return np.einsum("l,lnm->nm", e.weights, diffs**2)
-
-
-def c2(e: DisorderEnsemble, eig: EigenSystem, n: int, m: int) -> float:
-    """Second-moment correlator for one level pair; see c2_matrix."""
-    n, m = int(n), int(m)
-    if not (0 <= n < eig.dim and 0 <= m < eig.dim):
-        raise ValueError(f"level indices ({n}, {m}) out of range for dim {eig.dim}")
-    return float(c2_matrix(e, eig)[n, m])

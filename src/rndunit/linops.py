@@ -25,6 +25,7 @@ __all__ = [
     "require_hermitian",
     "require_unitary",
     "require_density",
+    "require_probabilities",
     "herm_eig",
     "propagator",
     "kron",
@@ -45,7 +46,7 @@ class Tolerances:
     unitary      allowed max-norm of U+U - 1 (also Kraus completeness)
     trace        allowed |tr(rho) - 1| and other trace residuals
     positivity   most negative state eigenvalue tolerated
-    zero_mean    max-norm for an ensemble mean that must vanish
+    zero_mean    relative max-norm of a vanishing ensemble mean (mean_vanishes)
     commutation  relative bound used by [H_k, H] compatibility checks
     degeneracy   relative threshold below which energy gaps count as zero
     equivalence  trace-distance budget for exact-dynamics cross-checks
@@ -134,6 +135,15 @@ def require_density(rho, name: str = "state") -> np.ndarray:
             f"{name} is not positive semidefinite: lowest eigenvalue {lowest:.3e}"
         )
     return arr
+
+
+def require_probabilities(weights: np.ndarray) -> None:
+    """Validate weights as a probability vector: finite, non-negative, sum 1."""
+    if not np.isfinite(weights).all() or np.any(weights < 0):
+        raise ValueError("weights must be finite and non-negative")
+    total = float(weights.sum())
+    if abs(total - 1.0) > DEFAULT_TOL.trace:
+        raise ValueError(f"weights must sum to 1, got {total:.15g}")
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,18 @@ linops.WORKSPACE_BYTES.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linops
-from .ensemble import DisorderEnsemble, mean_hamiltonian, require_commuting, c2_matrix
+from .ensemble import (
+    DisorderEnsemble,
+    c2_matrix,
+    mean_hamiltonian,
+    mean_vanishes,
+    require_commuting,
+)
 from .linops import (
     DEFAULT_TOL,
     EigenSystem,
@@ -80,16 +86,22 @@ GENERATOR_KINDS = ("redfield", "dephasing", "gksl")
 class MasterEqProblem:
     """System Hamiltonian, zero-mean ensemble, and the generator choice.
 
-    `eig` must diagonalize `hs`; `epsilon` is the resolvent broadening and
-    only meaningful for kind "gksl". The zero-mean requirement is verified
-    here, not silently repaired: center the ensemble first.
+    `epsilon` is the resolvent broadening, only meaningful for kind "gksl".
+    Building a problem runs every check once: the ensemble mean must vanish
+    on hs (ensemble.mean_vanishes; nothing is repaired here, so center the
+    ensemble and fold its mean into hs first), dephasing needs disorder that
+    commutes with hs, and gksl at epsilon = 0 a non-degenerate spectrum. It
+    also derives, once, what every generator reads: `eig`, the eigensystem
+    V diag(E) V+ of hs, and `factors`, the second-moment factors
+    G_j = V+ F_j V as (r, d, d).
     """
 
     hs: np.ndarray
     ensemble: DisorderEnsemble
-    eig: EigenSystem
     kind: str
     epsilon: float = 0.0
+    eig: EigenSystem = field(init=False, repr=False)
+    factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         hs = require_hermitian(self.hs, name="system Hamiltonian")
@@ -99,16 +111,8 @@ class MasterEqProblem:
             )
         if hs.shape[0] != self.ensemble.dim:
             raise ValueError("system and ensemble dimensions disagree")
-        if self.eig.dim != hs.shape[0]:
-            raise ValueError("eigensystem dimension does not match the Hamiltonian")
-        recon = max_abs(self.eig.matrix() - hs)
-        if recon > 1e-10 * max(1.0, max_abs(hs)):
-            raise ValueError("eigensystem does not diagonalize the system Hamiltonian")
-        scale = max(
-            1.0, max(max_abs(self.ensemble.hamiltonians[k]) for k in range(self.ensemble.size))
-        )
-        residual = max_abs(mean_hamiltonian(self.ensemble))
-        if residual > DEFAULT_TOL.zero_mean * scale:
+        if not mean_vanishes(self.ensemble, offset=hs):
+            residual = max_abs(mean_hamiltonian(self.ensemble))
             raise ValueError(
                 f"ensemble mean must vanish (got |mean|_max = {residual:.3e}); "
                 "apply ensemble.center and fold the mean into hs first"
@@ -116,8 +120,16 @@ class MasterEqProblem:
         epsilon = float(self.epsilon)
         if not np.isfinite(epsilon) or epsilon < 0:
             raise ValueError("epsilon must be finite and non-negative")
+        eig = herm_eig(hs)
+        if self.kind == "dephasing":
+            require_commuting(self.ensemble, hs)
+        elif self.kind == "gksl":
+            gksl_resolvent(eig, epsilon)  # refuses a degenerate spectrum at epsilon = 0
+        factors = dagger(eig.basis) @ _second_moment_factors(self.ensemble) @ eig.basis
         object.__setattr__(self, "hs", hs)
         object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "eig", eig)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dim(self) -> int:
@@ -152,14 +164,8 @@ class TimeSeries:
         return self.states.shape[1]
 
 
-def make_problem(
-    hs, ensemble: DisorderEnsemble, kind: str, epsilon: float = 0.0
-) -> MasterEqProblem:
-    """Convenience constructor that eigendecomposes hs itself."""
-    hs = require_hermitian(hs, name="system Hamiltonian")
-    return MasterEqProblem(
-        hs=hs, ensemble=ensemble, eig=herm_eig(hs), kind=kind, epsilon=epsilon
-    )
+# the name the run pipeline builds its problems by
+make_problem = MasterEqProblem
 
 
 def _degeneracy_threshold(eig: EigenSystem) -> float:
@@ -259,18 +265,14 @@ def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
 def _generator(p: MasterEqProblem):
     """The generator of p in the eigenbasis of H_S, as (G, phi).
 
-    G (r, d, d) holds the second-moment factors G_j = V+ F_j V, and phi(ts)
+    G (r, d, d) holds the second-moment factors p.factors, and phi(ts)
     the kernel factor of X~_j(t) = G_j o phi(t) at times ts (T,) as a
     (T, d, d) stack: t for dephasing, the phase integral for redfield, and
     for gksl the fixed resolvent, one (1, d, d) stack whatever ts. This is
-    the only place the kind is read, and the kind's guards run here:
-    dephasing needs disorder that commutes with H_S, and gksl at
-    epsilon = 0 a non-degenerate spectrum.
+    the only place the kind selects a kernel; its guards ran when p was built.
     """
-    v = p.eig.basis
-    g = dagger(v) @ _second_moment_factors(p.ensemble) @ v
+    g = p.factors
     if p.kind == "dephasing":
-        require_commuting(p.ensemble, p.hs)
         d = p.dim
         return g, lambda ts: np.broadcast_to(ts[:, None, None], (ts.size, d, d))
     if p.kind == "redfield":

@@ -231,6 +231,16 @@ def test_embedded_system_validation():
         )
 
 
+def test_embedded_system_refuses_unnormalized_weights():
+    # register weights of total 10 would scale every output state by 10
+    total = np.kron(np.eye(2), SZ)
+    with pytest.raises(ValueError, match="sum to 1"):
+        EmbeddedSystem(dim_s=2, dim_e=2, total_hamiltonian=total, weights=[5.0, 5.0])
+    sys = EmbeddedSystem(dim_s=2, dim_e=2, total_hamiltonian=total, weights=[0.25, 0.75])
+    states = evolve_embedded_series(sys, PLUS, np.array([0.0, 0.4]))
+    np.testing.assert_allclose(np.trace(states, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)
+
+
 def test_embedded_matches_average():
     hs, e, rho0 = _random_setup(12)
     sys = embed(hs, e)

@@ -512,6 +512,51 @@ def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monke
     assert not out.exists()
 
 
+# ensembles that centering leaves with a mean of rounding size on a large
+# field; validate and run must accept them
+_FIELD = 1e5 * np.array([[1.0, 0.3], [0.3, -1.0]])
+CENTERED_ON_A_FIELD = {
+    # a static field of 1e5 with fluctuations of order 0.1, folded into hs
+    "offset": (
+        [
+            ([[100000.0, 37000.03], [37000.03, -100000.027]], 0.2),
+            ([[99999.911, 36999.955], [36999.955, -100000.099]], 0.3),
+            ([[100000.006, 37000.134], [37000.134, -100000.049]], 0.5),
+        ],
+        1e-7,
+    ),
+    # +-1e5 terms at nearly equal weights: a mean of 2 is removed
+    "near-symmetric": ([(_FIELD.tolist(), 0.50001), ((-_FIELD).tolist(), 0.49999)], 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CENTERED_ON_A_FIELD))
+def test_ensemble_centered_on_a_large_field_runs(case, tmp_path, capsys):
+    terms, dt = CENTERED_ON_A_FIELD[case]
+    out = tmp_path / "s.csv"
+    doc = make_doc(
+        ensemble={"type": "explicit", "terms": [{"matrix": m, "weight": w} for m, w in terms]},
+        t_final=10 * dt,
+        dt=dt,
+        generators=["redfield"],
+        output_path=str(out),
+    )
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path), "--quiet"]) == 0
+    assert main(["run", str(path), "--quiet"]) == 0, capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 12
+
+
+def test_centering_errors_name_the_ensemble(monkeypatch):
+    def refuse(e):
+        raise ValueError("centered ensemble has nonzero mean: |mean|_max = 1.000e-03")
+
+    monkeypatch.setattr("rndunit.cli.center", refuse)
+    with pytest.raises(ValueError, match="^ensemble: centered ensemble"):
+        scenario_from_dict(make_doc())
+
+
 def test_gauss_hermite_node_count_exits_2(tmp_path, capsys, monkeypatch):
     gaussian = {**_TWO_POINT, "type": "gaussian", "sigma": 0.1}
     path = tmp_path / "s.json"

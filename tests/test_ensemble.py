@@ -8,13 +8,13 @@ from conftest import PLUS, SX, SZ, random_hermitian, random_weights
 
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
+    CenteredEnsemble,
     DisorderEnsemble,
-    c2,
     c2_matrix,
     center,
     gauss_hermite_ensemble,
-    gaussian_monte_carlo_ensemble,
     mean_hamiltonian,
+    mean_vanishes,
     require_commuting,
     two_point_ensemble,
 )
@@ -87,6 +87,29 @@ def test_center_idempotent():
     )
 
 
+def test_mean_vanishes_scales_with_the_offset():
+    # the residual mean of a centered ensemble is rounding at the scale of
+    # the largest of 1, the realizations and the offset the ensemble sits on
+    e = DisorderEnsemble.from_pairs([(SZ + 1e-11 * SX, 0.5), (-SZ, 0.5)])
+    assert not mean_vanishes(e)
+    assert mean_vanishes(e, offset=1e2 * SZ)
+    assert not mean_vanishes(e, offset=0.5 * SZ)
+    big = DisorderEnsemble.from_pairs([(1e2 * SZ + 1e-11 * SX, 0.5), (-1e2 * SZ, 0.5)])
+    assert mean_vanishes(big)
+
+
+def test_centered_ensemble_on_a_large_field():
+    # +-1e5 (SZ + 0.3 SX), slightly unequal weights: the mean 2 (SZ + 0.3 SX)
+    # is removed, and the rounding left is far below 1e-12 of the realizations
+    h = 1e5 * (SZ + 0.3 * SX)
+    centered = center(DisorderEnsemble.from_pairs([(h, 0.50001), (-h, 0.49999)]))
+    np.testing.assert_allclose(centered.mean, 2.0 * (SZ + 0.3 * SX), rtol=1e-9)
+    # an ensemble that was not centered is still refused
+    skewed = DisorderEnsemble.from_pairs([(SZ, 0.5), (-SZ + 1e-9 * SX, 0.5)])
+    with pytest.raises(ValueError, match="nonzero mean"):
+        CenteredEnsemble(mean=np.zeros((2, 2)), ensemble=skewed)
+
+
 def test_center_leaves_dynamics_invariant():
     rng = np.random.default_rng(22)
     hams = np.stack([random_hermitian(rng, 2) for _ in range(3)])
@@ -150,16 +173,17 @@ def test_c2_two_point_qubit():
     g = 0.5
     e = two_point_ensemble(SZ, g)
     eig = herm_eig(0.5 * SZ)
-    assert c2(e, eig, 0, 1) == pytest.approx(4 * g * g, rel=1e-14)
-    assert c2(e, eig, 0, 0) == 0.0
-    assert c2(e, eig, 1, 1) == 0.0
+    mat = c2_matrix(e, eig)
+    assert mat[0, 1] == pytest.approx(4 * g * g, rel=1e-14)
+    assert mat[0, 0] == 0.0
+    assert mat[1, 1] == 0.0
 
 
 def test_c2_gaussian_matches_variance():
     sigma = 0.2
     e = gauss_hermite_ensemble(SZ, sigma, 8)
     eig = herm_eig(0.5 * SZ)
-    assert c2(e, eig, 0, 1) == pytest.approx(4 * sigma**2, rel=1e-13)
+    assert c2_matrix(e, eig)[0, 1] == pytest.approx(4 * sigma**2, rel=1e-13)
 
 
 def test_c2_matrix_symmetric_nonnegative():
@@ -177,14 +201,7 @@ def test_c2_rejects_noncommuting():
     e = two_point_ensemble(SX, 0.5)
     eig = herm_eig(0.5 * SZ)
     with pytest.raises(ValueError, match="realization 0"):
-        c2(e, eig, 0, 1)
-
-
-def test_c2_index_range():
-    e = two_point_ensemble(SZ, 0.5)
-    eig = herm_eig(0.5 * SZ)
-    with pytest.raises(ValueError, match="out of range"):
-        c2(e, eig, 0, 2)
+        c2_matrix(e, eig)
 
 
 def test_require_commuting_scale_invariant():
@@ -192,12 +209,3 @@ def test_require_commuting_scale_invariant():
     require_commuting(e, 1e8 * SZ)
     with pytest.raises(ValueError, match="commute"):
         require_commuting(two_point_ensemble(SX, 1e-8), 1e8 * SZ)
-
-
-def test_monte_carlo_cross_checks_quadrature():
-    # statistical estimate of C2 agrees with the quadrature value
-    sigma = 0.2
-    mc = gaussian_monte_carlo_ensemble(SZ, sigma, 40000, seed=99)
-    eig = herm_eig(0.5 * SZ)
-    estimate = c2(mc, eig, 0, 1)
-    assert estimate == pytest.approx(4 * sigma**2, rel=0.05)

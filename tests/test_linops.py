@@ -6,6 +6,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,16 @@ def test_require_unitary_and_tolerance_knob():
         "degeneracy": 1e-12,
         "equivalence": 1e-10,
     }
+
+
+def test_readme_tolerance_table_matches_the_record():
+    # the README's Tolerances table lists exactly the fields and values of
+    # DEFAULT_TOL, so the documented contract cannot drift from the code
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Tolerances", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| ([^ |]+) +\|", section, flags=re.M)
+    assert len(rows) == len({name for name, _ in rows})
+    assert {name: float(value) for name, value in rows} == dataclasses.asdict(DEFAULT_TOL)
 
 
 def test_no_function_takes_a_tolerance_argument():

@@ -18,7 +18,6 @@ from rndunit.ensemble import (
 )
 from rndunit.linops import commutator, dagger, herm_eig, max_abs, propagator, trace_distance
 from rndunit.mastereq import (
-    MasterEqProblem,
     TimeSeries,
     dephasing_analytic,
     gksl_resolvent,
@@ -97,13 +96,15 @@ def test_problem_rejects_uncentered_ensemble():
     make_problem(HS_QUBIT + c.mean, c.ensemble, "redfield")
 
 
-def test_problem_rejects_mismatched_eigensystem():
-    rng = np.random.default_rng(33)
-    eig = herm_eig(random_hermitian(rng, 2))
-    with pytest.raises(ValueError, match="diagonalize"):
-        MasterEqProblem(
-            hs=HS_QUBIT, ensemble=two_point_ensemble(SZ, 0.5), eig=eig, kind="redfield"
-        )
+def test_problem_zero_mean_scales_with_hs():
+    # a static field of 1e5 folded into hs, with fluctuations of order 0.1:
+    # centering leaves a mean of rounding size at the scale of the field
+    field = 1e5 * (SZ + 0.37 * SX)
+    fluctuations = np.array([0.03 * SX, -0.09 * SZ, 0.05 * SX + 0.01 * SZ])
+    raw = DisorderEnsemble(hamiltonians=field + fluctuations, weights=[0.2, 0.3, 0.5])
+    c = center(raw)
+    assert max_abs(c.ensemble.hamiltonians) < 1.0
+    make_problem(HS_QUBIT + c.mean, c.ensemble, "redfield")
 
 
 def test_problem_rejects_negative_epsilon():
@@ -139,9 +140,8 @@ def test_redfield_equals_dephasing_when_commuting():
 
 
 def test_dephasing_rejects_noncommuting():
-    p = make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "dephasing")
     with pytest.raises(ValueError, match="commute"):
-        master_rhs(p, np.eye(2, dtype=complex) / 2, 1.0)
+        make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "dephasing")
 
 
 def test_rhs_trace_free_and_hermiticity_preserving():
@@ -181,23 +181,42 @@ def test_rhs_zero_disorder_is_hamiltonian_motion():
             )
 
 
-def test_rhs_kind_guards(monkeypatch):
+def test_rhs_kind_guards():
     p = make_problem(HS_QUBIT, two_point_ensemble(SZ, 0.5), "dephasing")
     with pytest.raises(ValueError, match="state shape"):
         master_rhs(p, np.eye(3) / 3, 1.0)
-    # each kind's guard runs where the generator is built, for master_rhs
-    # and for both representations of integrate
-    guarded = {
-        "commute": make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "dephasing"),
-        "degenerate": make_problem(0.3 * np.eye(2), two_point_ensemble(SX, 0.5), "gksl"),
-    }
-    for error, p in guarded.items():
-        with pytest.raises(ValueError, match=error):
-            master_rhs(p, PLUS, 1.0)
+    # each kind's guard runs where the problem is built, so no problem that
+    # fails it reaches master_rhs or integrate
+    with pytest.raises(ValueError, match="commute"):
+        make_problem(HS_QUBIT, two_point_ensemble(SX, 0.5), "dephasing")
+    with pytest.raises(ValueError, match="degenerate"):
+        make_problem(0.3 * np.eye(2), two_point_ensemble(SX, 0.5), "gksl")
+    # broadening lifts the degeneracy
+    make_problem(0.3 * np.eye(2), two_point_ensemble(SX, 0.5), "gksl", epsilon=0.1)
+
+
+def test_second_moment_factors_built_once_per_problem(monkeypatch):
+    calls = []
+    factors = mastereq._second_moment_factors
+
+    def spy(e):
+        calls.append(e)
+        return factors(e)
+
+    monkeypatch.setattr(mastereq, "_second_moment_factors", spy)
+    rng = np.random.default_rng(45)
+    hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    rho0 = random_density(rng, 3)
+    for kind in ("redfield", "gksl"):
+        p = make_problem(random_hermitian(rng, 3), e, kind, epsilon=0.1)
+        assert len(calls) == 1
+        master_rhs(p, rho0, 0.5)
         for representation in REPRESENTATIONS:
-            _select(monkeypatch, representation, 2)
-            with pytest.raises(ValueError, match=error):
-                integrate(p, PLUS, 0.1, 0.01)
+            _select(monkeypatch, representation, 3)
+            integrate(p, rho0, 0.05, 0.01)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_rhs_rejects_nonhermitian_state():
