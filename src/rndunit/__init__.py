@@ -24,7 +24,6 @@ from .channel import (
 from .ensemble import (
     CenteredEnsemble,
     DisorderEnsemble,
-    c2_matrix,
     center,
     gauss_hermite_ensemble,
     mean_hamiltonian,
@@ -73,7 +72,6 @@ __all__ = [
     "kraus_at",
     "CenteredEnsemble",
     "DisorderEnsemble",
-    "c2_matrix",
     "center",
     "gauss_hermite_ensemble",
     "mean_hamiltonian",

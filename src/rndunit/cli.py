@@ -155,15 +155,11 @@ def _number(value, field: str, kind=float):
 
 
 def _parse_scalar(value, field: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"{field}: expected a number or an [re, im] pair, got {value!r}")
+    """A bare number or an [re, im] pair of numbers, never a string."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ValueError(f"{field}: expected a number or an [re, im] pair, got {value!r}")
+    return complex(_number(parts[0], field), _number(parts[1], field))
 
 
 def _parse_matrix(value, dim: int, field: str) -> np.ndarray:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .linops import (
     DEFAULT_TOL,
-    EigenSystem,
     as_complex_matrix,
     commutator,
     max_abs,
@@ -34,7 +33,6 @@ __all__ = [
     "gauss_hermite_ensemble",
     "two_point_ensemble",
     "require_commuting",
-    "c2_matrix",
 ]
 
 
@@ -198,21 +196,3 @@ def require_commuting(e: DisorderEnsemble, reference) -> None:
                 f"realization {k} does not commute with the system Hamiltonian: "
                 f"|[H_{k}, H]|_max = {defect:.3e} exceeds {bound:.3e}"
             )
-
-
-def c2_matrix(e: DisorderEnsemble, eig: EigenSystem) -> np.ndarray:
-    """All-pairs second-moment correlator of the disorder level shifts.
-
-    C2[n, m] = sum_k p_k (E_n^k - E_m^k)^2 with E_n^k = <n|H_k|n> in the
-    eigenbasis of the (commuting) system Hamiltonian. Governs the Gaussian
-    coherence decay exp(-t^2 C2 / 2) of the pure-dephasing solution.
-    """
-    if eig.dim != e.dim:
-        raise ValueError("eigensystem dimension does not match the ensemble")
-    require_commuting(e, eig.matrix())
-    # diagonal of V+ H_k V per realization; real for Hermitian H_k
-    shifts = np.einsum(
-        "an,lab,bn->ln", eig.basis.conj(), e.hamiltonians, eig.basis
-    ).real
-    diffs = shifts[:, :, None] - shifts[:, None, :]
-    return np.einsum("l,lnm->nm", e.weights, diffs**2)

@@ -178,9 +178,16 @@ class EigenSystem:
     def dim(self) -> int:
         return self.energies.size
 
-    def matrix(self) -> np.ndarray:
-        """Reassemble the operator V diag(E) V+."""
-        return (self.basis * self.energies) @ dagger(self.basis)
+    @property
+    def gaps(self) -> np.ndarray:
+        """Bohr frequencies E_m - E_n as a (d, d) matrix, entry (m, n)."""
+        return self.energies[:, None] - self.energies[None, :]
+
+    @property
+    def degeneracy_threshold(self) -> float:
+        """Gaps at or below DEFAULT_TOL.degeneracy * max(1, span) count as zero."""
+        span = float(self.energies[-1] - self.energies[0])
+        return DEFAULT_TOL.degeneracy * max(1.0, span)
 
 
 def herm_eig(h) -> EigenSystem:

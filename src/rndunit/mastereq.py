@@ -11,8 +11,9 @@ with the time-integrated interaction picture of each realization
 
 Three generators are offered:
 
-* redfield    the time-local equation above, valid for short times
-              (up to a fraction of the Heisenberg time of H_S);
+* redfield    the time-local equation above, valid for short times; the
+              Heisenberg time of H_S is only a weak lower bound on how
+              long, and the disorder strength sets the breakdown;
 * dephasing   the commuting special case [H_S, H_k] = 0, where
               Htil_k(t) = t H_k and the populations freeze; it admits the
               closed solution rho_nm(t) = rho_nm(0) exp(-it(E_n - E_m))
@@ -27,7 +28,8 @@ acting on rho~ = V+ rho V. The ensemble enters only through r Hermitian
 second-moment factors G_j = V+ F_j V, and the kind only through the
 kernel factor phi(t) of X~_j(t) = G_j o phi(t), which stands in for Htil:
 t (dephasing), the phase integral (redfield) or the fixed resolvent
-(gksl). Since G_j, X~_j and rho~ are Hermitian, the generator is
+(gksl); both are derived once, when the problem is built. Since G_j,
+X~_j and rho~ are Hermitian, the generator is
 -i (E_m - E_n) o rho~ - (B + B+) with
 B = (sum_j G_j X~_j) rho~ - [G_1 rho~ ... G_r rho~] [X~_1; ...; X~_r],
 three matrix products whatever r; so master_rhs takes Hermitian rho only.
@@ -44,6 +46,7 @@ linops.WORKSPACE_BYTES.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +54,11 @@ import numpy as np
 from . import linops
 from .ensemble import (
     DisorderEnsemble,
-    c2_matrix,
     mean_hamiltonian,
     mean_vanishes,
     require_commuting,
 )
 from .linops import (
-    DEFAULT_TOL,
     EigenSystem,
     as_complex_matrix,
     dagger,
@@ -92,8 +93,13 @@ class MasterEqProblem:
     ensemble and fold its mean into hs first), dephasing needs disorder that
     commutes with hs, and gksl at epsilon = 0 a non-degenerate spectrum. It
     also derives, once, what every generator reads: `eig`, the eigensystem
-    V diag(E) V+ of hs, and `factors`, the second-moment factors
-    G_j = V+ F_j V as (r, d, d).
+    V diag(E) V+ of hs, `factors`, the second-moment factors
+    G_j = V+ F_j V as (r, d, d), and `kernel`, the kernel factor phi of
+    X~_j(t) = G_j o phi(t): kernel(ts) is the (T, d, d) stack at times
+    ts (T,), t for dephasing or the phase integral for redfield; for gksl
+    the resolvent, built here, as one fixed (1, d, d) stack whatever ts.
+    The kind is read here, where its guard runs; elsewhere only
+    dephasing_analytic checks it.
     """
 
     hs: np.ndarray
@@ -102,6 +108,7 @@ class MasterEqProblem:
     epsilon: float = 0.0
     eig: EigenSystem = field(init=False, repr=False)
     factors: np.ndarray = field(init=False, repr=False)
+    kernel: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         hs = require_hermitian(self.hs, name="system Hamiltonian")
@@ -123,13 +130,20 @@ class MasterEqProblem:
         eig = herm_eig(hs)
         if self.kind == "dephasing":
             require_commuting(self.ensemble, hs)
-        elif self.kind == "gksl":
-            gksl_resolvent(eig, epsilon)  # refuses a degenerate spectrum at epsilon = 0
+            d = eig.dim
+            kernel = lambda ts: np.broadcast_to(ts[:, None, None], (ts.size, d, d))
+        elif self.kind == "redfield":
+            gaps, deg_tol = eig.gaps, eig.degeneracy_threshold
+            kernel = lambda ts: _phase_integral(gaps, ts, deg_tol)
+        else:
+            fixed = gksl_resolvent(eig, epsilon)[None]  # refuses a degenerate spectrum at epsilon = 0
+            kernel = lambda ts: fixed
         factors = dagger(eig.basis) @ _second_moment_factors(self.ensemble) @ eig.basis
         object.__setattr__(self, "hs", hs)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "eig", eig)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "kernel", kernel)
 
     @property
     def dim(self) -> int:
@@ -168,16 +182,6 @@ class TimeSeries:
 make_problem = MasterEqProblem
 
 
-def _degeneracy_threshold(eig: EigenSystem) -> float:
-    span = float(eig.energies[-1] - eig.energies[0])
-    return DEFAULT_TOL.degeneracy * max(1.0, span)
-
-
-def _gaps(eig: EigenSystem) -> np.ndarray:
-    """Bohr frequencies E_m - E_n as a (d, d) matrix."""
-    return eig.energies[:, None] - eig.energies[None, :]
-
-
 def _phase_integral(gaps: np.ndarray, t, deg_tol: float) -> np.ndarray:
     """Elementwise int_0^t dt' exp(-it' gap) = (1 - exp(-it gap)) / (i gap).
 
@@ -204,7 +208,7 @@ def h_tilde(h_lambda, eig: EigenSystem, t: float) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and non-negative")
-    phi = _phase_integral(_gaps(eig), t, _degeneracy_threshold(eig))
+    phi = _phase_integral(eig.gaps, t, eig.degeneracy_threshold)
     g = dagger(eig.basis) @ h_lambda @ eig.basis
     return eig.basis @ (g * phi) @ dagger(eig.basis)
 
@@ -221,10 +225,10 @@ def gksl_resolvent(eig: EigenSystem, epsilon: float) -> np.ndarray:
     epsilon = float(epsilon)
     if not np.isfinite(epsilon) or epsilon < 0:
         raise ValueError("epsilon must be finite and non-negative")
-    diffs = eig.energies[None, :] - eig.energies[:, None]  # entry (m, n): E_n - E_m
+    diffs = -eig.gaps  # entry (m, n): E_n - E_m
     if epsilon > 0:
         return 1j / (diffs + 1j * epsilon)
-    deg_tol = _degeneracy_threshold(eig)
+    deg_tol = eig.degeneracy_threshold
     off = ~np.eye(eig.dim, dtype=bool)
     if np.any(np.abs(diffs[off]) <= deg_tol):
         raise ValueError(
@@ -234,11 +238,6 @@ def gksl_resolvent(eig: EigenSystem, epsilon: float) -> np.ndarray:
     r = np.zeros_like(diffs, dtype=np.complex128)
     r[off] = 1j / diffs[off]
     return r
-
-
-def _require_kind(p: MasterEqProblem, kind: str) -> None:
-    if p.kind != kind:
-        raise ValueError(f"problem kind is {p.kind!r}, expected {kind!r}")
 
 
 # Singular values of the second-moment factorization below this fraction of
@@ -262,27 +261,6 @@ def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
     return np.tensordot(u[:, :rank].T, scaled, axes=1)
 
 
-def _generator(p: MasterEqProblem):
-    """The generator of p in the eigenbasis of H_S, as (G, phi).
-
-    G (r, d, d) holds the second-moment factors p.factors, and phi(ts)
-    the kernel factor of X~_j(t) = G_j o phi(t) at times ts (T,) as a
-    (T, d, d) stack: t for dephasing, the phase integral for redfield, and
-    for gksl the fixed resolvent, one (1, d, d) stack whatever ts. This is
-    the only place the kind selects a kernel; its guards ran when p was built.
-    """
-    g = p.factors
-    if p.kind == "dephasing":
-        d = p.dim
-        return g, lambda ts: np.broadcast_to(ts[:, None, None], (ts.size, d, d))
-    if p.kind == "redfield":
-        gaps = _gaps(p.eig)
-        deg_tol = _degeneracy_threshold(p.eig)
-        return g, lambda ts: _phase_integral(gaps, ts, deg_tol)
-    fixed = gksl_resolvent(p.eig, p.epsilon)[None]
-    return g, lambda ts: fixed
-
-
 def _make_rhs(p: MasterEqProblem):
     """Build kernels(ts) and rhs(rho~, x, a), the generator of p acting on
     rho~ = V+ rho V in the eigenbasis of H_S.
@@ -293,13 +271,13 @@ def _make_rhs(p: MasterEqProblem):
     -i (E_m - E_n) o rho~ - (B + B+) with B = a rho~ - [G_1 rho~ ... G_r rho~] x,
     which needs a Hermitian rho~.
     """
-    g, phi = _generator(p)
+    g, phi = p.factors, p.kernel
     r, d = g.shape[0], p.dim
     # row (m, j) holds row m of G_j: g_rows @ rho reshapes to the row block
     # [G_1 rho ... G_r rho] and g_rows.reshape(d, r d) is [G_1 ... G_r]
     g_rows = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(d * r, d)
     g_cols = g_rows.reshape(d, r * d)
-    free = -1j * _gaps(p.eig)
+    free = -1j * p.eig.gaps
 
     def kernels(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at = phi(ts)
@@ -330,7 +308,7 @@ def _make_liouvillian(p: MasterEqProblem):
     tables(ts) is (T, d^2, d^2) for times (T,); for the time-independent
     gksl generator it is one fixed (1, d^2, d^2) stack, whatever ts.
     """
-    g, phi = _generator(p)
+    g, phi = p.factors, p.kernel
     d = p.dim
     n = d * d
     k = np.einsum("jac,jeb->abce", g, g)
@@ -341,7 +319,7 @@ def _make_liouvillian(p: MasterEqProblem):
     rows = k * (unit.swapaxes(1, 2)[:, None, :, None, :] + unit[:, :, None, :, None])
     rows -= np.einsum("amc,umc->uac", q, unit)[:, :, None, :, None] * eye[:, None, :]
     rows -= np.einsum("emb,uem->ube", q, unit)[:, None, :, None, :] * eye[:, None, :, None]
-    free = -1j * np.diag(_gaps(p.eig).ravel())
+    free = -1j * np.diag(p.eig.gaps.ravel())
     m = np.concatenate([rows.reshape(n, n * n), free.reshape(1, n * n)])
 
     def tables(ts: np.ndarray) -> np.ndarray:
@@ -383,20 +361,24 @@ def dephasing_analytic(p: MasterEqProblem, rho0, t: float) -> np.ndarray:
 
     rho_nm(t) = rho_nm(0) exp(-it(E_n - E_m)) exp(-t^2 C2(n, m) / 2).
     Populations are constant; coherences rotate and decay with a Gaussian
-    envelope set by the disorder's second moment. Exact for Gaussian
-    disorder, second-order accurate otherwise.
+    envelope set by the disorder's second moment, restricted to the level
+    shifts: C2(n, m) = sum_k p_k (E_n^k - E_m^k)^2 with E_n^k = <n|H_k|n>,
+    read from the problem's factors as sum_j ((G_j)_nn - (G_j)_mm)^2.
+    Exact for Gaussian disorder, second-order accurate otherwise.
     """
-    _require_kind(p, "dephasing")
+    if p.kind != "dephasing":
+        raise ValueError(f"problem kind is {p.kind!r}, expected 'dephasing'")
     rho0 = require_density(rho0, name="initial state")
     if rho0.shape[0] != p.dim:
         raise ValueError("initial state dimension does not match the problem")
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and non-negative")
-    c2 = c2_matrix(p.ensemble, p.eig)
+    shifts = np.diagonal(p.factors, axis1=1, axis2=2).real
+    c2 = np.sum((shifts[:, :, None] - shifts[:, None, :]) ** 2, axis=0)
     v = p.eig.basis
     in_eig = dagger(v) @ rho0 @ v
-    damped = in_eig * np.exp(-1j * t * _gaps(p.eig)) * np.exp(-0.5 * t * t * c2)
+    damped = in_eig * np.exp(-1j * t * p.eig.gaps) * np.exp(-0.5 * t * t * c2)
     return v @ damped @ dagger(v)
 
 
@@ -421,8 +403,8 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
     The state is evolved as rho~ = V+ rho V in the eigenbasis of H_S, where
-    every kind is one generator with its kernel factor phi(t) from
-    _generator, and re-Hermitized, rho~ <- (rho~ + rho~+) / 2, after each
+    every kind is one generator with the problem's kernel factor phi(t),
+    and re-Hermitized, rho~ <- (rho~ + rho~+) / 2, after each
     step; together with the trace-free generator this keeps the trace
     drift at rounding level. Steps run in chunks, each chunk's tables built
     at once, with one of two representations, chosen from d alone:

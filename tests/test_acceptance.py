@@ -126,7 +126,7 @@ def test_criterion_3_heisenberg_breakdown():
     if dev_early > 1e-3:
         failures.append(f"short-time disagreement {dev_early:.3e} > 1e-3 for t <= 0.2")
 
-    report = compare(TimeSeries(times=ts.times, states=exact_states), ts, threshold=1e-2)
+    report = compare(TimeSeries(times=ts.times, states=exact_states), ts)
     if report.breakdown_time is None or not (0.5 <= report.breakdown_time <= 2.5):
         failures.append(f"breakdown time {report.breakdown_time} outside [0.5, 2.5]")
     elapsed = time.perf_counter() - started

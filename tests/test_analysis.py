@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SZ, random_density
 
-from rndunit.analysis import ComparisonReport, coherence_rate, compare, heisenberg_time, purity
+from rndunit.analysis import (
+    BREAKDOWN_THRESHOLD,
+    ComparisonReport,
+    coherence_rate,
+    compare,
+    heisenberg_time,
+    purity,
+)
 from rndunit.channel import evolve_average_series
 from rndunit.ensemble import gauss_hermite_ensemble, two_point_ensemble
 from rndunit.linops import herm_eig
@@ -128,7 +135,8 @@ def test_compare_locates_breakdown():
     exact = TimeSeries(
         times=ts.times, states=evolve_average_series(HS_QUBIT, e, PLUS, ts.times)
     )
-    report = compare(exact, ts, threshold=1e-2)
+    report = compare(exact, ts)
+    assert report.threshold == BREAKDOWN_THRESHOLD == 1e-2
     assert report.breakdown_time is not None
     assert 0.3 <= report.breakdown_time <= 2.0
     # first crossing really is the first: everything before stays below
@@ -141,8 +149,6 @@ def test_compare_rejects_mismatched_grids():
     ts2 = TimeSeries(times=np.array([0.0, 2.0]), states=np.stack([PLUS, PLUS]))
     with pytest.raises(ValueError, match="grids"):
         compare(ts1, ts2)
-    with pytest.raises(ValueError, match="threshold"):
-        compare(ts1, ts1, threshold=0.0)
 
 
 def test_report_is_plain_data():

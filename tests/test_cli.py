@@ -488,6 +488,9 @@ MISTYPED_FIELDS = {
         {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": 4.9}},
         "ensemble.n_nodes: expected an integer",
     ),
+    # JSON integer literals beyond the double range: float() overflows
+    "hs-huge-integer": ({"hs": [[10**400, 0], [0, 1]]}, "hs[0][0]: expected a number"),
+    "hs-huge-integer-pair": ({"hs": [[[0, 10**400], 0], [0, 1]]}, "hs[0][0]: expected a number"),
 }
 
 

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import PLUS, SX, SZ, random_hermitian, random_weights
+from conftest import PLUS, SX, SZ, random_hermitian, random_unitary, random_weights
 
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
     CenteredEnsemble,
     DisorderEnsemble,
-    c2_matrix,
     center,
     gauss_hermite_ensemble,
     mean_hamiltonian,
@@ -18,7 +17,8 @@ from rndunit.ensemble import (
     require_commuting,
     two_point_ensemble,
 )
-from rndunit.linops import herm_eig, trace_distance
+from rndunit.linops import trace_distance
+from rndunit.mastereq import dephasing_analytic, make_problem
 
 
 def test_ensemble_validation():
@@ -169,39 +169,63 @@ def test_two_point_structure():
     np.testing.assert_array_equal(e.hamiltonians[1], -0.25 * SX)
 
 
+# C2[n, m] = sum_k p_k (E_n^k - E_m^k)^2 with E_n^k = <n|H_k|n>, the second
+# moment of the level shifts of commuting disorder, is read through the closed
+# dephasing solution, whose eigenbasis coherences decay as exp(-t^2 C2 / 2)
+
+
+def _c2_from_envelope(p, t: float) -> np.ndarray:
+    """C2 recovered from the coherence decay of dephasing_analytic at time t."""
+    d = p.dim
+    v = p.eig.basis
+    rho0 = v @ np.full((d, d), 1.0 / d, dtype=complex) @ v.conj().T  # all coherences 1/d
+    out = v.conj().T @ dephasing_analytic(p, rho0, t) @ v
+    return -2.0 * np.log(d * np.abs(out)) / t**2
+
+
 def test_c2_two_point_qubit():
     g = 0.5
-    e = two_point_ensemble(SZ, g)
-    eig = herm_eig(0.5 * SZ)
-    mat = c2_matrix(e, eig)
-    assert mat[0, 1] == pytest.approx(4 * g * g, rel=1e-14)
-    assert mat[0, 0] == 0.0
-    assert mat[1, 1] == 0.0
+    p = make_problem(0.5 * SZ, two_point_ensemble(SZ, g), "dephasing")
+    for t in (0.3, 1.0, 2.0):
+        out = dephasing_analytic(p, PLUS, t)
+        # C2[0, 1] = 4 g^2, and the populations do not move
+        assert abs(out[0, 1]) == pytest.approx(0.5 * np.exp(-2 * g * g * t * t), rel=1e-14)
+        assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert out[1, 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_c2_gaussian_matches_variance():
     sigma = 0.2
-    e = gauss_hermite_ensemble(SZ, sigma, 8)
-    eig = herm_eig(0.5 * SZ)
-    assert c2_matrix(e, eig)[0, 1] == pytest.approx(4 * sigma**2, rel=1e-13)
+    p = make_problem(0.5 * SZ, gauss_hermite_ensemble(SZ, sigma, 8), "dephasing")
+    assert _c2_from_envelope(p, 2.0)[0, 1] == pytest.approx(4 * sigma**2, rel=1e-13)
 
 
 def test_c2_matrix_symmetric_nonnegative():
+    # commuting disorder in a rotated eigenbasis: C2 read from the problem's
+    # second-moment factors equals the sum over the realizations
     rng = np.random.default_rng(23)
-    diag_hams = np.stack([np.diag(rng.normal(size=3)).astype(complex) for _ in range(5)])
-    e = DisorderEnsemble(hamiltonians=diag_hams, weights=random_weights(rng, 5))
-    eig = herm_eig(np.diag([0.0, 1.0, 3.0]).astype(complex))
-    mat = c2_matrix(e, eig)
-    np.testing.assert_allclose(mat, mat.T, atol=1e-15)
-    assert np.all(mat >= 0)
-    np.testing.assert_allclose(np.diag(mat), 0.0, atol=1e-15)
+    u = random_unitary(rng, 3)
+    shifts = rng.normal(size=(5, 3))
+    hams = np.stack([(u * row) @ u.conj().T for row in shifts])
+    e = center(DisorderEnsemble(hamiltonians=hams, weights=random_weights(rng, 5))).ensemble
+    p = make_problem((u * [0.0, 1.0, 3.0]) @ u.conj().T, e, "dephasing")
+    level = shifts - np.dot(e.weights, shifts)  # the centered level shifts
+    want = np.einsum("k,knm->nm", e.weights, (level[:, :, None] - level[:, None, :]) ** 2)
+    mat = _c2_from_envelope(p, 0.7)
+    np.testing.assert_allclose(mat, want, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(mat, mat.T, atol=1e-13)
+    assert np.all(mat >= -1e-13)
+    np.testing.assert_allclose(np.diag(mat), 0.0, atol=1e-13)
 
 
 def test_c2_rejects_noncommuting():
-    e = two_point_ensemble(SX, 0.5)
-    eig = herm_eig(0.5 * SZ)
+    # C2 needs disorder that commutes with hs: a dephasing problem refuses
+    # any other, and the closed solution takes dephasing problems only
     with pytest.raises(ValueError, match="realization 0"):
-        c2_matrix(e, eig)
+        make_problem(0.5 * SZ, two_point_ensemble(SX, 0.5), "dephasing")
+    p = make_problem(0.5 * SZ, two_point_ensemble(SX, 0.5), "redfield")
+    with pytest.raises(ValueError, match="expected 'dephasing'"):
+        dephasing_analytic(p, PLUS, 1.0)
 
 
 def test_require_commuting_scale_invariant():

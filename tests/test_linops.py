@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -30,12 +31,17 @@ from rndunit.linops import (
 )
 
 
+def _reassemble(eig: EigenSystem) -> np.ndarray:
+    """The operator V diag(E) V+ of an eigensystem."""
+    return (eig.basis * eig.energies) @ eig.basis.conj().T
+
+
 def test_herm_eig_diagonal_qubit():
     eig = herm_eig(0.5 * SZ)
     np.testing.assert_allclose(eig.energies, [-0.5, 0.5], atol=1e-15)
     # ascending order puts |1> first: columns are computational states, up to phase
     np.testing.assert_allclose(np.abs(eig.basis), np.fliplr(np.eye(2)), atol=1e-15)
-    np.testing.assert_allclose(eig.matrix(), 0.5 * SZ, atol=1e-15)
+    np.testing.assert_allclose(_reassemble(eig), 0.5 * SZ, atol=1e-15)
 
 
 def test_herm_eig_sigma_x():
@@ -53,8 +59,17 @@ def test_herm_eig_reconstruction(seed):
     h = random_hermitian(rng, 4)
     eig = herm_eig(h)
     assert np.all(np.diff(eig.energies) >= 0)
-    assert np.max(np.abs(eig.matrix() - h)) <= 1e-10
+    assert np.max(np.abs(_reassemble(eig) - h)) <= 1e-10
     assert np.max(np.abs(eig.basis.conj().T @ eig.basis - np.eye(4))) <= 1e-10
+
+
+def test_eigensystem_gaps_and_degeneracy_threshold():
+    eig = herm_eig(np.diag([-1.0, 0.5, 2.0]).astype(complex))
+    want = np.array([[0.0, -1.5, -3.0], [1.5, 0.0, -1.5], [3.0, 1.5, 0.0]])
+    np.testing.assert_allclose(eig.gaps, want, atol=1e-15)
+    assert eig.degeneracy_threshold == pytest.approx(3.0 * DEFAULT_TOL.degeneracy)
+    # a span below 1 does not shrink the threshold
+    assert herm_eig(0.1 * SZ).degeneracy_threshold == DEFAULT_TOL.degeneracy
 
 
 def test_herm_eig_rejects_non_hermitian():
@@ -254,7 +269,7 @@ def test_no_function_takes_a_tolerance_argument():
     assert {
         "integrate",
         "herm_eig",
-        "_generator",
+        "_make_rhs",
         "EigenSystem.__init__",
         "DisorderEnsemble.from_pairs",
     } <= checked
@@ -283,3 +298,39 @@ def test_trace_distance_batches_stacks():
         trace_distance(a, b[0])
     with pytest.raises(ValueError, match="non-finite"):
         trace_distance(a, np.full_like(b, np.nan))
+
+
+def test_every_module_level_definition_is_exported_or_used():
+    # a module-level function or class that is neither in its module's
+    # __all__ nor referenced anywhere else in the package is dead code
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(rndunit.__file__).parent.glob("*.py"))
+    }
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    referenced = {
+        id(stmt): {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(stmt)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        for stmt in statements
+    }
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    checked, dead = set(), []
+    for module, tree in trees.items():
+        exported = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and "__all__" in referenced[id(stmt)]:
+                exported = set(ast.literal_eval(stmt.value))
+        for stmt in tree.body:
+            if not isinstance(stmt, definitions):
+                continue
+            checked.add(f"{module}.{stmt.name}")
+            used = any(
+                stmt.name in referenced[id(other)] for other in statements if other is not stmt
+            )
+            if stmt.name not in exported and not used:
+                dead.append(f"{module}.{stmt.name}")
+    assert {"mastereq._make_rhs", "linops.EigenSystem", "cli.scenario_echo"} <= checked
+    assert dead == []

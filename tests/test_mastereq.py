@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SY, SZ, random_density, random_hermitian
 
-from rndunit import linops, mastereq
+from rndunit import ensemble, linops, mastereq
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
     DisorderEnsemble,
@@ -217,6 +217,54 @@ def test_second_moment_factors_built_once_per_problem(monkeypatch):
             integrate(p, rho0, 0.05, 0.01)
         assert len(calls) == 1
         calls.clear()
+
+
+def test_commuting_guard_runs_once_per_dephasing_problem(monkeypatch):
+    calls = []
+    guard = ensemble.require_commuting
+
+    def spy(e, reference):
+        calls.append(e)
+        return guard(e, reference)
+
+    # both names are patched, so a call through either module is counted
+    monkeypatch.setattr(ensemble, "require_commuting", spy)
+    monkeypatch.setattr(mastereq, "require_commuting", spy)
+    p = make_problem(HS_QUBIT, gauss_hermite_ensemble(SZ, 0.2, 8), "dephasing")
+    assert len(calls) == 1
+    for t in (0.0, 0.5, 2.0):
+        dephasing_analytic(p, PLUS, t)
+    master_rhs(p, PLUS, 0.5)
+    for representation in REPRESENTATIONS:
+        _select(monkeypatch, representation, 2)
+        integrate(p, PLUS, 0.05, 0.01)
+    assert len(calls) == 1
+
+
+def test_gksl_resolvent_built_once_per_problem(monkeypatch):
+    calls = []
+    resolvent = mastereq.gksl_resolvent
+
+    def spy(eig, epsilon):
+        calls.append(epsilon)
+        return resolvent(eig, epsilon)
+
+    monkeypatch.setattr(mastereq, "gksl_resolvent", spy)
+    rng = np.random.default_rng(46)
+    hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    rho0 = random_density(rng, 3)
+    for epsilon in (0.0, 0.1):
+        p = make_problem(random_hermitian(rng, 3), e, "gksl", epsilon=epsilon)
+        assert calls == [epsilon]
+        master_rhs(p, rho0, 0.5)
+        for representation in REPRESENTATIONS:
+            _select(monkeypatch, representation, 3)
+            integrate(p, rho0, 0.05, 0.01)
+        assert calls == [epsilon]
+        calls.clear()
+    make_problem(random_hermitian(rng, 3), e, "redfield")
+    assert calls == []
 
 
 def test_rhs_rejects_nonhermitian_state():
