@@ -32,7 +32,7 @@ __all__ = [
 BREAKDOWN_THRESHOLD = 1e-2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     """Pointwise trace distances between two trajectories on a shared grid.
 

@@ -58,13 +58,11 @@ from .linops import (
 
 __all__ = [
     "MAX_EMBEDDED_DIM",
-    "MAX_SERIES_BYTES",
     "KrausChannel",
     "EmbeddedSystem",
     "evolve_average",
     "evolve_average_series",
     "require_embeddable",
-    "require_series_fit",
     "embed",
     "evolve_embedded",
     "evolve_embedded_series",
@@ -76,12 +74,6 @@ __all__ = [
 # an accidental large ensemble cannot allocate a huge total Hamiltonian.
 MAX_EMBEDDED_DIM = 4096
 
-# A run holds its time grid and every series whole, one (d, d) complex state
-# per grid point and series, for comparison and the CSV. Their predicted size
-# is capped so a tiny dt cannot ask for more memory than a workstation has;
-# the run's transient copies come on top, so the cap sits well below that.
-MAX_SERIES_BYTES = 2**30
-
 # evolve_average_series keeps the temporaries of a chunk of samples (its
 # frequency table and upper triangles) within this share of
 # linops.WORKSPACE_BYTES. A quarter of it ran faster at d = 8, n = 32
@@ -91,7 +83,7 @@ MAX_SERIES_BYTES = 2**30
 _TABLE_SHARE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Kraus operators (n, d, d) with sum_k K_k+ K_k = 1 within tolerance."""
 
@@ -122,7 +114,7 @@ class KrausChannel:
         return self.operators.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddedSystem:
     """Closed dilation: block-diagonal total Hamiltonian over the register.
 
@@ -266,21 +258,6 @@ def require_embeddable(dim_s: int, dim_e: int) -> None:
         raise ValueError(
             f"composite dimension {dim_s} x {dim_e} = {dim_s * dim_e} exceeds the "
             f"dense-path cap {MAX_EMBEDDED_DIM}; reduce the ensemble or the system size"
-        )
-
-
-def require_series_fit(points: int, dim: int, n_series: int) -> None:
-    """Check that a grid of points samples of n_series (dim, dim) series fits.
-
-    The prediction counts the grid's float64 times and 16 bytes per complex
-    state entry, points * (8 + 16 dim^2 n_series), against MAX_SERIES_BYTES.
-    """
-    predicted = points * (8 + 16 * dim * dim * n_series)
-    if predicted > MAX_SERIES_BYTES:
-        raise ValueError(
-            f"{points} grid points of {n_series} series at dimension {dim} need "
-            f"{predicted / 2**20:.4g} MiB, over the {MAX_SERIES_BYTES / 2**20:.4g} MiB "
-            f"ceiling; raise dt or lower t_final"
         )
 
 

@@ -20,9 +20,11 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import logging
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,7 +39,6 @@ from .channel import (
     evolve_average_series,
     evolve_embedded_series,
     require_embeddable,
-    require_series_fit,
 )
 from .ensemble import (
     DisorderEnsemble,
@@ -61,7 +62,7 @@ from .mastereq import (
 )
 
 __all__ = [
-    "GeneratorChoice",
+    "MAX_SERIES_BYTES",
     "Scenario",
     "RunRecord",
     "scenario_from_dict",
@@ -93,17 +94,29 @@ SCENARIO_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorChoice:
-    """One requested master-equation generator; epsilon matters for gksl only."""
+# A run holds its time grid and every series whole, one (d, d) complex state
+# per grid point and series, for comparison and the CSV. Their predicted size
+# is capped so a tiny dt cannot ask for more memory than a workstation has;
+# the run's transient copies come on top, so the cap sits well below that.
+MAX_SERIES_BYTES = 2**30
 
-    name: str
-    epsilon: float = 0.0
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully resolved scenario: ensemble centered, mean folded into hs."""
+    """A fully resolved scenario, admitted when it is built.
+
+    The ensemble is centered and its mean folded into hs; generators maps
+    each requested kind to its epsilon (which matters for gksl only), in
+    GENERATOR_KINDS order. Building a scenario runs every check run()
+    relies on, before any heavy work: the directory of output_path must
+    exist, and neither output_path nor its .run.json may be a directory;
+    the grid and its series (the exact one and one per generator), predicted
+    at points * (8 + 16 dim^2 n_series) bytes, must fit MAX_SERIES_BYTES;
+    the dilation must fit its dimension cap; and each generator's problem
+    is built, which runs its guards (commuting disorder for dephasing, a
+    non-degenerate spectrum for gksl at epsilon = 0), and kept in
+    `problems`. Errors name the scenario field at fault.
+    """
 
     name: str
     dim: int
@@ -112,17 +125,53 @@ class Scenario:
     rho0: np.ndarray
     t_final: float
     dt: float
-    generators: tuple[GeneratorChoice, ...]
+    generators: dict[str, float]
     output_path: str
+    problems: dict[str, MasterEqProblem] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        folder = Path(self.output_path).parent
+        if not folder.is_dir():
+            raise ValueError(f"output_path: directory {str(folder)!r} does not exist")
+        if Path(self.output_path).is_dir():
+            raise ValueError(
+                f"output_path: cannot write over the directory {self.output_path!r}"
+            )
+        record = _record_path(self.output_path)
+        if Path(record).is_dir():
+            raise ValueError(
+                f"output_path: cannot write the record over the directory {record!r}"
+            )
+        points, n_series = _grid_points(self), 1 + len(self.generators)
+        predicted = points * (8 + 16 * self.dim * self.dim * n_series)
+        if predicted > MAX_SERIES_BYTES:
+            raise ValueError(
+                f"dt: {points} grid points of {n_series} series at dimension {self.dim} "
+                f"need {predicted / 2**20:.4g} MiB, over the "
+                f"{MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower t_final"
+            )
+        try:
+            require_embeddable(self.dim, self.ensemble.size)
+        except ValueError as err:
+            raise ValueError(f"ensemble: {err}") from err
+        problems = {}
+        for kind, epsilon in self.generators.items():
+            try:
+                problems[kind] = make_problem(self.hs, self.ensemble, kind, epsilon)
+            except np.linalg.LinAlgError:
+                raise  # a numerical failure, not a fault of the scenario
+            except ValueError as err:
+                raise ValueError(f"generators: {kind}: {err}") from err
+        object.__setattr__(self, "problems", problems)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Everything one run produced, enough to rebuild the CSV byte for byte.
 
-    stages holds the seconds run() spent per stage: preflight_s, average_s,
-    dilation_s, integrate_s (per generator), compare_s and, once the CSV is
-    written, write_csv_s.
+    stages holds the seconds run() spent per stage: average_s, dilation_s,
+    integrate_s (per generator), compare_s and, once the CSV is written,
+    write_csv_s.
     """
 
     scenario: Scenario
@@ -148,9 +197,9 @@ def _number(value, field: str, kind=float):
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None:
-        raise ValueError(f"{field}: expected a number, got {value!r}")
+        raise ValueError(f"{field}: expected a number, got {reprlib.repr(value)}")
     if kind is int and isinstance(value, float) and number != value:
-        raise ValueError(f"{field}: expected an integer, got {value!r}")
+        raise ValueError(f"{field}: expected an integer, got {reprlib.repr(value)}")
     return number
 
 
@@ -158,7 +207,9 @@ def _parse_scalar(value, field: str) -> complex:
     """A bare number or an [re, im] pair of numbers, never a string."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
     if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-        raise ValueError(f"{field}: expected a number or an [re, im] pair, got {value!r}")
+        raise ValueError(
+            f"{field}: expected a number or an [re, im] pair, got {reprlib.repr(value)}"
+        )
     return complex(_number(parts[0], field), _number(parts[1], field))
 
 
@@ -186,7 +237,9 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
     kind = spec["type"]
     known = {"explicit", "gaussian", "two_point"}
     if not isinstance(kind, str) or kind not in known:
-        raise ValueError(f"ensemble.type: {kind!r} is not one of {sorted(known)}")
+        raise ValueError(
+            f"ensemble.type: {reprlib.repr(kind)} is not one of {sorted(known)}"
+        )
     extra = set(spec) - {"type", "terms", "base", "sigma", "n_nodes", "g"}
     if extra:
         raise ValueError(f"ensemble: unknown keys {sorted(extra)}")
@@ -220,7 +273,7 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
     return two_point_ensemble(base, _number(spec["g"], "ensemble.g"))
 
 
-def _parse_generators(value) -> tuple[GeneratorChoice, ...]:
+def _parse_generators(value) -> dict[str, float]:
     if value is None:
         value = []
     if not isinstance(value, list):
@@ -241,21 +294,22 @@ def _parse_generators(value) -> tuple[GeneratorChoice, ...]:
             raise ValueError(f"generators[{i}]: expected a name or an object")
         if name not in GENERATOR_KINDS:
             raise ValueError(
-                f"generators[{i}]: {name!r} is not one of {list(GENERATOR_KINDS)}"
+                f"generators[{i}]: {reprlib.repr(name)} is not one of {list(GENERATOR_KINDS)}"
             )
-        choices.append(GeneratorChoice(name=name, epsilon=epsilon))
-    names = [c.name for c in choices]
-    if len(set(names)) != len(names):
+        choices.append((name, epsilon))
+    requested = dict(choices)
+    if len(requested) != len(choices):
         raise ValueError("generators: each generator may be requested at most once")
     # canonical column order, independent of request order
-    order = {name: i for i, name in enumerate(GENERATOR_KINDS)}
-    return tuple(sorted(choices, key=lambda c: order[c.name]))
+    return {kind: requested[kind] for kind in GENERATOR_KINDS if kind in requested}
 
 
 def _resolve_rho0(value, dim: int, hs: np.ndarray) -> np.ndarray:
     if isinstance(value, str):
         if value not in RHO0_PRESETS:
-            raise ValueError(f"rho0: {value!r} is not one of {list(RHO0_PRESETS)}")
+            raise ValueError(
+                f"rho0: {reprlib.repr(value)} is not one of {list(RHO0_PRESETS)}"
+            )
         if value == "plus":
             vec = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
             return np.outer(vec, vec.conj())
@@ -366,7 +420,7 @@ def scenario_echo(s: Scenario) -> dict:
         "t_final": s.t_final,
         "dt": s.dt,
         "generators": [
-            {"name": g.name, "epsilon": g.epsilon} for g in s.generators
+            {"name": kind, "epsilon": epsilon} for kind, epsilon in s.generators.items()
         ],
         "output_path": s.output_path,
     }
@@ -380,57 +434,21 @@ def _time_grid(s: Scenario) -> np.ndarray:
     return np.arange(_grid_points(s), dtype=np.float64) * s.dt
 
 
-def _preflight(s: Scenario) -> dict[str, MasterEqProblem]:
-    """Every check run() makes, done before any heavy work.
-
-    Admits the time grid by the predicted bytes of the grid and its series
-    (the exact one and one per generator) before anything is allocated,
-    applies the dilation's dimension cap, builds each requested generator's
-    problem, which runs the generator's guards (commuting disorder for
-    dephasing, a non-degenerate spectrum for gksl at epsilon = 0), and
-    checks that the directory of output_path exists. Errors name the
-    scenario field at fault.
-    """
-    folder = Path(s.output_path).parent
-    if not folder.is_dir():
-        raise ValueError(f"output_path: directory {str(folder)!r} does not exist")
-    try:
-        require_series_fit(_grid_points(s), s.dim, 1 + len(s.generators))
-    except ValueError as err:
-        raise ValueError(f"dt: {err}") from err
-    try:
-        require_embeddable(s.dim, s.ensemble.size)
-    except ValueError as err:
-        raise ValueError(f"ensemble: {err}") from err
-    problems = {}
-    for choice in s.generators:
-        try:
-            problem = make_problem(s.hs, s.ensemble, choice.name, choice.epsilon)
-        except np.linalg.LinAlgError:
-            raise  # a numerical failure, not a fault of the scenario
-        except ValueError as err:
-            raise ValueError(f"generators: {choice.name}: {err}") from err
-        problems[choice.name] = problem
-    return problems
-
-
 def run(s: Scenario, write: bool = True) -> RunRecord:
     """Execute a scenario: exact dynamics, requested generators, reports.
 
-    Every check of _preflight runs first, before any heavy work. The exact
-    channel is evaluated both as an ensemble average and through the
-    closed-system embedding; any disagreement beyond the equivalence
+    The scenario was admitted when it was built, so the work starts at once.
+    The exact channel is evaluated both as an ensemble average and through
+    the closed-system embedding; any disagreement beyond the equivalence
     tolerance is a hard failure. Outputs (CSV plus a .run.json record with
     a re-runnable scenario echo) are written unless write=False.
     """
     started = time.perf_counter()
     stages: dict = {"integrate_s": {}, "compare_s": 0.0}
-    problems = _preflight(s)
-    stages["preflight_s"], mark = _lap(started)
     times = _time_grid(s)
     log.info("%s: exact channel on %d grid points", s.name, times.size)
     exact_states = evolve_average_series(s.hs, s.ensemble, s.rho0, times)
-    stages["average_s"], mark = _lap(mark)
+    stages["average_s"], mark = _lap(started)
     embedded_states = evolve_embedded_series(embed(s.hs, s.ensemble), s.rho0, times)
     gap = float(trace_distance(exact_states, embedded_states).max())
     stages["dilation_s"], mark = _lap(mark)
@@ -442,12 +460,12 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
     exact = TimeSeries(times=times, states=exact_states)
     series: dict[str, TimeSeries] = {"exact": exact}
     reports: dict[str, ComparisonReport] = {}
-    for choice in s.generators:
-        log.info("%s: integrating %s generator", s.name, choice.name)
-        trajectory = integrate(problems[choice.name], s.rho0, s.t_final, s.dt)
-        stages["integrate_s"][choice.name], mark = _lap(mark)
-        series[choice.name] = trajectory
-        reports[choice.name] = compare(exact, trajectory)
+    for kind in s.generators:
+        log.info("%s: integrating %s generator", s.name, kind)
+        trajectory = integrate(s.problems[kind], s.rho0, s.t_final, s.dt)
+        stages["integrate_s"][kind], mark = _lap(mark)
+        series[kind] = trajectory
+        reports[kind] = compare(exact, trajectory)
         elapsed, mark = _lap(mark)
         stages["compare_s"] += elapsed
     record = RunRecord(
@@ -572,56 +590,40 @@ def _write_record(record: RunRecord, path) -> None:
         handle.write("\n")
 
 
-_SZ = np.diag([1.0, -1.0]).astype(np.complex128)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-
-DEMO_NAMES = ("gaussian-dephasing", "two-point-breakdown", "gksl-qubit")
+# the demos share a qubit with H_S = sigma_z / 2, started in |+>
+_QUBIT = {"dim": 2, "hs": [[0.5, 0.0], [0.0, -0.5]], "rho0": "plus", "dt": 0.01}
+_DEMOS = {
+    "gaussian-dephasing": {
+        "ensemble": {
+            "type": "gaussian",
+            "base": [[1.0, 0.0], [0.0, -1.0]],
+            "sigma": 0.2,
+            "n_nodes": 32,
+        },
+        "t_final": 10.0,
+        "generators": ["redfield", "dephasing"],
+    },
+    "two-point-breakdown": {
+        "ensemble": {"type": "two_point", "base": [[1.0, 0.0], [0.0, -1.0]], "g": 0.5},
+        "t_final": 5.0,
+        "generators": ["dephasing"],
+    },
+    "gksl-qubit": {
+        "ensemble": {"type": "two_point", "base": [[0.0, 1.0], [1.0, 0.0]], "g": 0.1},
+        "t_final": 20.0,
+        "generators": ["redfield", "gksl"],
+    },
+}
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def demo_scenario(name: str) -> dict:
     """Built-in scenario documents exercising the three generator regimes."""
-    if name == "gaussian-dephasing":
-        return {
-            "name": "gaussian-dephasing",
-            "dim": 2,
-            "hs": _emit_matrix(0.5 * _SZ),
-            "ensemble": {
-                "type": "gaussian",
-                "base": _emit_matrix(_SZ),
-                "sigma": 0.2,
-                "n_nodes": 32,
-            },
-            "rho0": "plus",
-            "t_final": 10.0,
-            "dt": 0.01,
-            "generators": ["redfield", "dephasing"],
-            "output_path": "rndunit_gaussian_dephasing.csv",
-        }
-    if name == "two-point-breakdown":
-        return {
-            "name": "two-point-breakdown",
-            "dim": 2,
-            "hs": _emit_matrix(0.5 * _SZ),
-            "ensemble": {"type": "two_point", "base": _emit_matrix(_SZ), "g": 0.5},
-            "rho0": "plus",
-            "t_final": 5.0,
-            "dt": 0.01,
-            "generators": ["dephasing"],
-            "output_path": "rndunit_two_point_breakdown.csv",
-        }
-    if name == "gksl-qubit":
-        return {
-            "name": "gksl-qubit",
-            "dim": 2,
-            "hs": _emit_matrix(0.5 * _SZ),
-            "ensemble": {"type": "two_point", "base": _emit_matrix(_SX), "g": 0.1},
-            "rho0": "plus",
-            "t_final": 20.0,
-            "dt": 0.01,
-            "generators": ["redfield", "gksl"],
-            "output_path": "rndunit_gksl_qubit.csv",
-        }
-    raise ValueError(f"unknown demo {name!r}; choose from {list(DEMO_NAMES)}")
+    if name not in _DEMOS:
+        raise ValueError(f"unknown demo {name!r}; choose from {list(DEMO_NAMES)}")
+    output_path = f"rndunit_{name.replace('-', '_')}.csv"
+    doc = {"name": name, **_QUBIT, **_DEMOS[name], "output_path": output_path}
+    return copy.deepcopy(doc)
 
 
 def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
@@ -697,9 +699,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             scenario = load_scenario(args.scenario)
-            _preflight(scenario)
             if not args.quiet:
-                gens = ", ".join(g.name for g in scenario.generators) or "none"
+                gens = ", ".join(scenario.generators) or "none"
                 log.info(
                     "%s: ok (dim %d, %d realizations, generators: %s)",
                     scenario.name,

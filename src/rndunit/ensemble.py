@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisorderEnsemble:
     """Ordered Hamiltonian realizations (n, d, d) with weights (n,)."""
 
@@ -81,7 +81,7 @@ class DisorderEnsemble:
         return cls(hamiltonians=hams, weights=weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CenteredEnsemble:
     """Weighted mean plus a fluctuation ensemble whose mean vanishes."""
 

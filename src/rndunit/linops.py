@@ -146,7 +146,7 @@ def require_probabilities(weights: np.ndarray) -> None:
         raise ValueError(f"weights must sum to 1, got {total:.15g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Spectral data of a Hermitian operator: ascending energies, unitary basis.
 

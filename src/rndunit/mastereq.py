@@ -83,7 +83,7 @@ __all__ = [
 GENERATOR_KINDS = ("redfield", "dephasing", "gksl")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MasterEqProblem:
     """System Hamiltonian, zero-mean ensemble, and the generator choice.
 
@@ -150,7 +150,7 @@ class MasterEqProblem:
         return self.ensemble.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """Sampled trajectory: strictly increasing times (T,), states (T, d, d)."""
 

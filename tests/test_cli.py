@@ -15,6 +15,7 @@ from rndunit.analysis import ComparisonReport
 from rndunit.cli import (
     DEMO_NAMES,
     RunRecord,
+    Scenario,
     csv_columns,
     demo_scenario,
     load_scenario,
@@ -51,7 +52,7 @@ def test_scenario_minimal_roundtrip():
     s = scenario_from_dict(make_doc())
     assert s.dim == 2 and s.name == "qubit-dephasing"
     np.testing.assert_array_equal(s.hs, 0.5 * SZ)
-    assert [g.name for g in s.generators] == ["dephasing"]
+    assert s.generators == {"dephasing": 0.0}
     np.testing.assert_allclose(s.rho0, np.full((2, 2), 0.5), atol=1e-15)
 
 
@@ -70,8 +71,9 @@ def test_scenario_rejects_nonhermitian_hs():
 
 
 def test_scenario_complex_entries():
-    # [re, im] pairs: hs = sigma_y / 2
-    doc = make_doc(hs=[[0.0, [0.0, -0.5]], [[0.0, 0.5], 0.0]])
+    # [re, im] pairs: hs = sigma_y / 2, which sigma_z disorder does not
+    # commute with, so dephasing would be refused
+    doc = make_doc(hs=[[0.0, [0.0, -0.5]], [[0.0, 0.5], 0.0]], generators=["redfield"])
     s = scenario_from_dict(doc)
     np.testing.assert_array_equal(
         s.hs, np.array([[0.0, -0.5j], [0.5j, 0.0]])
@@ -121,8 +123,7 @@ def test_scenario_generator_order_is_canonical():
             generators=[{"name": "gksl", "epsilon": 0.2}, "redfield"],
         )
     )
-    assert [g.name for g in s.generators] == ["redfield", "gksl"]
-    assert s.generators[1].epsilon == 0.2
+    assert list(s.generators.items()) == [("redfield", 0.0), ("gksl", 0.2)]
     with pytest.raises(ValueError, match="at most once"):
         scenario_from_dict(make_doc(generators=["dephasing", "dephasing"]))
     with pytest.raises(ValueError, match="generators\\[0\\]"):
@@ -137,6 +138,28 @@ def test_rho0_presets():
     np.testing.assert_allclose(s.rho0, np.diag([0.0, 1.0]), atol=1e-15)
     with pytest.raises(ValueError, match="rho0"):
         scenario_from_dict(make_doc(rho0="cat"))
+
+
+def test_scenario_is_admitted_when_built(tmp_path):
+    # a Scenario built directly runs the same checks as scenario_from_dict
+    s = scenario_from_dict(make_doc())
+    fields = {
+        "name": s.name,
+        "dim": s.dim,
+        "hs": s.hs,
+        "ensemble": s.ensemble,
+        "rho0": s.rho0,
+        "t_final": s.t_final,
+        "dt": s.dt,
+        "generators": s.generators,
+        "output_path": str(tmp_path / "s.csv"),
+    }
+    assert list(Scenario(**fields).problems) == ["dephasing"]
+    with pytest.raises(ValueError, match="^output_path: directory"):
+        Scenario(**{**fields, "output_path": str(tmp_path / "gone" / "s.csv")})
+    with pytest.raises(ValueError, match="^dt: 10000000001 grid points"):
+        Scenario(**{**fields, "t_final": 1e7, "dt": 1e-3})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_scenario_errors_name_the_file(tmp_path):
@@ -227,7 +250,7 @@ def test_run_record_stage_timings(tmp_path):
     )
     run(scenario_from_dict(doc))
     stages = json.loads((tmp_path / "s.run.json").read_text())["stages"]
-    flat = ["preflight_s", "average_s", "dilation_s", "compare_s", "write_csv_s"]
+    flat = ["average_s", "dilation_s", "compare_s", "write_csv_s"]
     assert set(stages) == {*flat, "integrate_s"}
     assert set(stages["integrate_s"]) == {"redfield", "dephasing"}
     for value in [stages[key] for key in flat] + list(stages["integrate_s"].values()):
@@ -420,9 +443,9 @@ def test_series_admission_counts_grid_and_series_bytes(tmp_path, capsys, monkeyp
     path = tmp_path / "s.json"
     path.write_text(json.dumps(make_doc(output_path=str(tmp_path / "s.csv"))))
     predicted = 11 * (8 + 16 * 4 * 2)
-    monkeypatch.setattr("rndunit.channel.MAX_SERIES_BYTES", predicted)
+    monkeypatch.setattr("rndunit.cli.MAX_SERIES_BYTES", predicted)
     assert main(["validate", str(path), "--quiet"]) == 0
-    monkeypatch.setattr("rndunit.channel.MAX_SERIES_BYTES", predicted - 1)
+    monkeypatch.setattr("rndunit.cli.MAX_SERIES_BYTES", predicted - 1)
     assert main(["validate", str(path), "--quiet"]) == 2
     assert "dt: 11 grid points" in capsys.readouterr().err
 
@@ -450,9 +473,19 @@ PREFLIGHT_FAILURES = {
     ),
     # 1e10 steps: about 80 GB for the grid alone, refused from its prediction
     "oversized-grid": ({"t_final": 1e7, "dt": 1e-3}, "dt: 10000000001 grid points"),
-    # refused before the work, not when the CSV is opened after it
+    # refused before the work, not when the CSV or its record is opened after it
     "missing-output-dir": ({"output_path": "no-such-dir/s.csv"}, "output_path: directory"),
+    "output-is-a-directory": (
+        {"output_path": "taken"},
+        "output_path: cannot write over the directory",
+    ),
+    "record-is-a-directory": (
+        {"output_path": "s.csv"},
+        "output_path: cannot write the record over the directory",
+    ),
 }
+# the directories the cases above must find in place
+TAKEN_PATHS = {"output-is-a-directory": "taken", "record-is-a-directory": "s.run.json"}
 
 # a mistyped numeric field is a validation error naming it, not a TypeError
 _TWO_POINT = BASE_DOC["ensemble"]
@@ -504,15 +537,20 @@ def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monke
     doc = make_doc(**overrides)
     out = tmp_path / doc.get("output_path", "s.csv")
     doc["output_path"] = str(out)
+    if case in TAKEN_PATHS:
+        (tmp_path / TAKEN_PATHS[case]).mkdir()
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert field in err
+    # one line, however long the value at fault
+    assert err.count("\n") == 1 and len(err) < 200, err
     with caplog.at_level(logging.INFO, logger="rndunit"):
         assert main(["run", str(path)]) == 2
-    assert field in capsys.readouterr().err
+    assert capsys.readouterr().err == err
     assert "exact channel" not in caplog.text
-    assert not out.exists()
+    assert out.is_dir() if case == "output-is-a-directory" else not out.exists()
 
 
 # ensembles that centering leaves with a mean of rounding size on a large
@@ -581,10 +619,11 @@ def test_gauss_hermite_node_count_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
-    # the directory exists, but the CSV path is a directory: open() fails
-    # after the work, which ends with one line and exit 2, not a traceback
+    # the CSV path is a link into a directory that does not exist: open()
+    # fails after the work, which ends with one line and exit 2, not a
+    # traceback (a path that is a directory is refused before the work)
     out = tmp_path / "s.csv"
-    out.mkdir()
+    out.symlink_to(tmp_path / "gone" / "s.csv")
     path = tmp_path / "s.json"
     path.write_text(json.dumps(make_doc(output_path=str(out))))
     assert main(["run", str(path), "--quiet"]) == 2

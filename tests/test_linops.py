@@ -16,6 +16,10 @@ from conftest import SX, SY, SZ, random_density, random_hermitian
 from scipy.linalg import expm
 
 import rndunit
+from rndunit.analysis import compare
+from rndunit.channel import embed, kraus_at
+from rndunit.cli import RunRecord, demo_scenario, scenario_from_dict
+from rndunit.ensemble import center, two_point_ensemble
 from rndunit.linops import (
     DEFAULT_TOL,
     EigenSystem,
@@ -29,6 +33,7 @@ from rndunit.linops import (
     require_unitary,
     trace_distance,
 )
+from rndunit.mastereq import integrate, make_problem
 
 
 def _reassemble(eig: EigenSystem) -> np.ndarray:
@@ -334,3 +339,40 @@ def test_every_module_level_definition_is_exported_or_used():
                 dead.append(f"{module}.{stmt.name}")
     assert {"mastereq._make_rhs", "linops.EigenSystem", "cli.scenario_echo"} <= checked
     assert dead == []
+
+
+def _array_dataclasses():
+    # one factory per frozen dataclass with array fields, in module order
+    def problem():
+        return make_problem(0.5 * SZ, two_point_ensemble(SZ, 0.5), "dephasing")
+
+    def series():
+        return integrate(problem(), 0.5 * np.ones((2, 2)), 0.1, 0.05)
+
+    def scenario():
+        return scenario_from_dict(demo_scenario("two-point-breakdown"))
+
+    return {
+        "ComparisonReport": lambda: compare(series(), series()),
+        "KrausChannel": lambda: kraus_at(0.5 * SZ, two_point_ensemble(SZ, 0.5), 1.0),
+        "EmbeddedSystem": lambda: embed(0.5 * SZ, two_point_ensemble(SZ, 0.5)),
+        "Scenario": scenario,
+        "RunRecord": lambda: RunRecord(scenario(), {}, {}, 0.0, 0.0, "test"),
+        "DisorderEnsemble": lambda: two_point_ensemble(SZ, 0.5),
+        "CenteredEnsemble": lambda: center(two_point_ensemble(SZ, 0.5)),
+        "EigenSystem": lambda: herm_eig(0.5 * SZ),
+        "MasterEqProblem": problem,
+        "TimeSeries": series,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_dataclasses()))
+def test_array_dataclasses_compare_by_identity(name):
+    # field-wise == would compare arrays, which raises ValueError, and a
+    # field-wise hash would hash them, which raises TypeError
+    make = _array_dataclasses()[name]
+    first, copy = make(), make()
+    assert type(first).__name__ == name
+    assert first == first
+    assert (first == copy) is False and first != copy
+    assert hash(first) == hash(first)
