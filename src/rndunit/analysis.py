@@ -12,7 +12,7 @@ BREAKDOWN_THRESHOLD.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,15 +36,23 @@ BREAKDOWN_THRESHOLD = 1e-2
 class ComparisonReport:
     """Pointwise trace distances between two trajectories on a shared grid.
 
-    breakdown_time is the first grid time where the distance exceeds
-    threshold (BREAKDOWN_THRESHOLD), or None if it never does.
+    Building it derives max_error, the largest distance, and
+    breakdown_time, the first grid time where the distance exceeds
+    BREAKDOWN_THRESHOLD, or None if it never does. times and
+    trace_distances must have the same shape.
     """
 
     times: np.ndarray
     trace_distances: np.ndarray
-    max_error: float
-    threshold: float
-    breakdown_time: float | None
+    max_error: float = field(init=False)
+    breakdown_time: float | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.times.shape != self.trace_distances.shape:
+            raise ValueError("times and trace distances differ in shape")
+        over = self.times[self.trace_distances > BREAKDOWN_THRESHOLD]
+        object.__setattr__(self, "max_error", float(self.trace_distances.max()))
+        object.__setattr__(self, "breakdown_time", float(over[0]) if over.size else None)
 
 
 def purity(rho) -> float:
@@ -111,13 +119,4 @@ def compare(exact: TimeSeries, approx: TimeSeries) -> ComparisonReport:
         exact.times, approx.times
     ):
         raise ValueError("trajectories are sampled on different time grids")
-    distances = trace_distance(exact.states, approx.states)
-    over = np.flatnonzero(distances > BREAKDOWN_THRESHOLD)
-    breakdown = float(exact.times[over[0]]) if over.size else None
-    return ComparisonReport(
-        times=exact.times.copy(),
-        trace_distances=distances,
-        max_error=float(distances.max()),
-        threshold=BREAKDOWN_THRESHOLD,
-        breakdown_time=breakdown,
-    )
+    return ComparisonReport(exact.times.copy(), trace_distance(exact.states, approx.states))

@@ -37,7 +37,7 @@ half that in trace distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,31 +120,28 @@ class EmbeddedSystem:
 
     The environment register index k is the slow tensor factor, so block k
     (rows and columns k*dim_s .. (k+1)*dim_s) equals H_S + H_k and everything
-    off those blocks is exactly zero.
+    off those blocks is exactly zero. Building it derives dim_e, one register
+    state per weight, and dim_s = N / dim_e from the total dimension N.
     """
 
-    dim_s: int
-    dim_e: int
     total_hamiltonian: np.ndarray
     weights: np.ndarray
+    dim_s: int = field(init=False)
+    dim_e: int = field(init=False)
 
     def __post_init__(self) -> None:
-        dim_s, dim_e = int(self.dim_s), int(self.dim_e)
-        if dim_s < 1 or dim_e < 1:
-            raise ValueError("dimensions must be positive")
         total = require_hermitian(self.total_hamiltonian, name="total Hamiltonian")
-        if total.shape[0] != dim_s * dim_e:
-            raise ValueError(
-                f"total Hamiltonian dimension {total.shape[0]} != dim_s * dim_e"
-            )
         weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.shape != (dim_e,):
-            raise ValueError("weights must have one entry per register state")
         require_probabilities(weights)
-        object.__setattr__(self, "dim_s", dim_s)
-        object.__setattr__(self, "dim_e", dim_e)
+        if weights.ndim != 1 or total.shape[0] % weights.size:
+            raise ValueError(
+                f"total Hamiltonian dimension {total.shape[0]} is not a multiple "
+                f"of the {weights.size} register weights"
+            )
         object.__setattr__(self, "total_hamiltonian", total)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "dim_e", weights.size)
+        object.__setattr__(self, "dim_s", total.shape[0] // weights.size)
 
     def block(self, k: int) -> np.ndarray:
         """The k-th diagonal block H_S + H_k."""
@@ -277,9 +274,7 @@ def embed(hs, e: DisorderEnsemble) -> EmbeddedSystem:
         total[k * dim_s : (k + 1) * dim_s, k * dim_s : (k + 1) * dim_s] = (
             hs + e.hamiltonians[k]
         )
-    return EmbeddedSystem(
-        dim_s=dim_s, dim_e=dim_e, total_hamiltonian=total, weights=e.weights.copy()
-    )
+    return EmbeddedSystem(total_hamiltonian=total, weights=e.weights.copy())
 
 
 def _embedded_initial(sys: EmbeddedSystem, rho0_s: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import ComparisonReport, compare
+from .analysis import BREAKDOWN_THRESHOLD, ComparisonReport, compare
 from .channel import (
     embed,
     evolve_average_series,
@@ -57,6 +57,7 @@ from .mastereq import (
     GENERATOR_KINDS,
     MasterEqProblem,
     TimeSeries,
+    grid_steps,
     integrate,
     make_problem,
 )
@@ -106,20 +107,20 @@ class Scenario:
     """A fully resolved scenario, admitted when it is built.
 
     The ensemble is centered and its mean folded into hs; generators maps
-    each requested kind to its epsilon (which matters for gksl only), in
-    GENERATOR_KINDS order. Building a scenario runs every check run()
-    relies on, before any heavy work: the directory of output_path must
-    exist, and neither output_path nor its .run.json may be a directory;
-    the grid and its series (the exact one and one per generator), predicted
-    at points * (8 + 16 dim^2 n_series) bytes, must fit MAX_SERIES_BYTES;
-    the dilation must fit its dimension cap; and each generator's problem
-    is built, which runs its guards (commuting disorder for dephasing, a
-    non-degenerate spectrum for gksl at epsilon = 0), and kept in
-    `problems`. Errors name the scenario field at fault.
+    each requested kind to its epsilon (which matters for gksl only). Building
+    a scenario derives dim from hs, puts generators in GENERATOR_KINDS order
+    and runs every check run() relies on, before any heavy work: t_final and
+    dt must give a grid (mastereq.grid_steps); output_path must be writable,
+    its directory existing and neither it nor its .run.json a directory; the
+    grid and its series (the exact one and one per generator), predicted at
+    points * (8 + 16 dim^2 n_series) bytes, must fit MAX_SERIES_BYTES; the
+    dilation must fit its cap; and each generator's problem is built, which
+    runs its guards (a known kind, commuting disorder for dephasing, a
+    non-degenerate spectrum for gksl at epsilon = 0), and kept in `problems`.
+    Errors name the scenario field at fault.
     """
 
     name: str
-    dim: int
     hs: np.ndarray
     ensemble: DisorderEnsemble
     rho0: np.ndarray
@@ -127,22 +128,24 @@ class Scenario:
     dt: float
     generators: dict[str, float]
     output_path: str
+    dim: int = field(init=False)
     problems: dict[str, MasterEqProblem] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + len(self.generators)
+        object.__setattr__(self, "dim", self.hs.shape[0])
+        order = dict.fromkeys([*GENERATOR_KINDS, *self.generators])
+        generators = {kind: self.generators[kind] for kind in order if kind in self.generators}
+        object.__setattr__(self, "generators", generators)
         folder = Path(self.output_path).parent
         if not folder.is_dir():
             raise ValueError(f"output_path: directory {str(folder)!r} does not exist")
-        if Path(self.output_path).is_dir():
-            raise ValueError(
-                f"output_path: cannot write over the directory {self.output_path!r}"
-            )
         record = _record_path(self.output_path)
-        if Path(record).is_dir():
-            raise ValueError(
-                f"output_path: cannot write the record over the directory {record!r}"
-            )
-        points, n_series = _grid_points(self), 1 + len(self.generators)
+        for path, what in ((self.output_path, ""), (record, "the record ")):
+            if Path(path).is_dir():
+                raise ValueError(
+                    f"output_path: cannot write {what}over the directory {path!r}"
+                )
         predicted = points * (8 + 16 * self.dim * self.dim * n_series)
         if predicted > MAX_SERIES_BYTES:
             raise ValueError(
@@ -155,7 +158,7 @@ class Scenario:
         except ValueError as err:
             raise ValueError(f"ensemble: {err}") from err
         problems = {}
-        for kind, epsilon in self.generators.items():
+        for kind, epsilon in generators.items():
             try:
                 problems[kind] = make_problem(self.hs, self.ensemble, kind, epsilon)
             except np.linalg.LinAlgError:
@@ -171,7 +174,7 @@ class RunRecord:
 
     stages holds the seconds run() spent per stage: average_s, dilation_s,
     integrate_s (per generator), compare_s and, once the CSV is written,
-    write_csv_s.
+    write_csv_s. The .run.json record adds the package version.
     """
 
     scenario: Scenario
@@ -179,7 +182,6 @@ class RunRecord:
     reports: dict[str, ComparisonReport]
     equivalence_error: float
     wall_time_s: float
-    version: str
     stages: dict = field(default_factory=dict)
 
 
@@ -231,20 +233,27 @@ def _emit_matrix(m: np.ndarray) -> list:
     ]
 
 
+# the keys of each ensemble type besides "type"; all of them are required
+ENSEMBLE_KEYS = {
+    "explicit": ("terms",),
+    "gaussian": ("base", "sigma", "n_nodes"),
+    "two_point": ("base", "g"),
+}
+
+
 def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError('ensemble: expected an object with a "type" key')
     kind = spec["type"]
-    known = {"explicit", "gaussian", "two_point"}
-    if not isinstance(kind, str) or kind not in known:
+    if not isinstance(kind, str) or kind not in ENSEMBLE_KEYS:
         raise ValueError(
-            f"ensemble.type: {reprlib.repr(kind)} is not one of {sorted(known)}"
+            f"ensemble.type: {reprlib.repr(kind)} is not one of {sorted(ENSEMBLE_KEYS)}"
         )
-    extra = set(spec) - {"type", "terms", "base", "sigma", "n_nodes", "g"}
-    if extra:
-        raise ValueError(f"ensemble: unknown keys {sorted(extra)}")
+    missing = [key for key in ENSEMBLE_KEYS[kind] if key not in spec]
+    if missing:
+        raise ValueError(f"ensemble: {kind} needs {' and '.join(missing)}")
     if kind == "explicit":
-        terms = spec.get("terms")
+        terms = spec["terms"]
         if not isinstance(terms, list) or not terms:
             raise ValueError("ensemble.terms: expected a non-empty list")
         pairs = []
@@ -255,11 +264,9 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
                 )
             matrix = _parse_matrix(term["matrix"], dim, f"ensemble.terms[{i}].matrix")
             pairs.append((matrix, _number(term["weight"], f"ensemble.terms[{i}].weight")))
-        return DisorderEnsemble.from_pairs(pairs)
-    base = _parse_matrix(spec.get("base"), dim, "ensemble.base")
-    if kind == "gaussian":
-        if "sigma" not in spec or "n_nodes" not in spec:
-            raise ValueError("ensemble: gaussian needs sigma and n_nodes")
+        ensemble = DisorderEnsemble.from_pairs(pairs)
+    elif kind == "gaussian":
+        base = _parse_matrix(spec["base"], dim, "ensemble.base")
         sigma = _number(spec["sigma"], "ensemble.sigma")
         n_nodes = _number(spec["n_nodes"], "ensemble.n_nodes", int)
         # before numpy builds the rule, whose cost grows as n_nodes^3
@@ -267,10 +274,15 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
             require_embeddable(dim, n_nodes)
         except ValueError as err:
             raise ValueError(f"ensemble.n_nodes: {err}") from err
-        return gauss_hermite_ensemble(base, sigma, n_nodes)
-    if "g" not in spec:
-        raise ValueError("ensemble: two_point needs g")
-    return two_point_ensemble(base, _number(spec["g"], "ensemble.g"))
+        ensemble = gauss_hermite_ensemble(base, sigma, n_nodes)
+    else:
+        base = _parse_matrix(spec["base"], dim, "ensemble.base")
+        ensemble = two_point_ensemble(base, _number(spec["g"], "ensemble.g"))
+    # after the type's own fields, so that a fault in one of them is named
+    extra = set(spec) - {"type", *ENSEMBLE_KEYS[kind]}
+    if extra:
+        raise ValueError(f"ensemble: unknown keys {sorted(extra)} for type {kind}")
+    return ensemble
 
 
 def _parse_generators(value) -> dict[str, float]:
@@ -300,8 +312,7 @@ def _parse_generators(value) -> dict[str, float]:
     requested = dict(choices)
     if len(requested) != len(choices):
         raise ValueError("generators: each generator may be requested at most once")
-    # canonical column order, independent of request order
-    return {kind: requested[kind] for kind in GENERATOR_KINDS if kind in requested}
+    return requested
 
 
 def _resolve_rho0(value, dim: int, hs: np.ndarray) -> np.ndarray:
@@ -355,14 +366,6 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     else:
         log.info("%s: ensemble mean already zero", name)
     hs_folded = hs + centered.mean
-    t_final = _number(doc["t_final"], "t_final")
-    dt = _number(doc["dt"], "dt")
-    if not np.isfinite(t_final) or t_final < 0:
-        raise ValueError("t_final: must be finite and non-negative")
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError("dt: must be finite and positive")
-    if not np.isfinite(t_final / dt):
-        raise ValueError("dt: too small for t_final, the step count overflows")
     generators = _parse_generators(doc.get("generators"))
     if "seed" in doc:
         log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
@@ -370,12 +373,11 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     rho0 = _resolve_rho0(doc["rho0"], dim, hs_folded)
     return Scenario(
         name=name,
-        dim=dim,
         hs=hs_folded,
         ensemble=centered.ensemble,
         rho0=rho0,
-        t_final=t_final,
-        dt=dt,
+        t_final=_number(doc["t_final"], "t_final"),
+        dt=_number(doc["dt"], "dt"),
         generators=generators,
         output_path=output_path,
     )
@@ -426,22 +428,18 @@ def scenario_echo(s: Scenario) -> dict:
     }
 
 
-def _grid_points(s: Scenario) -> int:
-    return int(round(s.t_final / s.dt)) + 1
-
-
 def _time_grid(s: Scenario) -> np.ndarray:
-    return np.arange(_grid_points(s), dtype=np.float64) * s.dt
+    return np.arange(grid_steps(s.t_final, s.dt) + 1, dtype=np.float64) * s.dt
 
 
-def run(s: Scenario, write: bool = True) -> RunRecord:
+def run(s: Scenario) -> RunRecord:
     """Execute a scenario: exact dynamics, requested generators, reports.
 
     The scenario was admitted when it was built, so the work starts at once.
     The exact channel is evaluated both as an ensemble average and through
     the closed-system embedding; any disagreement beyond the equivalence
-    tolerance is a hard failure. Outputs (CSV plus a .run.json record with
-    a re-runnable scenario echo) are written unless write=False.
+    tolerance is a hard failure. The outputs, the CSV and a .run.json
+    record with a re-runnable scenario echo, are written at output_path.
     """
     started = time.perf_counter()
     stages: dict = {"integrate_s": {}, "compare_s": 0.0}
@@ -474,16 +472,13 @@ def run(s: Scenario, write: bool = True) -> RunRecord:
         reports=reports,
         equivalence_error=float(gap),
         wall_time_s=time.perf_counter() - started,
-        version=__version__,
         stages=stages,
     )
-    if write:
-        mark = time.perf_counter()
-        write_csv(record, s.output_path)
-        stages["write_csv_s"], _ = _lap(mark)
-        record_path = _record_path(s.output_path)
-        _write_record(record, record_path)
-        log.info("%s: wrote %s and %s", s.name, s.output_path, record_path)
+    write_csv(record, s.output_path)
+    stages["write_csv_s"], _ = _lap(mark)
+    record_path = _record_path(s.output_path)
+    _write_record(record, record_path)
+    log.info("%s: wrote %s and %s", s.name, s.output_path, record_path)
     return record
 
 
@@ -571,14 +566,14 @@ def _record_path(csv_path) -> str:
 def _write_record(record: RunRecord, path) -> None:
     doc = {
         "name": record.scenario.name,
-        "version": record.version,
+        "version": __version__,
         "wall_time_s": record.wall_time_s,
         "stages": record.stages,
         "equivalence_max_trace_distance": record.equivalence_error,
         "reports": {
             name: {
                 "max_error": rep.max_error,
-                "threshold": rep.threshold,
+                "threshold": BREAKDOWN_THRESHOLD,
                 "breakdown_time": rep.breakdown_time,
             }
             for name, rep in record.reports.items()
@@ -686,7 +681,7 @@ def _summarize(record: RunRecord) -> None:
             "  %s: max trace distance %.3e, exceeds %.0e first at %s",
             name,
             rep.max_error,
-            rep.threshold,
+            BREAKDOWN_THRESHOLD,
             where,
         )
 

@@ -77,6 +77,7 @@ __all__ = [
     "dephasing_analytic",
     "gksl_resolvent",
     "master_rhs",
+    "grid_steps",
     "integrate",
 ]
 
@@ -399,6 +400,19 @@ def master_rhs(p: MasterEqProblem, rho, t: float) -> np.ndarray:
     return v @ rhs(dagger(v) @ rho @ v, x[0], a[0]) @ dagger(v)
 
 
+def grid_steps(t_final: float, dt: float) -> int:
+    """round(t_final / dt) steps of dt: the one rule for the time grid. A
+    t_final that is not finite and non-negative, a dt that is not finite and
+    positive, and a t_final / dt that overflows are refused naming the field."""
+    if not np.isfinite(t_final) or t_final < 0:
+        raise ValueError("t_final: must be finite and non-negative")
+    if not np.isfinite(dt) or dt <= 0:
+        raise ValueError("dt: must be finite and positive")
+    if not np.isfinite(t_final / dt):
+        raise ValueError("dt: too small for t_final, the step count overflows")
+    return int(round(t_final / dt))
+
+
 def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries:
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
@@ -419,18 +433,16 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 
     Each chunk is rotated back and re-Hermitized once more, so the states
     after states[0] = rho0 are bitwise Hermitian. A chunk with non-finite
-    entries aborts the run, naming its first bad step. A warning is emitted
-    when dt resolves the fastest phase poorly (dt * max |E_n| > 0.05).
+    entries aborts the run, naming its first bad step. The grid has
+    grid_steps(t_final, dt) steps. A warning is emitted when t_final is not
+    on it, or when dt resolves the fastest phase poorly (dt * max |E_n| > 0.05).
     """
     rho0 = require_density(rho0, name="initial state")
     if rho0.shape[0] != p.dim:
         raise ValueError("initial state dimension does not match the problem")
     dt = float(dt)
     t_final = float(t_final)
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValueError("dt must be finite and positive")
-    if not np.isfinite(t_final) or t_final < 0:
-        raise ValueError("t_final must be finite and non-negative")
+    n_steps = grid_steps(t_final, dt)
     fastest = float(np.max(np.abs(p.eig.energies))) if p.eig.dim else 0.0
     if dt * fastest > 0.05:
         warnings.warn(
@@ -438,9 +450,6 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
             f"(dt * max|E| = {dt * fastest:.3g} > 0.05); expect discretization error",
             stacklevel=2,
         )
-    if not np.isfinite(t_final / dt):
-        raise ValueError(f"dt = {dt:g} is too small: t_final / dt overflows")
-    n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(dt, t_final):
         warnings.warn(
             f"t_final = {t_final:g} is not a multiple of dt = {dt:g}; "

@@ -136,12 +136,12 @@ def test_compare_locates_breakdown():
         times=ts.times, states=evolve_average_series(HS_QUBIT, e, PLUS, ts.times)
     )
     report = compare(exact, ts)
-    assert report.threshold == BREAKDOWN_THRESHOLD == 1e-2
+    assert BREAKDOWN_THRESHOLD == 1e-2
     assert report.breakdown_time is not None
     assert 0.3 <= report.breakdown_time <= 2.0
     # first crossing really is the first: everything before stays below
     before = report.times < report.breakdown_time
-    assert np.all(report.trace_distances[before] <= report.threshold)
+    assert np.all(report.trace_distances[before] <= BREAKDOWN_THRESHOLD)
 
 
 def test_compare_rejects_mismatched_grids():
@@ -152,11 +152,16 @@ def test_compare_rejects_mismatched_grids():
 
 
 def test_report_is_plain_data():
-    r = ComparisonReport(
-        times=np.array([0.0]),
-        trace_distances=np.array([0.0]),
-        max_error=0.0,
-        threshold=1e-2,
-        breakdown_time=None,
-    )
-    assert r.threshold == 1e-2
+    r = ComparisonReport(times=np.array([0.0]), trace_distances=np.array([0.0]))
+    assert r.max_error == 0.0 and r.breakdown_time is None
+
+
+def test_report_derives_max_error_and_breakdown():
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    r = ComparisonReport(times, np.array([0.0, 0.005, 0.02, 0.015]))
+    assert r.max_error == 0.02 and r.breakdown_time == 1.0
+    # at the threshold is not over it
+    r = ComparisonReport(times, np.array([0.0, BREAKDOWN_THRESHOLD, 0.0, 0.0]))
+    assert r.max_error == BREAKDOWN_THRESHOLD and r.breakdown_time is None
+    with pytest.raises(ValueError, match="shape"):
+        ComparisonReport(times, np.zeros(3))

@@ -217,26 +217,22 @@ def test_embed_dimension_cap():
 
 
 def test_embedded_system_validation():
-    with pytest.raises(ValueError, match="dimension"):
-        EmbeddedSystem(
-            dim_s=2, dim_e=2, total_hamiltonian=np.eye(3), weights=np.array([0.5, 0.5])
-        )
-    with pytest.raises(ValueError, match="register"):
-        EmbeddedSystem(
-            dim_s=2, dim_e=2, total_hamiltonian=np.eye(4), weights=np.array([1.0])
-        )
     with pytest.raises(ValueError, match="non-negative"):
-        EmbeddedSystem(
-            dim_s=2, dim_e=2, total_hamiltonian=np.eye(4), weights=np.array([1.5, -0.5])
-        )
+        EmbeddedSystem(total_hamiltonian=np.eye(4), weights=np.array([1.5, -0.5]))
+    # the register dimension is read from the weights
+    sys = EmbeddedSystem(total_hamiltonian=np.eye(6), weights=np.array([0.5, 0.5]))
+    assert (sys.dim_s, sys.dim_e) == (3, 2)
+    # 3 levels cannot be split over 2 register states
+    with pytest.raises(ValueError, match="dimension 3 is not a multiple of the 2"):
+        EmbeddedSystem(total_hamiltonian=np.eye(3), weights=np.array([0.5, 0.5]))
 
 
 def test_embedded_system_refuses_unnormalized_weights():
     # register weights of total 10 would scale every output state by 10
     total = np.kron(np.eye(2), SZ)
     with pytest.raises(ValueError, match="sum to 1"):
-        EmbeddedSystem(dim_s=2, dim_e=2, total_hamiltonian=total, weights=[5.0, 5.0])
-    sys = EmbeddedSystem(dim_s=2, dim_e=2, total_hamiltonian=total, weights=[0.25, 0.75])
+        EmbeddedSystem(total_hamiltonian=total, weights=[5.0, 5.0])
+    sys = EmbeddedSystem(total_hamiltonian=total, weights=[0.25, 0.75])
     states = evolve_embedded_series(sys, PLUS, np.array([0.0, 0.4]))
     np.testing.assert_allclose(np.trace(states, axis1=1, axis2=2), 1.0, rtol=0, atol=1e-14)
 
@@ -360,7 +356,7 @@ def test_embedded_series_sees_a_coupling_between_registers():
     # which the block structure forbids, moves the series at first order in
     # eps; a mixed register diag(p) would hide it to second order
     hs, e, rho0 = _random_setup(18, dim=3, size=4)
-    d, n = e.dim, e.size
+    d = e.dim
     k, l = np.argsort(e.weights)[-2:]
     assert e.weights[[k, l]].min() >= 0.1
     sys = embed(hs, e)
@@ -371,9 +367,7 @@ def test_embedded_series_sees_a_coupling_between_registers():
         total = sys.total_hamiltonian.copy()
         total[k * d, l * d + 1] += eps
         total[l * d + 1, k * d] += eps
-        coupled = EmbeddedSystem(
-            dim_s=d, dim_e=n, total_hamiltonian=total, weights=sys.weights
-        )
+        coupled = EmbeddedSystem(total_hamiltonian=total, weights=sys.weights)
         return trace_distance(exact, evolve_embedded_series(coupled, rho0, times)).max()
 
     assert gap(0.0) <= 1e-12

@@ -25,6 +25,7 @@ from rndunit.cli import (
     scenario_from_dict,
     write_csv,
 )
+from rndunit.ensemble import two_point_ensemble
 from rndunit.mastereq import TimeSeries
 
 BASE_DOC = {
@@ -145,7 +146,6 @@ def test_scenario_is_admitted_when_built(tmp_path):
     s = scenario_from_dict(make_doc())
     fields = {
         "name": s.name,
-        "dim": s.dim,
         "hs": s.hs,
         "ensemble": s.ensemble,
         "rho0": s.rho0,
@@ -154,11 +154,30 @@ def test_scenario_is_admitted_when_built(tmp_path):
         "generators": s.generators,
         "output_path": str(tmp_path / "s.csv"),
     }
-    assert list(Scenario(**fields).problems) == ["dephasing"]
+    built = Scenario(**fields)
+    assert list(built.problems) == ["dephasing"] and built.dim == 2
     with pytest.raises(ValueError, match="^output_path: directory"):
         Scenario(**{**fields, "output_path": str(tmp_path / "gone" / "s.csv")})
     with pytest.raises(ValueError, match="^dt: 10000000001 grid points"):
         Scenario(**{**fields, "t_final": 1e7, "dt": 1e-3})
+    for dt in (0.0, -0.01, np.inf):
+        with pytest.raises(ValueError, match="^dt: must be finite and positive"):
+            Scenario(**{**fields, "dt": dt})
+    for t_final in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="^t_final: must be finite and non-negative"):
+            Scenario(**{**fields, "t_final": t_final})
+    with pytest.raises(ValueError, match="^dt: too small for t_final"):
+        Scenario(**{**fields, "t_final": 1e300, "dt": 1e-300})
+    # generators are put in column order, and an unknown kind is refused
+    sx = {"ensemble": two_point_ensemble(SX, 0.1), "generators": {"gksl": 0.0, "redfield": 0.0}}
+    crossed = Scenario(**{**fields, **sx})
+    assert list(crossed.generators) == list(crossed.problems) == ["redfield", "gksl"]
+    with pytest.raises(ValueError, match="^generators: lindblad: unknown generator kind"):
+        Scenario(**{**fields, "generators": {"dephasing": 0.0, "lindblad": 0.0}})
+    # dim follows hs
+    qutrit = np.diag([1.0, 0.0, -1.0])
+    three = {"hs": 0.5 * qutrit, "ensemble": two_point_ensemble(qutrit, 0.5), "rho0": np.eye(3) / 3}
+    assert Scenario(**{**fields, **three}).dim == 3
     assert list(tmp_path.iterdir()) == []
 
 
@@ -184,12 +203,6 @@ def test_run_produces_grid_and_reports(tmp_path):
     assert "dephasing" in record.reports
     assert (tmp_path / "out.csv").exists()
     assert (tmp_path / "out.run.json").exists()
-
-
-def test_run_write_false_touches_nothing(tmp_path):
-    doc = make_doc(output_path=str(tmp_path / "none.csv"))
-    run(scenario_from_dict(doc), write=False)
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_header_and_shape(tmp_path):
@@ -310,7 +323,7 @@ def test_write_csv_matches_per_entry_writer(tmp_path):
         states.real, states.imag = rng.choice(special, size=(2, 7, 3, 3))
         series[name] = TimeSeries(times=times, states=states)
         distances = rng.choice(special, size=7)
-        reports[name] = ComparisonReport(times, distances, 1.0, 0.05, None)
+        reports[name] = ComparisonReport(times, distances)
     # equal magnitudes of opposite sign in one row
     series["gksl"].states.real[:, 0, 0] = [0.1, -np.inf, -0.0, 1e300, -nan, 5e-324, 2.5]
     series["gksl"].states.real[:, 2, 1] = [-0.1, np.inf, 0.0, -1e300, nan, -5e-324, -2.5]
@@ -324,9 +337,16 @@ def test_write_csv_matches_per_entry_writer(tmp_path):
     hermitian.imag[:, 1, 0] = -hermitian.imag[:, 0, 1]
     series["exact"] = TimeSeries(times=times, states=hermitian)
     del reports["exact"]
-    record = RunRecord(scenario_from_dict(doc), series, reports, 0.0, 0.0, "test")
+    record = RunRecord(
+        scenario=scenario_from_dict(doc),
+        series=series,
+        reports=reports,
+        equivalence_error=0.0,
+        wall_time_s=0.0,
+    )
     # 501 rows: the demo also crosses the writer's block boundaries
-    demo = run(scenario_from_dict(demo_scenario("two-point-breakdown")), write=False)
+    demo_doc = {**demo_scenario("two-point-breakdown"), "output_path": str(tmp_path / "d.csv")}
+    demo = run(scenario_from_dict(demo_doc))
     for i, rec in enumerate((record, demo)):
         new, old = tmp_path / f"new{i}.csv", tmp_path / f"old{i}.csv"
         with np.errstate(over="ignore", invalid="ignore"):  # purity of 1e300, inf
@@ -341,7 +361,7 @@ def test_run_grid_rounding(tmp_path):
     doc = make_doc(t_final=1.0, dt=0.3, output_path=str(tmp_path / "r.csv"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        record = run(scenario_from_dict(doc), write=False)
+        record = run(scenario_from_dict(doc))
     np.testing.assert_allclose(record.series["exact"].times, [0.0, 0.3, 0.6, 0.9])
 
 
@@ -616,6 +636,30 @@ def test_gauss_hermite_node_count_exits_2(tmp_path, capsys, monkeypatch):
     for command in ("validate", "run"):
         assert main([command, str(path), "--quiet"]) == 2
         assert "ensemble.n_nodes: composite dimension" in capsys.readouterr().err
+
+
+# keys of another ensemble type are refused, not ignored
+STRAY_ENSEMBLE_KEYS = {
+    "two_point-sigma": (["sigma"], {**_TWO_POINT, "sigma": 3.0}),
+    "two_point-n_nodes": (["n_nodes"], {**_TWO_POINT, "n_nodes": 5}),
+    "two_point-terms": (["terms"], {**_TWO_POINT, "terms": []}),
+    "explicit-g-base": (
+        ["base", "g"],
+        {"type": "explicit", "terms": [_ONE_TERM], "g": 7.0, "base": "anything"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_ENSEMBLE_KEYS))
+def test_ensemble_keys_of_another_type_exit_2(case, tmp_path, capsys):
+    keys, ensemble = STRAY_ENSEMBLE_KEYS[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(ensemble=ensemble, output_path=str(tmp_path / "s.csv"))))
+    kind = ensemble["type"]
+    for command in ("validate", "run"):
+        assert main([command, str(path), "--quiet"]) == 2
+        assert f"ensemble: unknown keys {keys} for type {kind}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -357,7 +357,9 @@ def _array_dataclasses():
         "KrausChannel": lambda: kraus_at(0.5 * SZ, two_point_ensemble(SZ, 0.5), 1.0),
         "EmbeddedSystem": lambda: embed(0.5 * SZ, two_point_ensemble(SZ, 0.5)),
         "Scenario": scenario,
-        "RunRecord": lambda: RunRecord(scenario(), {}, {}, 0.0, 0.0, "test"),
+        "RunRecord": lambda: RunRecord(
+            scenario=scenario(), series={}, reports={}, equivalence_error=0.0, wall_time_s=0.0
+        ),
         "DisorderEnsemble": lambda: two_point_ensemble(SZ, 0.5),
         "CenteredEnsemble": lambda: center(two_point_ensemble(SZ, 0.5)),
         "EigenSystem": lambda: herm_eig(0.5 * SZ),
