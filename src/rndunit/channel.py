@@ -190,8 +190,8 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     those of a > b are the conjugate phases of a < b, so the table holds
     only the n d (d - 1) / 2 phases with a < b, and the lower triangle is
     mirrored as the conjugate of the upper one: the series is Hermitian
-    bit for bit, with diagonal imaginary parts +0.0. Times go in chunks
-    whose table and triangles stay within 1 / _TABLE_SHARE of
+    bit for bit, with diagonal imaginary parts +0.0. Times go in the
+    linops.chunks whose table and triangles fit 1 / _TABLE_SHARE of
     linops.WORKSPACE_BYTES (at least one sample); the split moves the
     result by rounding only, since the product's summation order may
     depend on the number of rows.
@@ -225,14 +225,14 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
         freqs[k] = eig.energies[upper] - eig.energies[lower]
     freqs = freqs.ravel()
     # (2 m, 2 q) real: row (pair, re/im of the phase), column (entry, re/im)
-    coeffs = coeffs.view(np.float64).reshape(2 * freqs.size, -1)
+    coeffs = coeffs.view(np.float64).reshape(2 * freqs.size, 2 * rows.size)
     # per sample: the table row, and the upper triangle with its conjugate
     row_bytes = 16 * (freqs.size + 2 * rows.size)
-    step = max(1, linops.WORKSPACE_BYTES // (_TABLE_SHARE * row_bytes))
     out = np.empty((times.size, d, d), dtype=np.complex128)
-    table = np.empty((min(step, times.size), freqs.size), dtype=np.complex128)
-    for start in range(0, times.size, step):
-        ts = times[start : start + step]
+    for sl in linops.chunks(times.size, row_bytes, linops.WORKSPACE_BYTES // _TABLE_SHARE):
+        ts = times[sl]
+        if sl.start == 0:  # the first chunk is the largest
+            table = np.empty((ts.size, freqs.size), dtype=np.complex128)
         phases = table[: ts.size]
         phases.real = 0.0
         # -t w as a (T, 1) x (1, m) product: matmul writes the strided
@@ -242,7 +242,7 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
         np.exp(phases, out=phases)
         tri = (phases.view(np.float64) @ coeffs).view(np.complex128)
         tri += constant
-        block = out[start : start + ts.size]
+        block = out[sl]
         block[:, rows, cols] = tri
         block[:, cols, rows] = tri.conj()
         block.imag[:, range(d), range(d)] = 0.0
@@ -334,11 +334,11 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     channel contracts trace distance, the result moves by at most half that
     sum.
 
-    Times are processed in chunks of as many samples as keep their
+    Times are split by linops.chunks into as many samples as keep their
     temporaries (the phases, and the scaled factor, Y and the weighted Y of
     each column) within linops.WORKSPACE_BYTES. The r columns of every
-    sample in a chunk go through one product with V. When one sample alone
-    exceeds the budget, its r columns are summed in blocks that fit.
+    sample in a chunk go through one product with V. The columns are split
+    the same way, in blocks that fit the budget beside one sample's phases.
     Neither split changes the result of a run whose samples fit the
     budget. Besides H_tot, the fixed arrays are the eigendecomposition and
     the r x N factor G^T, G = V+ C.
@@ -364,14 +364,9 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     # the weighted Y (Y is conjugated in place)
     phase_row, column = 16 * full, 3 * 16 * full
     budget = linops.WORKSPACE_BYTES
-    step = max(1, budget // (phase_row + lam.size * column))
-    width = min(lam.size, max(1, (budget - phase_row) // column))
-    blocks = [
-        (gt[m : m + width], lam[m : m + width]) for m in range(0, lam.size, width)
-    ]
+    blocks = [(gt[sl], lam[sl]) for sl in linops.chunks(lam.size, column, budget - phase_row)]
     out = np.empty((times.size, d, d), dtype=np.complex128)
-    for start in range(0, times.size, step):
-        sl = slice(start, min(start + step, times.size))
+    for sl in linops.chunks(times.size, phase_row + lam.size * column, budget):
         out[sl] = _reduced_chunk(times[sl], eig.energies, blocks, vt, n)
     return out
 

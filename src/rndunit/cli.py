@@ -48,6 +48,7 @@ from .ensemble import (
 )
 from .linops import (
     DEFAULT_TOL,
+    chunks,
     herm_eig,
     require_density,
     require_hermitian,
@@ -110,7 +111,9 @@ class Scenario:
     each requested kind to its epsilon (which matters for gksl only). Building
     a scenario derives dim from hs, puts generators in GENERATOR_KINDS order
     and runs every check run() relies on, before any heavy work: t_final and
-    dt must give a grid (mastereq.grid_steps); output_path must be writable,
+    dt must give a grid (mastereq.grid_steps); hs must be square and
+    Hermitian, the ensemble of its dimension, and rho0 a density matrix of
+    its shape (linops.require_density); output_path must be writable,
     its directory existing and neither it nor its .run.json a directory; the
     grid and its series (the exact one and one per generator), predicted at
     points * (8 + 16 dim^2 n_series) bytes, must fit MAX_SERIES_BYTES; the
@@ -133,7 +136,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + len(self.generators)
-        object.__setattr__(self, "dim", self.hs.shape[0])
+        hs = require_hermitian(self.hs, name="hs")
+        if self.ensemble.dim != hs.shape[0]:
+            raise ValueError(f"ensemble: dimension {self.ensemble.dim} does not match hs")
+        rho0 = require_density(self.rho0, name="rho0")
+        if rho0.shape != hs.shape:
+            raise ValueError(f"rho0: shape {rho0.shape} does not match hs {hs.shape}")
+        for name, value in (("hs", hs), ("rho0", rho0), ("dim", hs.shape[0])):
+            object.__setattr__(self, name, value)
         order = dict.fromkeys([*GENERATOR_KINDS, *self.generators])
         generators = {kind: self.generators[kind] for kind in order if kind in self.generators}
         object.__setattr__(self, "generators", generators)
@@ -328,8 +338,7 @@ def _resolve_rho0(value, dim: int, hs: np.ndarray) -> np.ndarray:
             vec = herm_eig(hs).basis[:, 0]
             return np.outer(vec, vec.conj())
         return np.eye(dim, dtype=np.complex128) / dim
-    rho0 = _parse_matrix(value, dim, "rho0")
-    return require_density(rho0, name="rho0")
+    return _parse_matrix(value, dim, "rho0")
 
 
 def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
@@ -514,16 +523,16 @@ def csv_columns(dim: int, series_names) -> list[str]:
 def write_csv(record: RunRecord, path) -> None:
     """Write the sampled trajectories; reruns are byte-identical.
 
-    Floats are rendered with shortest round-trip repr, so equal doubles
-    give equal text. Rows are formatted from one float table, a block at
-    a time: per series the state entries as _re/_im pairs, then purity and
-    trace distance. Within a block each distinct magnitude is formatted
-    once: the bit patterns with the sign bit cleared are made unique, each
-    is rendered by repr, and a "-" is put before the copies whose sign bit
-    is set, except on NaN, which repr prints as "nan" whatever its sign.
-    That is repr's own output for every double, -0.0 and inf included, and
-    it formats a Hermitian state's lower triangle, a zero imaginary part
-    or an all-zero column at no further cost.
+    Floats are rendered with shortest round-trip repr, so equal doubles give
+    equal text. Rows are formatted from one float table, in linops.chunks of
+    about _CSV_BLOCK_FLOATS floats: per series the state entries as _re/_im
+    pairs, then purity and trace distance. Within a block each distinct
+    magnitude is formatted once: the bit patterns with the sign bit cleared
+    are made unique, each is rendered by repr, and a "-" is put before the
+    copies whose sign bit is set, except on NaN, which repr prints as "nan"
+    whatever its sign. That is repr's own output for every double, -0.0 and
+    inf included, and it formats a Hermitian state's lower triangle, a zero
+    imaginary part or an all-zero column at no further cost.
     """
     times = record.series["exact"].times
     columns = [times[:, None]]
@@ -540,12 +549,11 @@ def write_csv(record: RunRecord, path) -> None:
             distance[:, None],
         ]
     width = sum(c.shape[1] for c in columns)
-    rows = max(1, _CSV_BLOCK_FLOATS // width)
     header = csv_columns(record.scenario.dim, record.series)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + _CSV_TERMINATOR)
-        for start in range(0, times.size, rows):
-            block = np.hstack([c[start : start + rows] for c in columns])
+        for rows in chunks(times.size, width, _CSV_BLOCK_FLOATS):
+            block = np.hstack([c[rows] for c in columns])
             bits = block.view(np.uint64).ravel()
             magnitudes, where = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
             text = list(map(repr, magnitudes.view(np.float64).tolist()))

@@ -18,6 +18,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "WORKSPACE_BYTES",
+    "chunks",
     "EigenSystem",
     "as_complex_matrix",
     "dagger",
@@ -65,11 +66,20 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 # Byte budget for the transient workspace of the batched loops over a time
-# grid (the dilation series, the master-equation kernel tables). They size
-# their chunks from it, so memory stays bounded whatever the grid length.
-# Larger budgets ran no faster on the benchmark workloads and only raised
-# their peak RSS. Read as linops.WORKSPACE_BYTES at call time.
+# grid (the dilation series, the master-equation kernel tables). Each takes
+# its share and splits its loop with chunks, so memory stays bounded whatever
+# the grid length. Larger budgets ran no faster on the benchmark workloads and
+# only raised their peak RSS. Read as linops.WORKSPACE_BYTES at call time.
 WORKSPACE_BYTES = 8 * 2**20
+
+
+def chunks(count: int, item_size: int, budget: int):
+    """Slices covering range(count) in order, made lazily: each holds
+    max(1, budget // item_size) items, the last the remainder. item_size and
+    budget share one unit (bytes, for a share of WORKSPACE_BYTES), so a chunk
+    holds as many items as fit the budget, and at least one."""
+    step = max(1, budget // item_size)
+    return (slice(first, min(first + step, count)) for first in range(0, count, step))
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:

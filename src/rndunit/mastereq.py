@@ -39,8 +39,8 @@ one of two representations of that generator, chosen from d alone: for
 d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
 Liouvillian, affine in phi, so a chunk's one-step propagators are composed
 in batch; above it the factored form, with the kernels of a chunk
-tabulated at once. A chunk's tables stay within half the shared budget
-linops.WORKSPACE_BYTES.
+tabulated at once. The steps are split by linops.chunks, so a chunk's
+tables fit half the shared budget linops.WORKSPACE_BYTES.
 """
 
 from __future__ import annotations
@@ -423,7 +423,7 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     drift at rounding level. Steps run in chunks, each chunk's tables built
     at once, with one of two representations, chosen from d alone:
 
-    * dense, for d <= _DENSE_MAX_DIM when one step's tables fit in half of
+    * dense, for d <= _DENSE_MAX_DIM, with chunks within half of
       linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian, from which the
       chunk's RK4 one-step propagators are composed in batch (the fixed
       gksl one once); each step is then one matrix-vector product;
@@ -461,12 +461,8 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     v = p.eig.basis
     vh = dagger(v)
     rho = vh @ rho0 @ v
-    chunk = _dense_chunk(p.dim)
-    if chunk:
-        blocks = _steps_dense(p, rho, n_steps, dt, chunk)
-    else:
-        blocks = _steps_factored(p, rho, n_steps, dt)
-    for start, block in blocks:
+    steps = _steps_dense if p.dim <= _DENSE_MAX_DIM else _steps_factored
+    for start, block in steps(p, rho, n_steps, dt):
         block = v @ block @ vh
         block = 0.5 * (block + block.conj().swapaxes(1, 2))
         bad = ~np.isfinite(block).all(axis=(1, 2))
@@ -483,13 +479,16 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 
 # Largest d integrated with the dense Liouvillian. A dense step costs three
 # batched d^2 x d^2 products to compose, growing as d^6, plus a few small
-# numpy calls; a factored step is about 70 small numpy calls whatever d.
-# Per step, dense against factored, redfield then gksl (2-core Xeon, 2000
-# steps, 16 full-rank terms, two runs): d = 4: 34-47 / 8-13 us against
-# 159-167 / 142-146 us; d = 5: 56-67 / 16-17 against 206-218 / 152-155;
-# d = 6: 99-128 / 21-25 against 230-253 / 129-161; d = 7: 259-267 / 36-49
-# against 208-220 / 141-142; d = 8: 530-667 / 92 against 258-262 / 166-180.
-# Redfield crosses over between 6 and 7.
+# numpy calls; a factored step is about 70 small numpy calls whatever d, on
+# products that shrink with the rank r. Per step, dense against factored,
+# redfield then gksl (2-core Xeon, 2000 steps, 16 full-rank terms: r = 15,
+# two runs): d = 4: 34-47 / 8-13 us against 159-167 / 142-146 us; d = 5:
+# 56-67 / 16-17 against 206-218 / 152-155; d = 6: 99-128 / 21-25 against
+# 230-253 / 129-161; d = 7: 259-267 / 36-49 against 208-220 / 141-142;
+# d = 8: 530-667 / 92 against 258-262 / 166-180. Redfield crosses over
+# between 6 and 7. At r = 1 the factored cost falls: on gauss-d8 (d = 8)
+# traced runs took 82-109 / 77-93 us. At d <= 6 one step's dense tables
+# take at most 6 * 6^4 * 16 B (122 KiB), well within half the budget.
 _DENSE_MAX_DIM = 6
 
 # complex d^2 x d^2 arrays per step at the peak of a dense chunk: the
@@ -504,35 +503,21 @@ _DENSE_TABLES = 6
 _DENSE_CHUNK_BYTES = 2**21
 
 
-def _dense_chunk(d: int) -> int:
-    """Steps per chunk of the dense representation, 0 to integrate factored.
-
-    The dense form is taken for d <= _DENSE_MAX_DIM, when one step's tables
-    fit in half of linops.WORKSPACE_BYTES.
-    """
-    budget = linops.WORKSPACE_BYTES // 2
-    step_bytes = _DENSE_TABLES * d**4 * 16
-    if d > _DENSE_MAX_DIM or step_bytes > budget:
-        return 0
-    return min(budget, _DENSE_CHUNK_BYTES) // step_bytes
-
-
 def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
     """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S,
     yielding (start, block) with the states after steps start + 1, ...
-    of each chunk."""
+    of each linops.chunks chunk, its tables within half the budget."""
     kernels, rhs = _make_rhs(p)
     d = p.dim
     # an empty table has the kernels' shape: r d + d rows of d complex
     # entries per time, three times per step, and up to two more copies of
-    # the r d rows while the tables are built. They get half the budget:
-    # at all of it, explicit-d4's peak RSS rose by about 1 MB (the heap
-    # grows once the dilation's large temporaries are unmapped), while
-    # chunks of fifty steps or more already cost under 1 us per step.
+    # the r d rows while the tables are built. They get half the budget, as
+    # the dense tables do: chunks of fifty steps or more already cost under
+    # 1 us per step, and at all of it gauss-d8 (d = 8, the one benchmark
+    # workload integrated factored) kept its 45.4 MB peak RSS.
     rows = kernels(np.empty(0))[0].shape[1] + d
-    chunk = max(1, linops.WORKSPACE_BYTES // (2 * 3 * 3 * rows * d * 16))
-    for start in range(0, n_steps, chunk):
-        t = np.arange(start, min(start + chunk, n_steps)) * dt
+    for sl in linops.chunks(n_steps, 3 * 3 * rows * d * 16, linops.WORKSPACE_BYTES // 2):
+        t = np.arange(sl.start, sl.stop) * dt
         x, a = kernels(np.concatenate([t, t + 0.5 * dt, t + dt]))
         steps = t.size
         block = np.empty((steps, d, d), dtype=np.complex128)
@@ -546,26 +531,26 @@ def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
             rho = 0.5 * (rho + dagger(rho))
             block[j] = rho
         del x, a  # before the next chunk's tables are built
-        yield start, block
+        yield sl.start, block
 
 
-def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float, chunk: int):
+def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float):
     """The dense RK4 step propagators of _make_liouvillian applied to
-    rho~ = rho in the eigenbasis of H_S, chunk steps at a time, yielding
-    (start, block) like _steps_factored."""
+    rho~ = rho in the eigenbasis of H_S, yielding (start, block) like
+    _steps_factored, a chunk's tables within _DENSE_CHUNK_BYTES too."""
     tables = _make_liouvillian(p)
     d = p.dim
     fixed = tables(np.empty(0))
     if fixed.shape[0]:  # time independent (gksl): one propagator for all steps
         fixed = _rk4_propagators(fixed, fixed, fixed, dt)
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        steps = stop - start
+    budget = min(linops.WORKSPACE_BYTES // 2, _DENSE_CHUNK_BYTES)
+    for sl in linops.chunks(n_steps, _DENSE_TABLES * d**4 * 16, budget):
+        steps = sl.stop - sl.start
         if fixed.shape[0]:
             props = np.broadcast_to(fixed, (steps, d * d, d * d))
         else:
             # the generator at t + dt of one step is the one at t of the next
-            grid = np.arange(start, stop + 1) * dt
+            grid = np.arange(sl.start, sl.stop + 1) * dt
             at_grid = tables(grid)
             props = _rk4_propagators(
                 at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:], dt
@@ -577,4 +562,4 @@ def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float, chunk: int):
             rho = 0.5 * (rho + dagger(rho))
             block[j] = rho
         del props
-        yield start, block
+        yield sl.start, block

@@ -12,6 +12,7 @@ import pytest
 from conftest import SX, SZ
 
 from rndunit.analysis import ComparisonReport
+from rndunit.channel import evolve_embedded_series
 from rndunit.cli import (
     DEMO_NAMES,
     RunRecord,
@@ -26,7 +27,7 @@ from rndunit.cli import (
     write_csv,
 )
 from rndunit.ensemble import two_point_ensemble
-from rndunit.mastereq import TimeSeries
+from rndunit.mastereq import GENERATOR_KINDS, TimeSeries
 
 BASE_DOC = {
     "name": "qubit-dephasing",
@@ -178,6 +179,16 @@ def test_scenario_is_admitted_when_built(tmp_path):
     qutrit = np.diag([1.0, 0.0, -1.0])
     three = {"hs": 0.5 * qutrit, "ensemble": two_point_ensemble(qutrit, 0.5), "rho0": np.eye(3) / 3}
     assert Scenario(**{**fields, **three}).dim == 3
+    # hs, the ensemble's dimension and rho0 are refused naming the field
+    faults = {
+        "hs": [{"hs": np.array([[0.0, 1.0], [0.0, 0.0]])}, {"hs": np.zeros(2)}],
+        "ensemble": [{"ensemble": three["ensemble"]}],
+        "rho0": [{"rho0": np.diag([2.0, -1.0])}, {"rho0": np.eye(3) / 3}],
+    }
+    for name, cases in faults.items():
+        for case in cases:
+            with pytest.raises(ValueError, match=f"^{name}[: ]"):
+                Scenario(**{**fields, **case})
     assert list(tmp_path.iterdir()) == []
 
 
@@ -445,6 +456,37 @@ def test_main_numerical_failure_exits_3(tmp_path, capsys):
         code = main(["run", str(path), "--quiet"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_disagreeing_formulations_exit_3(tmp_path, capsys, monkeypatch):
+    # a traceless Hermitian offset of 1e-6 moves the dilation far beyond the
+    # equivalence budget: the run fails before it writes anything
+    def shifted(*args):
+        return evolve_embedded_series(*args) + 1e-6 * SZ
+
+    monkeypatch.setattr("rndunit.cli.evolve_embedded_series", shifted)
+    out = tmp_path / "s.csv"
+    assert main(["demo", "two-point-breakdown", "--output", str(out), "--quiet"]) == 3
+    assert "exact-dynamics formulations disagree" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "s.run.json").exists()
+
+
+def test_one_level_scenario_validates_and_runs(tmp_path):
+    # at d = 1 there are no Bohr frequencies: every series stays at rho = 1
+    one = {"type": "two_point", "base": [[1.0]], "g": 0.5}
+    out = tmp_path / "s.csv"
+    doc = make_doc(dim=1, hs=[[0.0]], ensemble=one, generators=list(GENERATOR_KINDS))
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({**doc, "output_path": str(out)}))
+    assert main(["validate", str(path), "--quiet"]) == 0
+    assert main(["run", str(path), "--quiet"]) == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == 11
+    for name in ("exact", *GENERATOR_KINDS):
+        assert {(row[f"{name}_rho_0_0_re"], row[f"{name}_rho_0_0_im"]) for row in rows} == {
+            ("1.0", "0.0")
+        }
 
 
 def test_overflowing_step_count_exits_2(tmp_path, capsys):

@@ -23,6 +23,7 @@ from rndunit.ensemble import center, two_point_ensemble
 from rndunit.linops import (
     DEFAULT_TOL,
     EigenSystem,
+    chunks,
     commutator,
     herm_eig,
     kron,
@@ -201,6 +202,20 @@ def test_trace_distance_triangle_and_symmetry(seed):
     assert trace_distance(a, c) <= trace_distance(a, b) + trace_distance(b, c) + 1e-12
     assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), abs=1e-14)
     assert 0.0 <= trace_distance(a, b) <= 1.0 + 1e-12
+
+
+def test_chunks_cover_the_range_in_order():
+    def spans(*args):
+        return [(sl.start, sl.stop) for sl in chunks(*args)]
+
+    assert spans(0, 8, 64) == []
+    assert spans(6, 8, 16) == [(0, 2), (2, 4), (4, 6)]
+    assert spans(7, 8, 24) == [(0, 3), (3, 6), (6, 7)]
+    # one item a slice when even one is over budget
+    ones = [(0, 1), (1, 2), (2, 3)]
+    assert spans(3, 100, 64) == spans(3, 8, 0) == spans(3, 8, -5) == ones
+    # lazy: the slices of a huge range are not built up front
+    assert next(iter(chunks(10**12, 1, 1))) == slice(0, 1)
 
 
 def test_commutator_pauli_algebra():

@@ -450,7 +450,7 @@ REPRESENTATIONS = {"dense": 3, "factored": 0}
 
 def _select(monkeypatch, representation: str, d: int) -> None:
     monkeypatch.setattr(mastereq, "_DENSE_MAX_DIM", REPRESENTATIONS[representation])
-    assert (mastereq._dense_chunk(d) > 0) == (representation == "dense")
+    assert (d <= mastereq._DENSE_MAX_DIM) == (representation == "dense")
 
 
 @pytest.mark.parametrize("kind", ["redfield", "dephasing", "gksl"])
