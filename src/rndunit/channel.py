@@ -48,7 +48,6 @@ from .linops import (
     dagger,
     herm_eig,
     max_abs,
-    partial_trace_env,
     propagator,
     require_density,
     require_hermitian,
@@ -158,17 +157,10 @@ def _check_inputs(hs, e: DisorderEnsemble):
     return hs
 
 
-def _check_state(rho, dim: int, owner: str, name: str = "initial state") -> np.ndarray:
-    rho = require_density(rho, name=name)
-    if rho.shape[0] != dim:
-        raise ValueError(f"{name} dimension does not match the {owner}")
-    return rho
-
-
 def evolve_average(hs, e: DisorderEnsemble, rho0, t: float) -> np.ndarray:
     """Ensemble-averaged state sum_k p_k U_k(t) rho0 U_k(t)+, summed in order."""
     hs = _check_inputs(hs, e)
-    rho0 = _check_state(rho0, e.dim, "ensemble")
+    rho0 = require_density(rho0, "initial state", e.dim)
     out = np.zeros_like(rho0)
     for k in range(e.size):
         u = propagator(hs + e.hamiltonians[k], t)
@@ -197,7 +189,7 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     depend on the number of rows.
     """
     hs = _check_inputs(hs, e)
-    rho0 = _check_state(rho0, e.dim, "ensemble")
+    rho0 = require_density(rho0, "initial state", e.dim)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty finite 1d array")
@@ -277,21 +269,6 @@ def embed(hs, e: DisorderEnsemble) -> EmbeddedSystem:
     return EmbeddedSystem(total_hamiltonian=total, weights=e.weights.copy())
 
 
-def _embedded_initial(sys: EmbeddedSystem, rho0_s: np.ndarray) -> np.ndarray:
-    # product state rho0 (x) diag(p); register slow to match the block layout
-    return np.kron(np.diag(sys.weights).astype(np.complex128), rho0_s)
-
-
-def _to_system_major(rho: np.ndarray, dim_s: int, dim_e: int) -> np.ndarray:
-    # reorder (register, system) -> (system, register) composite indices
-    full = dim_s * dim_e
-    return (
-        rho.reshape(dim_e, dim_s, dim_e, dim_s)
-        .transpose(1, 0, 3, 2)
-        .reshape(full, full)
-    )
-
-
 def evolve_embedded(sys: EmbeddedSystem, rho0_s, t: float) -> np.ndarray:
     """Closed evolution of the dilation, then partial trace over the register.
 
@@ -299,12 +276,13 @@ def evolve_embedded(sys: EmbeddedSystem, rho0_s, t: float) -> np.ndarray:
     reproduces the ensemble average exactly. This is the oracle for
     evolve_embedded_series, which starts from the pure register instead.
     """
-    rho0_s = _check_state(rho0_s, sys.dim_s, "embedding")
+    rho0_s = require_density(rho0_s, "initial state", sys.dim_s)
+    d, n = sys.dim_s, sys.dim_e
     u = propagator(sys.total_hamiltonian, t)
-    rho_t = u @ _embedded_initial(sys, rho0_s) @ dagger(u)
-    return partial_trace_env(
-        _to_system_major(rho_t, sys.dim_s, sys.dim_e), sys.dim_s, sys.dim_e
-    )
+    # rho0 (x) diag(p) and its trace over the register, the slow factor of
+    # the block layout
+    rho_t = u @ np.kron(np.diag(sys.weights), rho0_s) @ dagger(u)
+    return np.einsum("kikj->ij", rho_t.reshape(n, d, n, d))
 
 
 def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
@@ -343,7 +321,7 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     budget. Besides H_tot, the fixed arrays are the eigendecomposition and
     the r x N factor G^T, G = V+ C.
     """
-    rho0_s = _check_state(rho0_s, sys.dim_s, "embedding")
+    rho0_s = require_density(rho0_s, "initial state", sys.dim_s)
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
         raise ValueError("times must be a non-empty finite 1d array")
@@ -413,7 +391,7 @@ def kraus_at(hs, e: DisorderEnsemble, t: float) -> KrausChannel:
 
 def apply_kraus(k: KrausChannel, rho) -> np.ndarray:
     """Apply the channel: sum_k K_k rho K_k+."""
-    rho = _check_state(rho, k.dim, "channel", name="input state")
+    rho = require_density(rho, "input state", k.dim)
     out = np.zeros_like(rho)
     for j in range(k.size):
         op = k.operators[j]

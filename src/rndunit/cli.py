@@ -139,9 +139,7 @@ class Scenario:
         hs = require_hermitian(self.hs, name="hs")
         if self.ensemble.dim != hs.shape[0]:
             raise ValueError(f"ensemble: dimension {self.ensemble.dim} does not match hs")
-        rho0 = require_density(self.rho0, name="rho0")
-        if rho0.shape != hs.shape:
-            raise ValueError(f"rho0: shape {rho0.shape} does not match hs {hs.shape}")
+        rho0 = require_density(self.rho0, "rho0", hs.shape[0])
         for name, value in (("hs", hs), ("rho0", rho0), ("dim", hs.shape[0])):
             object.__setattr__(self, name, value)
         order = dict.fromkeys([*GENERATOR_KINDS, *self.generators])
@@ -456,8 +454,9 @@ def run(s: Scenario) -> RunRecord:
     log.info("%s: exact channel on %d grid points", s.name, times.size)
     exact_states = evolve_average_series(s.hs, s.ensemble, s.rho0, times)
     stages["average_s"], mark = _lap(started)
-    embedded_states = evolve_embedded_series(embed(s.hs, s.ensemble), s.rho0, times)
-    gap = float(trace_distance(exact_states, embedded_states).max())
+    embedded = evolve_embedded_series(embed(s.hs, s.ensemble), s.rho0, times)
+    gap = float(trace_distance(exact_states, embedded).max())
+    del embedded  # before the generators' series are made
     stages["dilation_s"], mark = _lap(mark)
     if gap > DEFAULT_TOL.equivalence:
         raise RuntimeError(
@@ -629,15 +628,14 @@ def demo_scenario(name: str) -> dict:
     return copy.deepcopy(doc)
 
 
-def _apply_overrides(doc: dict, args: argparse.Namespace) -> dict:
-    doc = dict(doc)
-    if args.output is not None:
-        doc["output_path"] = args.output
-    if args.dt is not None:
-        doc["dt"] = args.dt
-    if args.t_final is not None:
-        doc["t_final"] = args.t_final
-    return doc
+def _apply_overrides(doc, args: argparse.Namespace):
+    """doc with each flag given in place of its key; validate has none of the
+    flags. A doc that is not an object is left to scenario_from_dict."""
+    if not isinstance(doc, dict):
+        return doc
+    flags = (("output", "output_path"), ("dt", "dt"), ("t_final", "t_final"))
+    given = {key: getattr(args, flag, None) for flag, key in flags}
+    return {**doc, **{key: value for key, value in given.items() if value is not None}}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -700,28 +698,20 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(message)s")
     log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
-        if args.command == "validate":
-            scenario = load_scenario(args.scenario)
-            if not args.quiet:
-                gens = ", ".join(scenario.generators) or "none"
-                log.info(
-                    "%s: ok (dim %d, %d realizations, generators: %s)",
-                    scenario.name,
-                    scenario.dim,
-                    scenario.ensemble.size,
-                    gens,
-                )
-            return 0
-        if args.command == "run":
-            scenario = scenario_from_dict(
-                _apply_overrides(_load_doc(args.scenario), args),
-                source=str(args.scenario),
-            )
+        if args.command == "demo":
+            doc, source = demo_scenario(args.name), f"demo {args.name}"
         else:
-            scenario = scenario_from_dict(
-                _apply_overrides(demo_scenario(args.name), args),
-                source=f"demo {args.name}",
+            doc, source = _load_doc(args.scenario), str(args.scenario)
+        scenario = scenario_from_dict(_apply_overrides(doc, args), source=source)
+        if args.command == "validate":
+            log.info(
+                "%s: ok (dim %d, %d realizations, generators: %s)",
+                scenario.name,
+                scenario.dim,
+                scenario.ensemble.size,
+                ", ".join(scenario.generators) or "none",
             )
+            return 0
         record = run(scenario)
         _summarize(record)
         return 0

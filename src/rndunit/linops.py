@@ -107,11 +107,20 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _row_blocks(n: int):
+    # row blocks of an n x n check, their temporaries (about three complex rows
+    # each) within an eighth of WORKSPACE_BYTES: checking the dilation's N x N
+    # H_tot and V then costs far less than another N x N array
+    return chunks(n, 48 * max(n, 1), WORKSPACE_BYTES // 8)
+
+
 def require_hermitian(h, name: str = "operator") -> np.ndarray:
     """Validate |A - A+|_max <= DEFAULT_TOL.hermitian max(1, |A|_max); return A."""
     arr = as_complex_matrix(h, name)
     _require_square(arr, name)
-    defect = max_abs(arr - dagger(arr))
+    defect = 0.0
+    for rows in _row_blocks(arr.shape[0]):
+        defect = max(defect, max_abs(arr[rows] - dagger(arr[:, rows])))
     bound = DEFAULT_TOL.hermitian * max(1.0, max_abs(arr))
     if defect > bound:
         raise ValueError(
@@ -124,7 +133,11 @@ def require_unitary(u, name: str = "operator") -> np.ndarray:
     """Validate |U+U - 1|_max <= DEFAULT_TOL.unitary; return the array."""
     arr = as_complex_matrix(u, name)
     _require_square(arr, name)
-    defect = max_abs(dagger(arr) @ arr - np.eye(arr.shape[0]))
+    defect = 0.0
+    for rows in _row_blocks(arr.shape[0]):
+        block = dagger(arr[:, rows]) @ arr  # these rows of U+U
+        np.einsum("ii->i", block[:, rows])[...] -= 1.0
+        defect = max(defect, max_abs(block))
     if defect > DEFAULT_TOL.unitary:
         raise ValueError(
             f"{name} is not unitary: |U+U - 1|_max = {defect:.3e} "
@@ -133,9 +146,11 @@ def require_unitary(u, name: str = "operator") -> np.ndarray:
     return arr
 
 
-def require_density(rho, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, unit trace, and near-positivity of a state."""
+def require_density(rho, name: str = "state", dim: int | None = None) -> np.ndarray:
+    """Validate Hermiticity, unit trace, near-positivity and, if given, dim."""
     arr = require_hermitian(rho, name)
+    if dim is not None and arr.shape[0] != dim:
+        raise ValueError(f"{name} dimension {arr.shape[0]} does not match {dim}")
     tr = complex(np.trace(arr))
     if abs(tr - 1.0) > DEFAULT_TOL.trace:
         raise ValueError(f"{name} must have unit trace, got tr = {tr:.12g}")

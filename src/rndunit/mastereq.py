@@ -40,7 +40,7 @@ d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
 Liouvillian, affine in phi, so a chunk's one-step propagators are composed
 in batch; above it the factored form, with the kernels of a chunk
 tabulated at once. The steps are split by linops.chunks, so a chunk's
-tables fit half the shared budget linops.WORKSPACE_BYTES.
+tables fit a quarter (dense) or half (factored) of linops.WORKSPACE_BYTES.
 """
 
 from __future__ import annotations
@@ -369,9 +369,7 @@ def dephasing_analytic(p: MasterEqProblem, rho0, t: float) -> np.ndarray:
     """
     if p.kind != "dephasing":
         raise ValueError(f"problem kind is {p.kind!r}, expected 'dephasing'")
-    rho0 = require_density(rho0, name="initial state")
-    if rho0.shape[0] != p.dim:
-        raise ValueError("initial state dimension does not match the problem")
+    rho0 = require_density(rho0, "initial state", p.dim)
     t = float(t)
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be finite and non-negative")
@@ -423,7 +421,7 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     drift at rounding level. Steps run in chunks, each chunk's tables built
     at once, with one of two representations, chosen from d alone:
 
-    * dense, for d <= _DENSE_MAX_DIM, with chunks within half of
+    * dense, for d <= _DENSE_MAX_DIM, with chunks within a quarter of
       linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian, from which the
       chunk's RK4 one-step propagators are composed in batch (the fixed
       gksl one once); each step is then one matrix-vector product;
@@ -435,19 +433,18 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     after states[0] = rho0 are bitwise Hermitian. A chunk with non-finite
     entries aborts the run, naming its first bad step. The grid has
     grid_steps(t_final, dt) steps. A warning is emitted when t_final is not
-    on it, or when dt resolves the fastest phase poorly (dt * max |E_n| > 0.05).
+    on it, or when dt resolves the fastest phase poorly, by a rule that sees
+    only the gaps, as the generator does: dt (E_max - E_min) / 2 > 0.05.
     """
-    rho0 = require_density(rho0, name="initial state")
-    if rho0.shape[0] != p.dim:
-        raise ValueError("initial state dimension does not match the problem")
+    rho0 = require_density(rho0, "initial state", p.dim)
     dt = float(dt)
     t_final = float(t_final)
     n_steps = grid_steps(t_final, dt)
-    fastest = float(np.max(np.abs(p.eig.energies))) if p.eig.dim else 0.0
+    fastest = 0.5 * float(p.eig.energies[-1] - p.eig.energies[0])
     if dt * fastest > 0.05:
         warnings.warn(
-            f"dt = {dt:g} resolves the fastest system phase poorly "
-            f"(dt * max|E| = {dt * fastest:.3g} > 0.05); expect discretization error",
+            f"dt = {dt:g} resolves the fastest system phase poorly (dt (E_max - E_min)"
+            f" / 2 = {dt * fastest:.3g} > 0.05); expect discretization error",
             stacklevel=2,
         )
     if abs(n_steps * dt - t_final) > 1e-9 * max(dt, t_final):
@@ -488,19 +485,13 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 # d = 8: 530-667 / 92 against 258-262 / 166-180. Redfield crosses over
 # between 6 and 7. At r = 1 the factored cost falls: on gauss-d8 (d = 8)
 # traced runs took 82-109 / 77-93 us. At d <= 6 one step's dense tables
-# take at most 6 * 6^4 * 16 B (122 KiB), well within half the budget.
+# take at most 6 * 6^4 * 16 B (122 KiB), well within their budget share.
 _DENSE_MAX_DIM = 6
 
 # complex d^2 x d^2 arrays per step at the peak of a dense chunk: the
 # generator at the grid points and the midpoints, the running propagator, one
 # RK4 stage and a product (tracemalloc, redfield: 5.3 to 5.9 at d = 2, 4, 5)
 _DENSE_TABLES = 6
-
-# Bytes of tables per dense chunk, below half the budget. Larger tables went
-# back to the system between chunks: for 4000 redfield steps at d = 4,
-# chunks of 4 MiB took 25700 minor page faults and 46-50 us per step,
-# chunks of 2 MiB 590 faults and 25-27 us, chunks of 1 MiB 26-29 us.
-_DENSE_CHUNK_BYTES = 2**21
 
 
 def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
@@ -511,10 +502,10 @@ def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
     d = p.dim
     # an empty table has the kernels' shape: r d + d rows of d complex
     # entries per time, three times per step, and up to two more copies of
-    # the r d rows while the tables are built. They get half the budget, as
-    # the dense tables do: chunks of fifty steps or more already cost under
-    # 1 us per step, and at all of it gauss-d8 (d = 8, the one benchmark
-    # workload integrated factored) kept its 45.4 MB peak RSS.
+    # the r d rows while the tables are built. They get half the budget:
+    # chunks of fifty steps or more already cost under 1 us per step, and at
+    # all of it gauss-d8 (d = 8, the one benchmark workload integrated
+    # factored) kept its 45.4 MB peak RSS.
     rows = kernels(np.empty(0))[0].shape[1] + d
     for sl in linops.chunks(n_steps, 3 * 3 * rows * d * 16, linops.WORKSPACE_BYTES // 2):
         t = np.arange(sl.start, sl.stop) * dt
@@ -537,14 +528,16 @@ def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
 def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float):
     """The dense RK4 step propagators of _make_liouvillian applied to
     rho~ = rho in the eigenbasis of H_S, yielding (start, block) like
-    _steps_factored, a chunk's tables within _DENSE_CHUNK_BYTES too."""
+    _steps_factored, a chunk's tables within a quarter of the budget."""
     tables = _make_liouvillian(p)
     d = p.dim
     fixed = tables(np.empty(0))
     if fixed.shape[0]:  # time independent (gksl): one propagator for all steps
         fixed = _rk4_propagators(fixed, fixed, fixed, dt)
-    budget = min(linops.WORKSPACE_BYTES // 2, _DENSE_CHUNK_BYTES)
-    for sl in linops.chunks(n_steps, _DENSE_TABLES * d**4 * 16, budget):
+    # a quarter of the budget, 2 MiB: 4 MiB of tables went back to the system
+    # between chunks (4000 redfield steps at d = 4 took 25700 minor page faults
+    # and 46-50 us per step, against 590 and 25-27 us at 2 MiB, 26-29 us at 1 MiB)
+    for sl in linops.chunks(n_steps, _DENSE_TABLES * d**4 * 16, linops.WORKSPACE_BYTES // 4):
         steps = sl.stop - sl.start
         if fixed.shape[0]:
             props = np.broadcast_to(fixed, (steps, d * d, d * d))

@@ -340,15 +340,30 @@ def test_embedded_series_splits_a_sample_over_budget(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the checks of herm_eig set the peak, before the blocks: measured at
-    # 3.0 N x N complex arrays, against 3 N x N arrays held through the
-    # loop and 8 MiB of blocks before the factor shrank to r columns
+    # herm_eig's V and its checks' row blocks set the peak: measured at
+    # 1.06 N x N complex arrays
     fixed = 3.25 * n * n * 16
     assert peak <= linops.WORKSPACE_BYTES + fixed
     for i, t in enumerate(times):
         np.testing.assert_allclose(
             series[i], evolve_embedded(sys, rho0, t), rtol=0, atol=1e-12
         )
+
+
+def test_embedded_series_fixed_memory_is_v_and_check_rows():
+    # full-rank rho0, N = 640: H_tot exists before, so the stage holds V, the
+    # checks' row blocks (an eighth of the budget) and small arrays, measured
+    # at 1.16 N x N complex arrays at the shipped budget
+    hs, e, rho0 = _random_setup(17, dim=4, size=160)
+    sys = embed(hs, e)
+    n = sys.dim_s * sys.dim_e
+    tracemalloc.start()
+    try:
+        evolve_embedded_series(sys, rho0, np.array([0.0, 0.7, 1.5]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 16 + WORKSPACE_BYTES // 8
 
 
 def test_embedded_series_sees_a_coupling_between_registers():

@@ -6,11 +6,13 @@ import csv
 import json
 import logging
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from conftest import SX, SZ
 
+import rndunit.cli
 from rndunit.analysis import ComparisonReport
 from rndunit.channel import evolve_embedded_series
 from rndunit.cli import (
@@ -395,6 +397,57 @@ def test_main_validate_ok(tmp_path, capsys):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(make_doc()))
     assert main(["validate", str(path), "--quiet"]) == 0
+
+
+def test_main_validate_logs_a_summary(tmp_path, caplog):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(generators=["redfield", "dephasing"])))
+    with caplog.at_level(logging.INFO, logger="rndunit"):
+        assert main(["validate", str(path)]) == 0
+    assert "qubit-dephasing: ok (dim 2, 2 realizations, generators: redfield, dephasing)" in (
+        caplog.messages
+    )
+
+
+def test_ignored_seed_is_accepted_and_not_echoed(tmp_path, caplog):
+    out = tmp_path / "s.csv"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(seed=7, output_path=str(out))))
+    with caplog.at_level(logging.INFO, logger="rndunit"):
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path)]) == 0
+    ignored = "qubit-dephasing: scenario key 'seed' is ignored (nothing is random)"
+    assert caplog.messages.count(ignored) == 2
+    assert "seed" not in json.loads((tmp_path / "s.run.json").read_text())["scenario"]
+
+
+def test_document_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    for text in ("5", '"plus"', "[]"):
+        path.write_text(text)
+        for command in ("validate", "run"):
+            assert main([command, str(path), "--quiet"]) == 2
+            assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_dilation_series_dies_before_integrate(tmp_path, monkeypatch):
+    # a run holds the exact series and each generator's, not the dilation's
+    series = []
+
+    def dilation(*args):
+        states = evolve_embedded_series(*args)
+        series.append(weakref.ref(states))
+        return states
+
+    def integrate(*args):
+        assert series and series[0]() is None, "the dilation series is alive"
+        return cli_integrate(*args)
+
+    cli_integrate = rndunit.cli.integrate
+    monkeypatch.setattr(rndunit.cli, "evolve_embedded_series", dilation)
+    monkeypatch.setattr(rndunit.cli, "integrate", integrate)
+    out = tmp_path / "s.csv"
+    assert main(["demo", "gksl-qubit", "--output", str(out), "--quiet"]) == 0
 
 
 def test_main_run_ok(tmp_path):

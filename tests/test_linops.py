@@ -16,6 +16,7 @@ from conftest import SX, SY, SZ, random_density, random_hermitian
 from scipy.linalg import expm
 
 import rndunit
+from rndunit import linops
 from rndunit.analysis import compare
 from rndunit.channel import embed, kraus_at
 from rndunit.cli import RunRecord, demo_scenario, scenario_from_dict
@@ -238,6 +239,26 @@ def test_require_density_rejects_bad_states():
         require_density(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="Hermitian"):
         require_density(np.array([[0.5, 0.2], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="^initial state dimension 3 does not match 2$"):
+        require_density(np.eye(3) / 3, "initial state", 2)
+
+
+def test_checks_in_row_blocks_keep_their_verdicts(monkeypatch):
+    # a budget of a few bytes puts each row in a block of its own: the
+    # identity is then subtracted at a different column in every block
+    rng = np.random.default_rng(4)
+    h = random_hermitian(rng, 5)
+    u = herm_eig(h).basis
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 8)
+    require_hermitian(h)
+    require_unitary(u)
+    skewed, stretched = h.copy(), u.copy()
+    skewed[4, 0] += 1e-9
+    stretched[:, 4] *= 1 + 1e-9
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(skewed)
+    with pytest.raises(ValueError, match="not unitary"):
+        require_unitary(stretched)
 
 
 def test_require_unitary_and_tolerance_knob():

@@ -468,7 +468,7 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     rho0 = random_density(rng, 3)
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
     # a budget of a few steps' tables: the 100 steps run in 20 factored
-    # chunks or 50 dense ones
+    # chunks or 100 dense ones
     monkeypatch.setattr(linops, "WORKSPACE_BYTES", 40_000)
     for representation in REPRESENTATIONS:
         _select(monkeypatch, representation, 3)
@@ -499,6 +499,19 @@ def test_integrate_warns_on_coarse_dt():
     p = make_problem(HS_QUBIT, two_point_ensemble(SZ, 0.2), "dephasing")
     with pytest.warns(UserWarning, match="resolves the fastest"):
         integrate(p, PLUS, 1.0, 0.2)
+
+
+def test_integrate_phase_warning_ignores_a_constant_shift():
+    # the generator sees only the gaps E_m - E_n: shifting H_S by 10 takes
+    # max|E| to 10.5, but changes neither the coherence nor the warning
+    e = two_point_ensemble(SZ, 0.3)
+    coherence = []
+    for shift in (0.0, 10.0):
+        p = make_problem(HS_QUBIT + shift * np.eye(2), e, "dephasing")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coherence.append(abs(integrate(p, PLUS, 1.0, 0.01).states[-1, 0, 1]))
+    assert coherence[1] == pytest.approx(coherence[0], rel=0, abs=1e-12)
 
 
 def test_integrate_warns_on_grid_mismatch():
