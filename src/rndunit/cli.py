@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import logging
 import reprlib
@@ -32,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, linops
 from .analysis import BREAKDOWN_THRESHOLD, ComparisonReport, compare
 from .channel import (
     embed,
@@ -496,13 +495,18 @@ def _lap(mark: float) -> tuple[float, float]:
     return now - mark, now
 
 
-# rows end as the csv module's writers end them, "\r\n"; they are formatted in
-# blocks of about this many floats, so neither the whole table nor its Python
-# floats are ever held at once
-_CSV_TERMINATOR = csv.excel.lineterminator
-_CSV_BLOCK_FLOATS = 4096
-# a double's bits without its sign bit
-_MAGNITUDE_BITS = np.uint64(2**63 - 1)
+# The CSV writer formats row blocks of an eighth of linops.WORKSPACE_BYTES
+# (1 MiB, about 9400 floats), counted at _CSV_FLOAT_BYTES per float: the
+# block, the dedup's and the kernel's temporaries, a 32-byte record per cell
+# and the text (tracemalloc peak 88 to 106 bytes per float). Each block pays
+# about 0.3 ms of numpy call overhead, so blocks a quarter of this size took
+# 35-55% longer on gauss-d8 and explicit-d4 (2-core Xeon). Blocks twice as
+# large ran no faster and raised the gaussian-dephasing demo's own peak RSS
+# by 1.0 MB; two blocks of half this size formatted at once on two threads
+# raised it by 0.9 MB and ran about 20% slower, as the many small numpy calls
+# hand the GIL back and forth.
+_CSV_SHARE = 8
+_CSV_FLOAT_BYTES = 112
 
 
 def csv_columns(dim: int, series_names) -> list[str]:
@@ -522,16 +526,17 @@ def csv_columns(dim: int, series_names) -> list[str]:
 def write_csv(record: RunRecord, path) -> None:
     """Write the sampled trajectories; reruns are byte-identical.
 
-    Floats are rendered with shortest round-trip repr, so equal doubles give
-    equal text. Rows are formatted from one float table, in linops.chunks of
-    about _CSV_BLOCK_FLOATS floats: per series the state entries as _re/_im
-    pairs, then purity and trace distance. Within a block each distinct
-    magnitude is formatted once: the bit patterns with the sign bit cleared
-    are made unique, each is rendered by repr, and a "-" is put before the
-    copies whose sign bit is set, except on NaN, which repr prints as "nan"
-    whatever its sign. That is repr's own output for every double, -0.0 and
-    inf included, and it formats a Hermitian state's lower triangle, a zero
-    imaginary part or an all-zero column at no further cost.
+    Floats are written as repr writes them, the shortest text that reads
+    back as the same double, so equal doubles give equal text. Rows are
+    formatted from one float table, in linops.chunks within a share of the
+    workspace budget: per series the state entries as _re/_im pairs, then
+    purity and trace distance. Each block is formatted by
+    _shortest.rows_text: each distinct magnitude once (a Hermitian state's
+    lower triangle, a zero imaginary part or an all-zero column cost
+    nothing more), by a batched exact shortest-digits kernel that sends the
+    rare value it cannot settle to repr, then a "-" before the copies whose
+    sign bit is set, except on nan. The formatter and its tables are
+    imported and built on the first call, so validate pays for neither.
     """
     times = record.series["exact"].times
     columns = [times[:, None]]
@@ -549,21 +554,14 @@ def write_csv(record: RunRecord, path) -> None:
         ]
     width = sum(c.shape[1] for c in columns)
     header = csv_columns(record.scenario.dim, record.series)
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + _CSV_TERMINATOR)
-        for rows in chunks(times.size, width, _CSV_BLOCK_FLOATS):
-            block = np.hstack([c[rows] for c in columns])
-            bits = block.view(np.uint64).ravel()
-            magnitudes, where = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
-            text = list(map(repr, magnitudes.view(np.float64).tolist()))
-            text += ["-" + t for t in text]
-            signed = (bits > _MAGNITUDE_BITS) & ~np.isnan(block.ravel())
-            where += signed * magnitudes.size
-            cells = [text[i] for i in where.tolist()]
-            handle.writelines(
-                ",".join(cells[i : i + width]) + _CSV_TERMINATOR
-                for i in range(0, len(cells), width)
-            )
+    # imported here: validate, which writes no CSV, builds none of its tables
+    from ._shortest import CSV_TERMINATOR, rows_text
+
+    budget = linops.WORKSPACE_BYTES // _CSV_SHARE
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + CSV_TERMINATOR).encode("ascii"))
+        for rows in chunks(times.size, width * _CSV_FLOAT_BYTES, budget):
+            handle.write(rows_text(np.hstack([c[rows] for c in columns])))
 
 
 def _record_path(csv_path) -> str:

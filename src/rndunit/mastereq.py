@@ -415,22 +415,23 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
     The state is evolved as rho~ = V+ rho V in the eigenbasis of H_S, where
-    every kind is one generator with the problem's kernel factor phi(t),
-    and re-Hermitized, rho~ <- (rho~ + rho~+) / 2, after each
-    step; together with the trace-free generator this keeps the trace
-    drift at rounding level. Steps run in chunks, each chunk's tables built
-    at once, with one of two representations, chosen from d alone:
+    every kind is one generator with the problem's kernel factor phi(t).
+    Steps run in chunks, each chunk's tables built at once, with one of two
+    representations, chosen from d alone:
 
     * dense, for d <= _DENSE_MAX_DIM, with chunks within a quarter of
       linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian, from which the
       chunk's RK4 one-step propagators are composed in batch (the fixed
-      gksl one once); each step is then one matrix-vector product;
+      gksl one once); each step is then one matrix-vector product on the
+      row-major vector of rho~;
     * factored, otherwise: the kernels at t, t + dt / 2 and t + dt of every
       step are tabulated within half the budget, and each step makes four
-      master_rhs-style evaluations.
+      master_rhs-style evaluations and re-Hermitizes, rho~ <- (rho~ +
+      rho~+) / 2, as the B + B+ form of the rhs needs a Hermitian rho~.
 
-    Each chunk is rotated back and re-Hermitized once more, so the states
-    after states[0] = rho0 are bitwise Hermitian. A chunk with non-finite
+    Each chunk is rotated back and re-Hermitized, so the states after
+    states[0] = rho0 are bitwise Hermitian; with the trace-free generator
+    this keeps the trace drift at rounding level. A chunk with non-finite
     entries aborts the run, naming its first bad step. The grid has
     grid_steps(t_final, dt) steps. A warning is emitted when t_final is not
     on it, or when dt resolves the fastest phase poorly, by a rule that sees
@@ -531,6 +532,7 @@ def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float):
     _steps_factored, a chunk's tables within a quarter of the budget."""
     tables = _make_liouvillian(p)
     d = p.dim
+    vec = rho.reshape(-1)  # rho~ row-major; integrate re-Hermitizes each chunk
     fixed = tables(np.empty(0))
     if fixed.shape[0]:  # time independent (gksl): one propagator for all steps
         fixed = _rk4_propagators(fixed, fixed, fixed, dt)
@@ -549,10 +551,9 @@ def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float):
                 at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:], dt
             )
             del at_grid
-        block = np.empty((steps, d, d), dtype=np.complex128)
+        block = np.empty((steps, d * d), dtype=np.complex128)
         for j in range(steps):
-            rho = (props[j] @ rho.reshape(-1)).reshape(d, d)
-            rho = 0.5 * (rho + dagger(rho))
-            block[j] = rho
+            vec = props[j] @ vec
+            block[j] = vec
         del props
-        yield sl.start, block
+        yield sl.start, block.reshape(steps, d, d)

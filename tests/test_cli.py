@@ -5,14 +5,19 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import SX, SZ
 
 import rndunit.cli
+from rndunit import _shortest, linops
 from rndunit.analysis import ComparisonReport
 from rndunit.channel import evolve_embedded_series
 from rndunit.cli import (
@@ -368,6 +373,55 @@ def test_write_csv_matches_per_entry_writer(tmp_path):
         assert new.read_bytes() == old.read_bytes()
     text = (tmp_path / "new0.csv").read_text()
     assert "-0.0" in text and "-inf" in text and "-nan" not in text
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3])
+def test_write_csv_blocks_are_invisible(tmp_path, monkeypatch, rows_per_block):
+    # the writer's blocks take a share of linops.WORKSPACE_BYTES; shrunk, one
+    # record spans dozens of blocks, and the bytes stay the per-entry writer's
+    doc = make_doc(
+        t_final=2.0,
+        dt=0.01,
+        generators=["redfield", "dephasing", "gksl"],
+        output_path=str(tmp_path / "r.csv"),
+    )
+    record = run(scenario_from_dict(doc))
+    width = len(csv_columns(2, record.series))
+    per_row = width * rndunit.cli._CSV_FLOAT_BYTES * rndunit.cli._CSV_SHARE
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", rows_per_block * per_row)
+    blocks = []
+    rows_text = _shortest.rows_text
+    monkeypatch.setattr(
+        _shortest, "rows_text", lambda block: blocks.append(len(block)) or rows_text(block)
+    )
+    write_csv(record, tmp_path / "new.csv")
+    _write_csv_per_entry(record, tmp_path / "old.csv")
+    assert blocks[:-1] == [rows_per_block] * (len(blocks) - 1)
+    assert sum(blocks) == record.series["exact"].times.size == 201
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_validate_builds_no_csv_tables(tmp_path):
+    # validate writes no CSV, so it neither imports the CSV formatter nor
+    # builds its tables; run does both, once per process
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(output_path=str(tmp_path / "s.csv"))))
+    code = (
+        "import sys\n"
+        "from rndunit import cli\n"
+        "for argv in (['validate', sys.argv[1]], ['run', sys.argv[1]]):\n"
+        "    assert cli.main([*argv, '--quiet']) == 0\n"
+        "    loaded = 'rndunit._shortest' in sys.modules\n"
+        "    built = loaded and sys.modules['rndunit._shortest']._tables.cache_info().currsize\n"
+        "    print(argv[0], loaded, bool(built))\n"
+    )
+    package = Path(rndunit.cli.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(package), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines() == ["validate False False", "run True True"]
 
 
 def test_run_grid_rounding(tmp_path):
