@@ -22,7 +22,6 @@ from .channel import (
     kraus_at,
 )
 from .ensemble import (
-    CenteredEnsemble,
     DisorderEnsemble,
     center,
     gauss_hermite_ensemble,
@@ -70,7 +69,6 @@ __all__ = [
     "evolve_embedded",
     "evolve_embedded_series",
     "kraus_at",
-    "CenteredEnsemble",
     "DisorderEnsemble",
     "center",
     "gauss_hermite_ensemble",

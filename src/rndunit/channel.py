@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linops
-from .ensemble import DisorderEnsemble
+from .ensemble import DisorderEnsemble, require_system
 from .linops import (
     DEFAULT_TOL,
     dagger,
@@ -52,6 +52,7 @@ from .linops import (
     require_density,
     require_hermitian,
     require_probabilities,
+    require_times,
     require_unitary,
 )
 
@@ -148,18 +149,9 @@ class EmbeddedSystem:
         return self.total_hamiltonian[k * d : (k + 1) * d, k * d : (k + 1) * d]
 
 
-def _check_inputs(hs, e: DisorderEnsemble):
-    hs = require_hermitian(hs, name="system Hamiltonian")
-    if hs.shape[0] != e.dim:
-        raise ValueError(
-            f"system dimension {hs.shape[0]} does not match ensemble dimension {e.dim}"
-        )
-    return hs
-
-
 def evolve_average(hs, e: DisorderEnsemble, rho0, t: float) -> np.ndarray:
     """Ensemble-averaged state sum_k p_k U_k(t) rho0 U_k(t)+, summed in order."""
-    hs = _check_inputs(hs, e)
+    hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
     out = np.zeros_like(rho0)
     for k in range(e.size):
@@ -188,11 +180,9 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     result by rounding only, since the product's summation order may
     depend on the number of rows.
     """
-    hs = _check_inputs(hs, e)
+    hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
-        raise ValueError("times must be a non-empty finite 1d array")
+    times = require_times(times)
     d = e.dim
     upper, lower = np.triu_indices(d, 1)  # frequency pairs a < b
     rows, cols = np.triu_indices(d)  # output entries i <= j
@@ -258,7 +248,7 @@ def embed(hs, e: DisorderEnsemble) -> EmbeddedSystem:
     term would commute with everything here and drop out of the reduced
     dynamics, so none is added.
     """
-    hs = _check_inputs(hs, e)
+    hs = require_system(hs, e)
     dim_s, dim_e = e.dim, e.size
     require_embeddable(dim_s, dim_e)
     total = np.zeros((dim_s * dim_e, dim_s * dim_e), dtype=np.complex128)
@@ -322,9 +312,7 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     the r x N factor G^T, G = V+ C.
     """
     rho0_s = require_density(rho0_s, "initial state", sys.dim_s)
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
-        raise ValueError("times must be a non-empty finite 1d array")
+    times = require_times(times)
     d, n = sys.dim_s, sys.dim_e
     full = d * n
     eig = herm_eig(sys.total_hamiltonian)
@@ -380,7 +368,7 @@ def _reduced_chunk(ts, energies, blocks, vt, dim_e: int) -> np.ndarray:
 
 def kraus_at(hs, e: DisorderEnsemble, t: float) -> KrausChannel:
     """Kraus form of the channel at time t: operators sqrt(p_k) U_k(t)."""
-    hs = _check_inputs(hs, e)
+    hs = require_system(hs, e)
     ops = np.empty((e.size, e.dim, e.dim), dtype=np.complex128)
     for k in range(e.size):
         u = propagator(hs + e.hamiltonians[k], t)

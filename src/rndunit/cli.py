@@ -43,6 +43,7 @@ from .ensemble import (
     DisorderEnsemble,
     center,
     gauss_hermite_ensemble,
+    require_system,
     two_point_ensemble,
 )
 from .linops import (
@@ -60,6 +61,7 @@ from .mastereq import (
     grid_steps,
     integrate,
     make_problem,
+    time_grid,
 )
 
 __all__ = [
@@ -135,9 +137,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + len(self.generators)
-        hs = require_hermitian(self.hs, name="hs")
-        if self.ensemble.dim != hs.shape[0]:
-            raise ValueError(f"ensemble: dimension {self.ensemble.dim} does not match hs")
+        hs = require_system(self.hs, self.ensemble)
         rho0 = require_density(self.rho0, "rho0", hs.shape[0])
         for name, value in (("hs", hs), ("rho0", rho0), ("dim", hs.shape[0])):
             object.__setattr__(self, name, value)
@@ -271,7 +271,7 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
                 )
             matrix = _parse_matrix(term["matrix"], dim, f"ensemble.terms[{i}].matrix")
             pairs.append((matrix, _number(term["weight"], f"ensemble.terms[{i}].weight")))
-        ensemble = DisorderEnsemble.from_pairs(pairs)
+        build, args = DisorderEnsemble.from_pairs, (pairs,)
     elif kind == "gaussian":
         base = _parse_matrix(spec["base"], dim, "ensemble.base")
         sigma = _number(spec["sigma"], "ensemble.sigma")
@@ -281,10 +281,16 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
             require_embeddable(dim, n_nodes)
         except ValueError as err:
             raise ValueError(f"ensemble.n_nodes: {err}") from err
-        ensemble = gauss_hermite_ensemble(base, sigma, n_nodes)
+        build, args = gauss_hermite_ensemble, (base, sigma, n_nodes)
     else:
         base = _parse_matrix(spec["base"], dim, "ensemble.base")
-        ensemble = two_point_ensemble(base, _number(spec["g"], "ensemble.g"))
+        build, args = two_point_ensemble, (base, _number(spec["g"], "ensemble.g"))
+    # the constructors' messages (weights, Hermiticity, sigma, n_nodes, g)
+    # name no field; those of the sub-keys parsed above already do
+    try:
+        ensemble = build(*args)
+    except ValueError as err:
+        raise ValueError(f"ensemble: {err}") from err
     # after the type's own fields, so that a fault in one of them is named
     extra = set(spec) - {"type", *ENSEMBLE_KEYS[kind]}
     if extra:
@@ -361,17 +367,17 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     hs = require_hermitian(_parse_matrix(doc["hs"], dim, "hs"), name="hs")
     raw_ensemble = _parse_ensemble(doc["ensemble"], dim)
     try:
-        centered = center(raw_ensemble)
+        mean, ensemble = center(raw_ensemble)
     except ValueError as err:
         raise ValueError(f"ensemble: {err}") from err
-    mean_scale = float(np.max(np.abs(centered.mean)))
+    mean_scale = float(np.max(np.abs(mean)))
     if mean_scale > 0.0:
         log.info(
             "%s: folded ensemble mean into hs (|mean|_max = %.3e)", name, mean_scale
         )
     else:
         log.info("%s: ensemble mean already zero", name)
-    hs_folded = hs + centered.mean
+    hs_folded = hs + mean
     generators = _parse_generators(doc.get("generators"))
     if "seed" in doc:
         log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
@@ -380,7 +386,7 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     return Scenario(
         name=name,
         hs=hs_folded,
-        ensemble=centered.ensemble,
+        ensemble=ensemble,
         rho0=rho0,
         t_final=_number(doc["t_final"], "t_final"),
         dt=_number(doc["dt"], "dt"),
@@ -434,10 +440,6 @@ def scenario_echo(s: Scenario) -> dict:
     }
 
 
-def _time_grid(s: Scenario) -> np.ndarray:
-    return np.arange(grid_steps(s.t_final, s.dt) + 1, dtype=np.float64) * s.dt
-
-
 def run(s: Scenario) -> RunRecord:
     """Execute a scenario: exact dynamics, requested generators, reports.
 
@@ -449,7 +451,7 @@ def run(s: Scenario) -> RunRecord:
     """
     started = time.perf_counter()
     stages: dict = {"integrate_s": {}, "compare_s": 0.0}
-    times = _time_grid(s)
+    times = time_grid(s.t_final, s.dt)
     log.info("%s: exact channel on %d grid points", s.name, times.size)
     exact_states = evolve_average_series(s.hs, s.ensemble, s.rho0, times)
     stages["average_s"], mark = _lap(started)

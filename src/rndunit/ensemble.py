@@ -2,10 +2,10 @@
 
 A DisorderEnsemble models a classical probability distribution over
 Hamiltonians H_k with weights p_k >= 0, sum p_k = 1. Centering splits
-off the weighted mean so the fluctuation part averages to zero; the
-master-equation generators require that centered form, and mean_vanishes
-is the one rule that decides when a mean counts as zero. Gaussian
-distributions are discretized by Gauss-Hermite quadrature, which keeps
+off the weighted mean as the pair (mean, fluctuations); the
+master-equation generators require the zero-mean fluctuations, and
+mean_vanishes is the one rule that decides when a mean counts as zero.
+Gaussian distributions are discretized by Gauss-Hermite quadrature, which keeps
 low moments exact with a handful of nodes.
 """
 
@@ -26,13 +26,13 @@ from .linops import (
 
 __all__ = [
     "DisorderEnsemble",
-    "CenteredEnsemble",
     "mean_hamiltonian",
     "mean_vanishes",
     "center",
     "gauss_hermite_ensemble",
     "two_point_ensemble",
     "require_commuting",
+    "require_system",
 ]
 
 
@@ -81,25 +81,6 @@ class DisorderEnsemble:
         return cls(hamiltonians=hams, weights=weights)
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredEnsemble:
-    """Weighted mean plus a fluctuation ensemble whose mean vanishes."""
-
-    mean: np.ndarray
-    ensemble: DisorderEnsemble
-
-    def __post_init__(self) -> None:
-        mean = require_hermitian(self.mean, name="ensemble mean")
-        if mean.shape[0] != self.ensemble.dim:
-            raise ValueError("mean dimension does not match the ensemble")
-        if not mean_vanishes(self.ensemble, offset=mean):
-            residual = max_abs(mean_hamiltonian(self.ensemble))
-            raise ValueError(
-                f"centered ensemble has nonzero mean: |mean|_max = {residual:.3e}"
-            )
-        object.__setattr__(self, "mean", mean)
-
-
 def mean_hamiltonian(e: DisorderEnsemble) -> np.ndarray:
     """Weighted mean sum_k p_k H_k."""
     return np.einsum("l,lab->ab", e.weights, e.hamiltonians)
@@ -120,8 +101,8 @@ def mean_vanishes(e: DisorderEnsemble, offset=None) -> bool:
     return max_abs(mean_hamiltonian(e)) <= DEFAULT_TOL.zero_mean * scale
 
 
-def center(e: DisorderEnsemble) -> CenteredEnsemble:
-    """Split off the weighted mean: H_k -> H_k - Hbar, so the rest averages to zero.
+def center(e: DisorderEnsemble) -> tuple[np.ndarray, DisorderEnsemble]:
+    """Split off the weighted mean: the pair (Hbar, fluctuations H_k - Hbar).
 
     Adding the mean to the system Hamiltonian leaves every total block
     H_S + H_k unchanged, so the dynamics is invariant under this split.
@@ -130,12 +111,18 @@ def center(e: DisorderEnsemble) -> CenteredEnsemble:
     """
     mean = mean_hamiltonian(e)
     if mean_vanishes(e):
-        return CenteredEnsemble(mean=np.zeros_like(mean), ensemble=e)
+        return np.zeros_like(mean), e
     shifted = e.hamiltonians - mean[None, :, :]
-    return CenteredEnsemble(
-        mean=mean,
-        ensemble=DisorderEnsemble(hamiltonians=shifted, weights=e.weights.copy()),
-    )
+    return mean, DisorderEnsemble(hamiltonians=shifted, weights=e.weights.copy())
+
+
+def require_system(hs, e: DisorderEnsemble) -> np.ndarray:
+    """Validate hs as a Hermitian system Hamiltonian of e's dimension; return
+    it. Errors start "hs" or "ensemble:", the scenario fields at fault."""
+    hs = require_hermitian(hs, name="hs")
+    if hs.shape[0] != e.dim:
+        raise ValueError(f"ensemble: dimension {e.dim} does not match hs")
+    return hs
 
 
 def gauss_hermite_ensemble(base, sigma: float, n_nodes: int) -> DisorderEnsemble:

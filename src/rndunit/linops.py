@@ -27,6 +27,7 @@ __all__ = [
     "require_unitary",
     "require_density",
     "require_probabilities",
+    "require_times",
     "herm_eig",
     "propagator",
     "kron",
@@ -65,11 +66,13 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# Byte budget for the transient workspace of the batched loops over a time
-# grid (the dilation series, the master-equation kernel tables). Each takes
-# its share and splits its loop with chunks, so memory stays bounded whatever
-# the grid length. Larger budgets ran no faster on the benchmark workloads and
-# only raised their peak RSS. Read as linops.WORKSPACE_BYTES at call time.
+# Byte budget for the transient workspace of the six batched loops. Each
+# takes its share and splits its loop with chunks, so memory stays bounded
+# whatever the grid length: the averaged series 1/64, the dilation series all
+# of it, the factored kernel tables 1/2, the dense Liouvillian tables 1/4, the
+# CSV row blocks 1/8 and the row blocks of the Hermitian and unitary checks
+# 1/8. Larger budgets ran no faster on the benchmark workloads and only raised
+# their peak RSS. Read as linops.WORKSPACE_BYTES at call time.
 WORKSPACE_BYTES = 8 * 2**20
 
 
@@ -169,6 +172,14 @@ def require_probabilities(weights: np.ndarray) -> None:
     total = float(weights.sum())
     if abs(total - 1.0) > DEFAULT_TOL.trace:
         raise ValueError(f"weights must sum to 1, got {total:.15g}")
+
+
+def require_times(times) -> np.ndarray:
+    """Validate sample times as a non-empty finite 1d array; return it as float64."""
+    arr = np.asarray(times, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
+        raise ValueError("times must be a non-empty finite 1d array")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ Three generators are offered:
 * redfield    the time-local equation above, valid for short times; the
               Heisenberg time of H_S is only a weak lower bound on how
               long, and the disorder strength sets the breakdown;
-* dephasing   the commuting special case [H_S, H_k] = 0, where
+* dephasing   redfield under a guard that [H_S, H_k] = 0, where
               Htil_k(t) = t H_k and the populations freeze; it admits the
               closed solution rho_nm(t) = rho_nm(0) exp(-it(E_n - E_m))
               exp(-t^2 C2(n, m) / 2), exact for Gaussian disorder;
@@ -27,8 +27,9 @@ All three are one generator in the eigenbasis of H_S = V diag(E) V+,
 acting on rho~ = V+ rho V. The ensemble enters only through r Hermitian
 second-moment factors G_j = V+ F_j V, and the kind only through the
 kernel factor phi(t) of X~_j(t) = G_j o phi(t), which stands in for Htil:
-t (dephasing), the phase integral (redfield) or the fixed resolvent
-(gksl); both are derived once, when the problem is built. Since G_j,
+the phase integral (redfield and dephasing, where it is t on every entry
+the commuting guard lets G_j reach) or the fixed resolvent (gksl); both
+are derived once, when the problem is built. Since G_j,
 X~_j and rho~ are Hermitian, the generator is
 -i (E_m - E_n) o rho~ - (B + B+) with
 B = (sum_j G_j X~_j) rho~ - [G_1 rho~ ... G_r rho~] [X~_1; ...; X~_r],
@@ -57,6 +58,7 @@ from .ensemble import (
     mean_hamiltonian,
     mean_vanishes,
     require_commuting,
+    require_system,
 )
 from .linops import (
     EigenSystem,
@@ -66,6 +68,7 @@ from .linops import (
     max_abs,
     require_density,
     require_hermitian,
+    require_times,
 )
 
 __all__ = [
@@ -78,6 +81,7 @@ __all__ = [
     "gksl_resolvent",
     "master_rhs",
     "grid_steps",
+    "time_grid",
     "integrate",
 ]
 
@@ -97,8 +101,8 @@ class MasterEqProblem:
     V diag(E) V+ of hs, `factors`, the second-moment factors
     G_j = V+ F_j V as (r, d, d), and `kernel`, the kernel factor phi of
     X~_j(t) = G_j o phi(t): kernel(ts) is the (T, d, d) stack at times
-    ts (T,), t for dephasing or the phase integral for redfield; for gksl
-    the resolvent, built here, as one fixed (1, d, d) stack whatever ts.
+    ts (T,), the phase integral for redfield and dephasing; for gksl the
+    resolvent, built here, as one fixed (1, d, d) stack whatever ts.
     The kind is read here, where its guard runs; elsewhere only
     dephasing_analytic checks it.
     """
@@ -112,13 +116,11 @@ class MasterEqProblem:
     kernel: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        hs = require_hermitian(self.hs, name="system Hamiltonian")
+        hs = require_system(self.hs, self.ensemble)
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        if hs.shape[0] != self.ensemble.dim:
-            raise ValueError("system and ensemble dimensions disagree")
         if not mean_vanishes(self.ensemble, offset=hs):
             residual = max_abs(mean_hamiltonian(self.ensemble))
             raise ValueError(
@@ -131,14 +133,12 @@ class MasterEqProblem:
         eig = herm_eig(hs)
         if self.kind == "dephasing":
             require_commuting(self.ensemble, hs)
-            d = eig.dim
-            kernel = lambda ts: np.broadcast_to(ts[:, None, None], (ts.size, d, d))
-        elif self.kind == "redfield":
-            gaps, deg_tol = eig.gaps, eig.degeneracy_threshold
-            kernel = lambda ts: _phase_integral(gaps, ts, deg_tol)
-        else:
+        if self.kind == "gksl":
             fixed = gksl_resolvent(eig, epsilon)[None]  # refuses a degenerate spectrum at epsilon = 0
             kernel = lambda ts: fixed
+        else:
+            gaps, deg_tol = eig.gaps, eig.degeneracy_threshold
+            kernel = lambda ts: _phase_integral(gaps, ts, deg_tol)
         factors = dagger(eig.basis) @ _second_moment_factors(self.ensemble) @ eig.basis
         object.__setattr__(self, "hs", hs)
         object.__setattr__(self, "epsilon", epsilon)
@@ -159,10 +159,8 @@ class TimeSeries:
     states: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64)
+        times = require_times(self.times)
         states = np.asarray(self.states, dtype=np.complex128)
-        if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
-            raise ValueError("times must be a non-empty finite 1d array")
         if times.size > 1 and np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if states.ndim != 3 or states.shape[0] != times.size:
@@ -411,6 +409,11 @@ def grid_steps(t_final: float, dt: float) -> int:
     return int(round(t_final / dt))
 
 
+def time_grid(t_final: float, dt: float) -> np.ndarray:
+    """The times k dt, k = 0 .. grid_steps(t_final, dt): the one grid array."""
+    return np.arange(grid_steps(t_final, dt) + 1, dtype=np.float64) * dt
+
+
 def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries:
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
@@ -432,15 +435,15 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     Each chunk is rotated back and re-Hermitized, so the states after
     states[0] = rho0 are bitwise Hermitian; with the trace-free generator
     this keeps the trace drift at rounding level. A chunk with non-finite
-    entries aborts the run, naming its first bad step. The grid has
-    grid_steps(t_final, dt) steps. A warning is emitted when t_final is not
+    entries aborts the run, naming its first bad step. The grid is
+    time_grid(t_final, dt). A warning is emitted when t_final is not
     on it, or when dt resolves the fastest phase poorly, by a rule that sees
     only the gaps, as the generator does: dt (E_max - E_min) / 2 > 0.05.
     """
     rho0 = require_density(rho0, "initial state", p.dim)
     dt = float(dt)
     t_final = float(t_final)
-    n_steps = grid_steps(t_final, dt)
+    times = time_grid(t_final, dt)
     fastest = 0.5 * float(p.eig.energies[-1] - p.eig.energies[0])
     if dt * fastest > 0.05:
         warnings.warn(
@@ -448,19 +451,19 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
             f" / 2 = {dt * fastest:.3g} > 0.05); expect discretization error",
             stacklevel=2,
         )
-    if abs(n_steps * dt - t_final) > 1e-9 * max(dt, t_final):
+    if abs(times[-1] - t_final) > 1e-9 * max(dt, t_final):
         warnings.warn(
             f"t_final = {t_final:g} is not a multiple of dt = {dt:g}; "
-            f"integrating to {n_steps * dt:g}",
+            f"integrating to {times[-1]:g}",
             stacklevel=2,
         )
-    states = np.empty((n_steps + 1, p.dim, p.dim), dtype=np.complex128)
+    states = np.empty((times.size, p.dim, p.dim), dtype=np.complex128)
     states[0] = rho0
     v = p.eig.basis
     vh = dagger(v)
     rho = vh @ rho0 @ v
     steps = _steps_dense if p.dim <= _DENSE_MAX_DIM else _steps_factored
-    for start, block in steps(p, rho, n_steps, dt):
+    for start, block in steps(p, rho, times, dt):
         block = v @ block @ vh
         block = 0.5 * (block + block.conj().swapaxes(1, 2))
         bad = ~np.isfinite(block).all(axis=(1, 2))
@@ -471,7 +474,6 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
                 f"(t = {step * dt:g}); reduce dt"
             )
         states[start + 1 : start + 1 + block.shape[0]] = block
-    times = np.arange(n_steps + 1, dtype=np.float64) * dt
     return TimeSeries(times=times, states=states)
 
 
@@ -495,21 +497,22 @@ _DENSE_MAX_DIM = 6
 _DENSE_TABLES = 6
 
 
-def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
-    """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S,
-    yielding (start, block) with the states after steps start + 1, ...
-    of each linops.chunks chunk, its tables within half the budget."""
+def _steps_factored(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
+    """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S on
+    the grid times of step dt, yielding (start, block) with the states after
+    steps start + 1, ... of each linops.chunks chunk, its tables within half
+    the budget."""
     kernels, rhs = _make_rhs(p)
     d = p.dim
-    # an empty table has the kernels' shape: r d + d rows of d complex
-    # entries per time, three times per step, and up to two more copies of
-    # the r d rows while the tables are built. They get half the budget:
-    # chunks of fifty steps or more already cost under 1 us per step, and at
-    # all of it gauss-d8 (d = 8, the one benchmark workload integrated
-    # factored) kept its 45.4 MB peak RSS.
-    rows = kernels(np.empty(0))[0].shape[1] + d
-    for sl in linops.chunks(n_steps, 3 * 3 * rows * d * 16, linops.WORKSPACE_BYTES // 2):
-        t = np.arange(sl.start, sl.stop) * dt
+    # the kernels hold r d + d rows of d complex entries per time, three
+    # times per step, and up to two more copies of the r d rows while the
+    # tables are built. They get half the budget: chunks of fifty steps or
+    # more already cost under 1 us per step, and at all of it gauss-d8
+    # (d = 8, the one benchmark workload integrated factored) kept its
+    # 45.4 MB peak RSS.
+    rows = (p.factors.shape[0] + 1) * d
+    for sl in linops.chunks(times.size - 1, 3 * 3 * rows * d * 16, linops.WORKSPACE_BYTES // 2):
+        t = times[sl]
         x, a = kernels(np.concatenate([t, t + 0.5 * dt, t + dt]))
         steps = t.size
         block = np.empty((steps, d, d), dtype=np.complex128)
@@ -526,7 +529,7 @@ def _steps_factored(p: MasterEqProblem, rho, n_steps: int, dt: float):
         yield sl.start, block
 
 
-def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float):
+def _steps_dense(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
     """The dense RK4 step propagators of _make_liouvillian applied to
     rho~ = rho in the eigenbasis of H_S, yielding (start, block) like
     _steps_factored, a chunk's tables within a quarter of the budget."""
@@ -539,13 +542,13 @@ def _steps_dense(p: MasterEqProblem, rho, n_steps: int, dt: float):
     # a quarter of the budget, 2 MiB: 4 MiB of tables went back to the system
     # between chunks (4000 redfield steps at d = 4 took 25700 minor page faults
     # and 46-50 us per step, against 590 and 25-27 us at 2 MiB, 26-29 us at 1 MiB)
-    for sl in linops.chunks(n_steps, _DENSE_TABLES * d**4 * 16, linops.WORKSPACE_BYTES // 4):
+    for sl in linops.chunks(times.size - 1, _DENSE_TABLES * d**4 * 16, linops.WORKSPACE_BYTES // 4):
         steps = sl.stop - sl.start
         if fixed.shape[0]:
             props = np.broadcast_to(fixed, (steps, d * d, d * d))
         else:
             # the generator at t + dt of one step is the one at t of the next
-            grid = np.arange(sl.start, sl.stop + 1) * dt
+            grid = times[sl.start : sl.stop + 1]
             at_grid = tables(grid)
             props = _rk4_propagators(
                 at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:], dt

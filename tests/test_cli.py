@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import json
 import logging
 import os
@@ -695,14 +696,49 @@ MISTYPED_FIELDS = {
     "hs-huge-integer-pair": ({"hs": [[[0, 10**400], 0], [0, 1]]}, "hs[0][0]: expected a number"),
 }
 
+# a fault found by the ensemble's constructor is named as the ensemble's
+_GAUSSIAN = {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": 4}
+_NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
+ENSEMBLE_FAULTS = {
+    "weights-sum": (
+        {"ensemble": {"type": "explicit", "terms": [{**_ONE_TERM, "weight": 0.6}]}},
+        "ensemble: weights must sum to 1, got 0.6",
+    ),
+    "weight-negative": (
+        {
+            "ensemble": {
+                "type": "explicit",
+                "terms": [{**_ONE_TERM, "weight": 1.5}, {**_ONE_TERM, "weight": -0.5}],
+            }
+        },
+        "ensemble: weights must be finite and non-negative",
+    ),
+    "term-not-hermitian": (
+        {"ensemble": {"type": "explicit", "terms": [{"matrix": _NOT_HERMITIAN, "weight": 1.0}]}},
+        "ensemble: realization 0 is not Hermitian",
+    ),
+    "base-not-hermitian": (
+        {"ensemble": {**_GAUSSIAN, "base": _NOT_HERMITIAN}},
+        "ensemble: base operator is not Hermitian",
+    ),
+    "sigma-negative": (
+        {"ensemble": {**_GAUSSIAN, "sigma": -0.1}},
+        "ensemble: sigma must be finite and non-negative",
+    ),
+    "n_nodes-zero": ({"ensemble": {**_GAUSSIAN, "n_nodes": 0}}, "ensemble: n_nodes must be at least 1"),
+    # JSON's Infinity
+    "g-infinite": ({"ensemble": {**_TWO_POINT, "g": float("inf")}}, "ensemble: g must be finite"),
+}
+REFUSED = {**PREFLIGHT_FAILURES, **MISTYPED_FIELDS, **ENSEMBLE_FAULTS}
 
-@pytest.mark.parametrize("case", sorted({**PREFLIGHT_FAILURES, **MISTYPED_FIELDS}))
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
 def test_validate_rejects_what_run_rejects(case, tmp_path, capsys, caplog, monkeypatch):
-    def no_grid(s):
+    def no_grid(t_final, dt):
         raise AssertionError("the time grid was allocated")
 
-    monkeypatch.setattr("rndunit.cli._time_grid", no_grid)
-    overrides, field = {**PREFLIGHT_FAILURES, **MISTYPED_FIELDS}[case]
+    monkeypatch.setattr("rndunit.cli.time_grid", no_grid)
+    overrides, field = REFUSED[case]
     doc = make_doc(**overrides)
     out = tmp_path / doc.get("output_path", "s.csv")
     doc["output_path"] = str(out)
@@ -809,6 +845,18 @@ def test_ensemble_keys_of_another_type_exit_2(case, tmp_path, capsys):
         assert main([command, str(path), "--quiet"]) == 2
         assert f"ensemble: unknown keys {keys} for type {kind}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_traced_names_are_bound_and_callable():
+    # perfbench/tracer.py wraps each name where it is bound; a rename would
+    # otherwise show only in a traced benchmark run. The file is only read
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    for module, name, _ in tracer.WRAPPED:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

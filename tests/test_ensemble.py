@@ -8,7 +8,6 @@ from conftest import PLUS, SX, SZ, random_hermitian, random_unitary, random_weig
 
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
-    CenteredEnsemble,
     DisorderEnsemble,
     center,
     gauss_hermite_ensemble,
@@ -49,42 +48,38 @@ def test_mean_hamiltonian_weighted():
 
 def test_center_symmetric_ensemble_untouched():
     e = two_point_ensemble(SZ, 0.5)
-    centered = center(e)
-    np.testing.assert_array_equal(centered.mean, np.zeros((2, 2)))
-    np.testing.assert_array_equal(centered.ensemble.hamiltonians, e.hamiltonians)
+    mean, fluctuations = center(e)
+    np.testing.assert_array_equal(mean, np.zeros((2, 2)))
+    np.testing.assert_array_equal(fluctuations.hamiltonians, e.hamiltonians)
 
 
 def test_center_single_realization():
     h = 0.75 * SZ + 0.5 * SX
-    centered = center(DisorderEnsemble.from_pairs([(h, 1.0)]))
-    np.testing.assert_array_equal(centered.mean, h)
-    np.testing.assert_array_equal(centered.ensemble.hamiltonians[0], np.zeros((2, 2)))
+    mean, fluctuations = center(DisorderEnsemble.from_pairs([(h, 1.0)]))
+    np.testing.assert_array_equal(mean, h)
+    np.testing.assert_array_equal(fluctuations.hamiltonians[0], np.zeros((2, 2)))
 
 
 def test_center_offset_exactly_removed():
     # dyadic entries so the mean split is exact in floating point
     e = DisorderEnsemble.from_pairs([(2.0 * SZ, 0.5), (np.zeros((2, 2)), 0.5)])
-    centered = center(e)
-    np.testing.assert_array_equal(centered.mean, SZ)
-    np.testing.assert_array_equal(centered.ensemble.hamiltonians[0], SZ)
-    np.testing.assert_array_equal(centered.ensemble.hamiltonians[1], -SZ)
+    mean, fluctuations = center(e)
+    np.testing.assert_array_equal(mean, SZ)
+    np.testing.assert_array_equal(fluctuations.hamiltonians[0], SZ)
+    np.testing.assert_array_equal(fluctuations.hamiltonians[1], -SZ)
     # pairwise sums reproduce the originals
     for k in range(e.size):
-        np.testing.assert_array_equal(
-            centered.mean + centered.ensemble.hamiltonians[k], e.hamiltonians[k]
-        )
+        np.testing.assert_array_equal(mean + fluctuations.hamiltonians[k], e.hamiltonians[k])
 
 
 def test_center_idempotent():
     rng = np.random.default_rng(21)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(4)])
     e = DisorderEnsemble(hamiltonians=hams, weights=random_weights(rng, 4))
-    once = center(e)
-    twice = center(once.ensemble)
-    np.testing.assert_array_equal(twice.mean, np.zeros((3, 3)))
-    np.testing.assert_array_equal(
-        twice.ensemble.hamiltonians, once.ensemble.hamiltonians
-    )
+    _, once = center(e)
+    mean, twice = center(once)
+    np.testing.assert_array_equal(mean, np.zeros((3, 3)))
+    np.testing.assert_array_equal(twice.hamiltonians, once.hamiltonians)
 
 
 def test_mean_vanishes_scales_with_the_offset():
@@ -102,12 +97,8 @@ def test_centered_ensemble_on_a_large_field():
     # +-1e5 (SZ + 0.3 SX), slightly unequal weights: the mean 2 (SZ + 0.3 SX)
     # is removed, and the rounding left is far below 1e-12 of the realizations
     h = 1e5 * (SZ + 0.3 * SX)
-    centered = center(DisorderEnsemble.from_pairs([(h, 0.50001), (-h, 0.49999)]))
-    np.testing.assert_allclose(centered.mean, 2.0 * (SZ + 0.3 * SX), rtol=1e-9)
-    # an ensemble that was not centered is still refused
-    skewed = DisorderEnsemble.from_pairs([(SZ, 0.5), (-SZ + 1e-9 * SX, 0.5)])
-    with pytest.raises(ValueError, match="nonzero mean"):
-        CenteredEnsemble(mean=np.zeros((2, 2)), ensemble=skewed)
+    mean, _ = center(DisorderEnsemble.from_pairs([(h, 0.50001), (-h, 0.49999)]))
+    np.testing.assert_allclose(mean, 2.0 * (SZ + 0.3 * SX), rtol=1e-9)
 
 
 def test_center_leaves_dynamics_invariant():
@@ -115,10 +106,10 @@ def test_center_leaves_dynamics_invariant():
     hams = np.stack([random_hermitian(rng, 2) for _ in range(3)])
     e = DisorderEnsemble(hamiltonians=hams, weights=random_weights(rng, 3))
     hs = random_hermitian(rng, 2)
-    centered = center(e)
+    mean, fluctuations = center(e)
     for t in (0.3, 1.7):
         a = evolve_average(hs, e, PLUS, t)
-        b = evolve_average(hs + centered.mean, centered.ensemble, PLUS, t)
+        b = evolve_average(hs + mean, fluctuations, PLUS, t)
         assert trace_distance(a, b) <= 1e-12
 
 
@@ -207,7 +198,7 @@ def test_c2_matrix_symmetric_nonnegative():
     u = random_unitary(rng, 3)
     shifts = rng.normal(size=(5, 3))
     hams = np.stack([(u * row) @ u.conj().T for row in shifts])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=random_weights(rng, 5))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=random_weights(rng, 5)))
     p = make_problem((u * [0.0, 1.0, 3.0]) @ u.conj().T, e, "dephasing")
     level = shifts - np.dot(e.weights, shifts)  # the centered level shifts
     want = np.einsum("k,knm->nm", e.weights, (level[:, :, None] - level[:, None, :]) ** 2)

@@ -20,7 +20,7 @@ from rndunit import linops
 from rndunit.analysis import compare
 from rndunit.channel import embed, kraus_at
 from rndunit.cli import RunRecord, demo_scenario, scenario_from_dict
-from rndunit.ensemble import center, two_point_ensemble
+from rndunit.ensemble import two_point_ensemble
 from rndunit.linops import (
     DEFAULT_TOL,
     EigenSystem,
@@ -397,7 +397,6 @@ def _array_dataclasses():
             scenario=scenario(), series={}, reports={}, equivalence_error=0.0, wall_time_s=0.0
         ),
         "DisorderEnsemble": lambda: two_point_ensemble(SZ, 0.5),
-        "CenteredEnsemble": lambda: center(two_point_ensemble(SZ, 0.5)),
         "EigenSystem": lambda: herm_eig(0.5 * SZ),
         "MasterEqProblem": problem,
         "TimeSeries": series,

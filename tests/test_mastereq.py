@@ -92,8 +92,8 @@ def test_problem_rejects_uncentered_ensemble():
     with pytest.raises(ValueError, match="ensemble.center"):
         make_problem(HS_QUBIT, biased, "redfield")
     # centering and folding the mean back restores validity
-    c = center(biased)
-    make_problem(HS_QUBIT + c.mean, c.ensemble, "redfield")
+    mean, fluctuations = center(biased)
+    make_problem(HS_QUBIT + mean, fluctuations, "redfield")
 
 
 def test_problem_zero_mean_scales_with_hs():
@@ -102,9 +102,9 @@ def test_problem_zero_mean_scales_with_hs():
     field = 1e5 * (SZ + 0.37 * SX)
     fluctuations = np.array([0.03 * SX, -0.09 * SZ, 0.05 * SX + 0.01 * SZ])
     raw = DisorderEnsemble(hamiltonians=field + fluctuations, weights=[0.2, 0.3, 0.5])
-    c = center(raw)
-    assert max_abs(c.ensemble.hamiltonians) < 1.0
-    make_problem(HS_QUBIT + c.mean, c.ensemble, "redfield")
+    mean, fluctuations = center(raw)
+    assert max_abs(fluctuations.hamiltonians) < 1.0
+    make_problem(HS_QUBIT + mean, fluctuations, "redfield")
 
 
 def test_problem_rejects_negative_epsilon():
@@ -129,14 +129,19 @@ def test_dephasing_rhs_qubit_oracle():
 
 
 def test_redfield_equals_dephasing_when_commuting():
-    p_r = make_problem(HS_QUBIT, gauss_hermite_ensemble(SZ, 0.3, 4), "redfield")
-    p_d = make_problem(HS_QUBIT, gauss_hermite_ensemble(SZ, 0.3, 4), "dephasing")
+    # dephasing is redfield under the commuting guard, bit for bit: on a
+    # diagonal H_S, and on a random one with H_k a polynomial in it
     rng = np.random.default_rng(35)
-    rho = random_density(rng, 2)
-    for t in (0.2, 1.1, 4.0):
-        np.testing.assert_allclose(
-            master_rhs(p_r, rho, t), master_rhs(p_d, rho, t), atol=1e-13
-        )
+    hs = random_hermitian(rng, 3)
+    cases = [
+        (HS_QUBIT, gauss_hermite_ensemble(SZ, 0.3, 4), random_density(rng, 2)),
+        (hs, two_point_ensemble(0.3 * hs @ hs - 0.2 * hs, 0.4), random_density(rng, 3)),
+    ]
+    for hs, e, rho in cases:
+        p_r = make_problem(hs, e, "redfield")
+        p_d = make_problem(hs, e, "dephasing")
+        for t in (0.2, 1.1, 4.0, 5.0):
+            np.testing.assert_array_equal(master_rhs(p_r, rho, t), master_rhs(p_d, rho, t))
 
 
 def test_dephasing_rejects_noncommuting():
@@ -148,7 +153,7 @@ def test_rhs_trace_free_and_hermiticity_preserving():
     rng = np.random.default_rng(36)
     hs = random_hermitian(rng, 3)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
     rho = random_density(rng, 3)
     eig = herm_eig(hs)
     t = 0.9
@@ -206,7 +211,7 @@ def test_second_moment_factors_built_once_per_problem(monkeypatch):
     monkeypatch.setattr(mastereq, "_second_moment_factors", spy)
     rng = np.random.default_rng(45)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
     rho0 = random_density(rng, 3)
     for kind in ("redfield", "gksl"):
         p = make_problem(random_hermitian(rng, 3), e, kind, epsilon=0.1)
@@ -252,7 +257,7 @@ def test_gksl_resolvent_built_once_per_problem(monkeypatch):
     monkeypatch.setattr(mastereq, "gksl_resolvent", spy)
     rng = np.random.default_rng(46)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
     rho0 = random_density(rng, 3)
     for epsilon in (0.0, 0.1):
         p = make_problem(random_hermitian(rng, 3), e, "gksl", epsilon=epsilon)
@@ -379,6 +384,8 @@ def test_integrate_grid_and_shapes():
         warnings.simplefilter("ignore")
         ts = integrate(p, PLUS, 1.0, 0.25)
     np.testing.assert_allclose(ts.times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
+    # the one grid array, which the run's exact series is sampled on too
+    np.testing.assert_array_equal(ts.times, mastereq.time_grid(1.0, 0.25))
     assert ts.states.shape == (5, 2, 2)
     np.testing.assert_array_equal(ts.states[0], PLUS)
 
@@ -402,7 +409,7 @@ def test_integrate_fourth_order():
 def test_integrate_trace_stays_pinned():
     rng = np.random.default_rng(40)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
     p = make_problem(random_hermitian(rng, 3), e, "redfield")
     ts = integrate(p, random_density(rng, 3), 2.0, 0.01)
     drifts = np.abs(np.trace(ts.states, axis1=1, axis2=2) - 1.0)
@@ -463,7 +470,7 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
         hams = np.stack([v @ np.diag(rng.normal(size=3)) @ dagger(v) for _ in range(3)])
     else:
         hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
     p = make_problem(hs, e, kind, epsilon=0.2 if kind == "gksl" else 0.0)
     rho0 = random_density(rng, 3)
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
@@ -481,7 +488,7 @@ def test_integrate_keeps_rho0_bitwise(monkeypatch):
     # store states[0] as given and every later state bitwise Hermitian
     rng = np.random.default_rng(44)
     hams = np.stack([random_hermitian(rng, 3) for _ in range(2)])
-    e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(2, 0.5))).ensemble
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(2, 0.5)))
     p = make_problem(random_hermitian(rng, 3), e, "redfield")
     assert max_abs(p.hs - np.diag(np.diag(p.hs))) > 0.1
     rho0 = random_density(rng, 3)
