@@ -15,8 +15,8 @@ w = E_a - E_b of every realization. One table exp(-itw) over the pairs
 a < b, times one coefficient matrix, gives the upper triangle of every
 sample; the lower triangle is its mirrored conjugate, so the series is
 Hermitian bit for bit, as the re-Hermitized generator series are. The
-table is built a chunk of samples at a time, within a small share of
-linops.WORKSPACE_BYTES, so the stage holds little more than its output.
+table is built a chunk of samples at a time, within linops.WORKSPACE_BYTES,
+so the stage holds little more than its output.
 
 The dilation over a time grid never forms a composite density matrix. Its
 total Hamiltonian sum_k (H_S + H_k) (x) |k><k| commutes with every register
@@ -73,15 +73,6 @@ __all__ = [
 # Dense-only implementation: the composite dimension d_S * d_E is capped so
 # an accidental large ensemble cannot allocate a huge total Hamiltonian.
 MAX_EMBEDDED_DIM = 4096
-
-# evolve_average_series keeps the temporaries of a chunk of samples (its
-# frequency table and upper triangles) within this share of
-# linops.WORKSPACE_BYTES. A quarter of it ran faster at d = 8, n = 32
-# (48 against 83 ms for 1001 samples) but raised the stage's peak for a
-# 32-node qubit ensemble from 0.20 to 0.65 MiB, above the 0.38 MiB of the
-# per-realization sum over (T, d, d) arrays that this replaced
-_TABLE_SHARE = 64
-
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
@@ -175,10 +166,9 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     only the n d (d - 1) / 2 phases with a < b, and the lower triangle is
     mirrored as the conjugate of the upper one: the series is Hermitian
     bit for bit, with diagonal imaginary parts +0.0. Times go in the
-    linops.chunks whose table and triangles fit 1 / _TABLE_SHARE of
-    linops.WORKSPACE_BYTES (at least one sample); the split moves the
-    result by rounding only, since the product's summation order may
-    depend on the number of rows.
+    linops.chunks whose table and triangles fit linops.WORKSPACE_BYTES
+    (at least one sample); the split moves the result by rounding only,
+    since the product's summation order may depend on the number of rows.
     """
     hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
@@ -211,7 +201,7 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     # per sample: the table row, and the upper triangle with its conjugate
     row_bytes = 16 * (freqs.size + 2 * rows.size)
     out = np.empty((times.size, d, d), dtype=np.complex128)
-    for sl in linops.chunks(times.size, row_bytes, linops.WORKSPACE_BYTES // _TABLE_SHARE):
+    for sl in linops.chunks(times.size, row_bytes, linops.WORKSPACE_BYTES):
         ts = times[sl]
         if sl.start == 0:  # the first chunk is the largest
             table = np.empty((ts.size, freqs.size), dtype=np.complex128)
@@ -262,17 +252,14 @@ def embed(hs, e: DisorderEnsemble) -> EmbeddedSystem:
 def evolve_embedded(sys: EmbeddedSystem, rho0_s, t: float) -> np.ndarray:
     """Closed evolution of the dilation, then partial trace over the register.
 
-    Starts from rho0 (x) diag(p), which is stationary for the register, and
+    Starts from diag(p) (x) rho0, which is stationary for the register, and
     reproduces the ensemble average exactly. This is the oracle for
     evolve_embedded_series, which starts from the pure register instead.
     """
     rho0_s = require_density(rho0_s, "initial state", sys.dim_s)
-    d, n = sys.dim_s, sys.dim_e
     u = propagator(sys.total_hamiltonian, t)
-    # rho0 (x) diag(p) and its trace over the register, the slow factor of
-    # the block layout
     rho_t = u @ np.kron(np.diag(sys.weights), rho0_s) @ dagger(u)
-    return np.einsum("kikj->ij", rho_t.reshape(n, d, n, d))
+    return linops.partial_trace_env(rho_t, sys.dim_s, sys.dim_e)
 
 
 def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
@@ -329,10 +316,12 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     # per sample, its phases and per factor column the scaled factor, Y and
     # the weighted Y (Y is conjugated in place)
     phase_row, column = 16 * full, 3 * 16 * full
-    budget = linops.WORKSPACE_BYTES
-    blocks = [(gt[sl], lam[sl]) for sl in linops.chunks(lam.size, column, budget - phase_row)]
+    blocks = [
+        (gt[sl], lam[sl])
+        for sl in linops.chunks(lam.size, column, linops.WORKSPACE_BYTES - phase_row)
+    ]
     out = np.empty((times.size, d, d), dtype=np.complex128)
-    for sl in linops.chunks(times.size, phase_row + lam.size * column, budget):
+    for sl in linops.chunks(times.size, phase_row + lam.size * column, linops.WORKSPACE_BYTES):
         out[sl] = _reduced_chunk(times[sl], eig.energies, blocks, vt, n)
     return out
 

@@ -497,17 +497,16 @@ def _lap(mark: float) -> tuple[float, float]:
     return now - mark, now
 
 
-# The CSV writer formats row blocks of an eighth of linops.WORKSPACE_BYTES
-# (1 MiB, about 9400 floats), counted at _CSV_FLOAT_BYTES per float: the
-# block, the dedup's and the kernel's temporaries, a 32-byte record per cell
-# and the text (tracemalloc peak 88 to 106 bytes per float). Each block pays
-# about 0.3 ms of numpy call overhead, so blocks a quarter of this size took
+# The CSV writer formats row blocks of linops.WORKSPACE_BYTES (1 MiB, about
+# 9400 floats), counted at _CSV_FLOAT_BYTES per float: the block, the dedup's
+# and the kernel's temporaries, a 32-byte record per cell and the text
+# (tracemalloc peak 88 to 106 bytes per float). Each block pays about
+# 0.3 ms of numpy call overhead, so blocks a quarter of this size took
 # 35-55% longer on gauss-d8 and explicit-d4 (2-core Xeon). Blocks twice as
 # large ran no faster and raised the gaussian-dephasing demo's own peak RSS
 # by 1.0 MB; two blocks of half this size formatted at once on two threads
 # raised it by 0.9 MB and ran about 20% slower, as the many small numpy calls
 # hand the GIL back and forth.
-_CSV_SHARE = 8
 _CSV_FLOAT_BYTES = 112
 
 
@@ -530,8 +529,8 @@ def write_csv(record: RunRecord, path) -> None:
 
     Floats are written as repr writes them, the shortest text that reads
     back as the same double, so equal doubles give equal text. Rows are
-    formatted from one float table, in linops.chunks within a share of the
-    workspace budget: per series the state entries as _re/_im pairs, then
+    formatted from one float table, in linops.chunks within the workspace
+    budget: per series the state entries as _re/_im pairs, then
     purity and trace distance. Each block is formatted by
     _shortest.rows_text: each distinct magnitude once (a Hermitian state's
     lower triangle, a zero imaginary part or an all-zero column cost
@@ -559,10 +558,9 @@ def write_csv(record: RunRecord, path) -> None:
     # imported here: validate, which writes no CSV, builds none of its tables
     from ._shortest import CSV_TERMINATOR, rows_text
 
-    budget = linops.WORKSPACE_BYTES // _CSV_SHARE
     with open(path, "wb") as handle:
         handle.write((",".join(header) + CSV_TERMINATOR).encode("ascii"))
-        for rows in chunks(times.size, width * _CSV_FLOAT_BYTES, budget):
+        for rows in chunks(times.size, width * _CSV_FLOAT_BYTES, linops.WORKSPACE_BYTES):
             handle.write(rows_text(np.hstack([c[rows] for c in columns])))
 
 

@@ -66,21 +66,28 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
-# Byte budget for the transient workspace of the six batched loops. Each
-# takes its share and splits its loop with chunks, so memory stays bounded
-# whatever the grid length: the averaged series 1/64, the dilation series all
-# of it, the factored kernel tables 1/2, the dense Liouvillian tables 1/4, the
-# CSV row blocks 1/8 and the row blocks of the Hermitian and unitary checks
-# 1/8. Larger budgets ran no faster on the benchmark workloads and only raised
-# their peak RSS. Read as linops.WORKSPACE_BYTES at call time.
-WORKSPACE_BYTES = 8 * 2**20
+# Byte budget of one chunk of any loop. Every batched loop (the averaged and
+# dilation series, the dense and factored integrator tables, the CSV row
+# blocks and the row blocks of the Hermitian and unitary checks) passes it
+# whole to chunks, and the loops run one at a time, none inside another, so a
+# run's transient memory is at most one chunk of WORKSPACE_BYTES on top of
+# the arrays it holds. At 1 MiB, against the per-loop shares it replaced
+# (best of 15 interleaved runs, seed 1, 2-core Xeon): gauss-d8's averaged
+# series took 62 ms (74 at 128 KiB), its dilation 41 ms (45 at 8 MiB) and
+# its factored redfield tables 67 ms (65 at 4 MiB); explicit-d4's dilation
+# 13 ms (17 at 8 MiB) and its dense redfield tables 54 ms (52 at 2 MiB). The
+# CSV and check blocks had 1 MiB before. Each benchmark run's own peak RSS
+# fell, by up to 4.4 MB (gauss-d8). Full-rank tables pay most: at d = 6,
+# r = 35 dense redfield ran about 10% slower, 8 steps a chunk against 16.
+# Read as linops.WORKSPACE_BYTES at call time.
+WORKSPACE_BYTES = 2**20
 
 
 def chunks(count: int, item_size: int, budget: int):
     """Slices covering range(count) in order, made lazily: each holds
     max(1, budget // item_size) items, the last the remainder. item_size and
-    budget share one unit (bytes, for a share of WORKSPACE_BYTES), so a chunk
-    holds as many items as fit the budget, and at least one."""
+    budget share one unit (bytes, for WORKSPACE_BYTES), so a chunk holds as
+    many items as fit the budget, and at least one."""
     step = max(1, budget // item_size)
     return (slice(first, min(first + step, count)) for first in range(0, count, step))
 
@@ -112,9 +119,9 @@ def max_abs(a: np.ndarray) -> float:
 
 def _row_blocks(n: int):
     # row blocks of an n x n check, their temporaries (about three complex rows
-    # each) within an eighth of WORKSPACE_BYTES: checking the dilation's N x N
-    # H_tot and V then costs far less than another N x N array
-    return chunks(n, 48 * max(n, 1), WORKSPACE_BYTES // 8)
+    # each) within WORKSPACE_BYTES: checking the dilation's N x N H_tot and V
+    # then costs far less than another N x N array
+    return chunks(n, 48 * max(n, 1), WORKSPACE_BYTES)
 
 
 def require_hermitian(h, name: str = "operator") -> np.ndarray:
@@ -251,11 +258,12 @@ def kron(a, b) -> np.ndarray:
 
 
 def partial_trace_env(rho_total, dim_s: int, dim_e: int) -> np.ndarray:
-    """Trace out the environment factor of a system (x) environment state.
+    """Trace out the environment factor of an environment (x) system state.
 
-    The composite index is (i, k) = i * dim_e + k with i on the system,
-    matching kron(system, environment). Returns the dim_s x dim_s state
-    rho_S[i, j] = sum_k rho[(i, k), (j, k)].
+    The composite index is (k, i) = k * dim_s + i with k on the environment,
+    matching kron(environment, system): the register-major layout that
+    channel.embed builds. Returns the dim_s x dim_s state
+    rho_S[i, j] = sum_k rho[(k, i), (k, j)].
     """
     arr = as_complex_matrix(rho_total, "composite state")
     _require_square(arr, "composite state")
@@ -266,7 +274,7 @@ def partial_trace_env(rho_total, dim_s: int, dim_e: int) -> np.ndarray:
         raise ValueError(
             f"composite dimension {arr.shape[0]} != dim_s * dim_e = {dim_s * dim_e}"
         )
-    return np.einsum("ikjk->ij", arr.reshape(dim_s, dim_e, dim_s, dim_e))
+    return np.einsum("kikj->ij", arr.reshape(dim_e, dim_s, dim_e, dim_s))
 
 
 def trace_distance(a, b) -> float | np.ndarray:

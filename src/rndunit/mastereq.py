@@ -41,7 +41,8 @@ d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
 Liouvillian, affine in phi, so a chunk's one-step propagators are composed
 in batch; above it the factored form, with the kernels of a chunk
 tabulated at once. The steps are split by linops.chunks, so a chunk's
-tables fit a quarter (dense) or half (factored) of linops.WORKSPACE_BYTES.
+tables fit linops.WORKSPACE_BYTES; a fixed kernel (gksl) has one table for
+all steps, so its chunks are sized by their output blocks alone.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class MasterEqProblem:
     G_j = V+ F_j V as (r, d, d), and `kernel`, the kernel factor phi of
     X~_j(t) = G_j o phi(t): kernel(ts) is the (T, d, d) stack at times
     ts (T,), the phase integral for redfield and dephasing; for gksl the
-    resolvent, built here, as one fixed (1, d, d) stack whatever ts.
-    The kind is read here, where its guard runs; elsewhere only
-    dephasing_analytic checks it.
+    resolvent, built here, as one fixed (1, d, d) stack whatever ts, which
+    `fixed_kernel` records. The kind is read here, where its guard runs;
+    elsewhere only dephasing_analytic checks it.
     """
 
     hs: np.ndarray
@@ -114,6 +115,7 @@ class MasterEqProblem:
     eig: EigenSystem = field(init=False, repr=False)
     factors: np.ndarray = field(init=False, repr=False)
     kernel: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+    fixed_kernel: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         hs = require_system(self.hs, self.ensemble)
@@ -133,7 +135,8 @@ class MasterEqProblem:
         eig = herm_eig(hs)
         if self.kind == "dephasing":
             require_commuting(self.ensemble, hs)
-        if self.kind == "gksl":
+        fixed_kernel = self.kind == "gksl"
+        if fixed_kernel:
             fixed = gksl_resolvent(eig, epsilon)[None]  # refuses a degenerate spectrum at epsilon = 0
             kernel = lambda ts: fixed
         else:
@@ -145,6 +148,7 @@ class MasterEqProblem:
         object.__setattr__(self, "eig", eig)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "fixed_kernel", fixed_kernel)
 
     @property
     def dim(self) -> int:
@@ -422,15 +426,18 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     Steps run in chunks, each chunk's tables built at once, with one of two
     representations, chosen from d alone:
 
-    * dense, for d <= _DENSE_MAX_DIM, with chunks within a quarter of
-      linops.WORKSPACE_BYTES: the d^2 x d^2 Liouvillian, from which the
-      chunk's RK4 one-step propagators are composed in batch (the fixed
+    * dense, for d <= _DENSE_MAX_DIM: the d^2 x d^2 Liouvillian, from which
+      the chunk's RK4 one-step propagators are composed in batch (the fixed
       gksl one once); each step is then one matrix-vector product on the
       row-major vector of rho~;
     * factored, otherwise: the kernels at t, t + dt / 2 and t + dt of every
-      step are tabulated within half the budget, and each step makes four
-      master_rhs-style evaluations and re-Hermitizes, rho~ <- (rho~ +
-      rho~+) / 2, as the B + B+ form of the rhs needs a Hermitian rho~.
+      step are tabulated at once, and each step makes four master_rhs-style
+      evaluations and re-Hermitizes, rho~ <- (rho~ + rho~+) / 2, as the
+      B + B+ form of the rhs needs a Hermitian rho~.
+
+    Either way a chunk's tables fit linops.WORKSPACE_BYTES; with a fixed
+    kernel, whose one table serves every step, the chunk's output block and
+    the copies made of it below fit instead.
 
     Each chunk is rotated back and re-Hermitized, so the states after
     states[0] = rho0 are bitwise Hermitian; with the trace-free generator
@@ -488,7 +495,7 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 # d = 8: 530-667 / 92 against 258-262 / 166-180. Redfield crosses over
 # between 6 and 7. At r = 1 the factored cost falls: on gauss-d8 (d = 8)
 # traced runs took 82-109 / 77-93 us. At d <= 6 one step's dense tables
-# take at most 6 * 6^4 * 16 B (122 KiB), well within their budget share.
+# take at most 6 * 6^4 * 16 B (122 KiB), well within the budget.
 _DENSE_MAX_DIM = 6
 
 # complex d^2 x d^2 arrays per step at the peak of a dense chunk: the
@@ -500,18 +507,21 @@ _DENSE_TABLES = 6
 def _steps_factored(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
     """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S on
     the grid times of step dt, yielding (start, block) with the states after
-    steps start + 1, ... of each linops.chunks chunk, its tables within half
-    the budget."""
+    steps start + 1, ... of each linops.chunks chunk."""
     kernels, rhs = _make_rhs(p)
     d = p.dim
-    # the kernels hold r d + d rows of d complex entries per time, three
-    # times per step, and up to two more copies of the r d rows while the
-    # tables are built. They get half the budget: chunks of fifty steps or
-    # more already cost under 1 us per step, and at all of it gauss-d8
-    # (d = 8, the one benchmark workload integrated factored) kept its
-    # 45.4 MB peak RSS.
-    rows = (p.factors.shape[0] + 1) * d
-    for sl in linops.chunks(times.size - 1, 3 * 3 * rows * d * 16, linops.WORKSPACE_BYTES // 2):
+    if p.fixed_kernel:
+        # the kernels are broadcast views of one table, so a step holds only
+        # its d x d output and the copies integrate makes of it rotating the
+        # block back: 4.0 to 4.2 outputs at the peak (tracemalloc, d = 4
+        # dense and d = 8 factored), counted as five
+        step_bytes = 5 * d * d * 16
+    else:
+        # the kernels hold r d + d rows of d complex entries per time, three
+        # times per step, and up to two more copies of the r d rows while
+        # the tables are built
+        step_bytes = 3 * 3 * (p.factors.shape[0] + 1) * d * d * 16
+    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES):
         t = times[sl]
         x, a = kernels(np.concatenate([t, t + 0.5 * dt, t + dt]))
         steps = t.size
@@ -532,19 +542,21 @@ def _steps_factored(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
 def _steps_dense(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
     """The dense RK4 step propagators of _make_liouvillian applied to
     rho~ = rho in the eigenbasis of H_S, yielding (start, block) like
-    _steps_factored, a chunk's tables within a quarter of the budget."""
+    _steps_factored."""
     tables = _make_liouvillian(p)
     d = p.dim
     vec = rho.reshape(-1)  # rho~ row-major; integrate re-Hermitizes each chunk
-    fixed = tables(np.empty(0))
-    if fixed.shape[0]:  # time independent (gksl): one propagator for all steps
+    if p.fixed_kernel:
+        # one propagator for all steps, so a step holds only its output, as
+        # in _steps_factored
+        fixed = tables(times[:1])
         fixed = _rk4_propagators(fixed, fixed, fixed, dt)
-    # a quarter of the budget, 2 MiB: 4 MiB of tables went back to the system
-    # between chunks (4000 redfield steps at d = 4 took 25700 minor page faults
-    # and 46-50 us per step, against 590 and 25-27 us at 2 MiB, 26-29 us at 1 MiB)
-    for sl in linops.chunks(times.size - 1, _DENSE_TABLES * d**4 * 16, linops.WORKSPACE_BYTES // 4):
+        step_bytes = 5 * d * d * 16
+    else:
+        step_bytes = _DENSE_TABLES * d**4 * 16
+    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES):
         steps = sl.stop - sl.start
-        if fixed.shape[0]:
+        if p.fixed_kernel:
             props = np.broadcast_to(fixed, (steps, d * d, d * d))
         else:
             # the generator at t + dt of one step is the one at t of the next

@@ -378,8 +378,8 @@ def test_write_csv_matches_per_entry_writer(tmp_path):
 
 @pytest.mark.parametrize("rows_per_block", [1, 3])
 def test_write_csv_blocks_are_invisible(tmp_path, monkeypatch, rows_per_block):
-    # the writer's blocks take a share of linops.WORKSPACE_BYTES; shrunk, one
-    # record spans dozens of blocks, and the bytes stay the per-entry writer's
+    # the writer's blocks take linops.WORKSPACE_BYTES; shrunk, one record
+    # spans dozens of blocks, and the bytes stay the per-entry writer's
     doc = make_doc(
         t_final=2.0,
         dt=0.01,
@@ -388,7 +388,7 @@ def test_write_csv_blocks_are_invisible(tmp_path, monkeypatch, rows_per_block):
     )
     record = run(scenario_from_dict(doc))
     width = len(csv_columns(2, record.series))
-    per_row = width * rndunit.cli._CSV_FLOAT_BYTES * rndunit.cli._CSV_SHARE
+    per_row = width * rndunit.cli._CSV_FLOAT_BYTES
     monkeypatch.setattr(linops, "WORKSPACE_BYTES", rows_per_block * per_row)
     blocks = []
     rows_text = _shortest.rows_text

@@ -147,7 +147,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(9)
     rho_s = random_density(rng, 2)
     rho_e = random_density(rng, 3)
-    out = partial_trace_env(kron(rho_s, rho_e), 2, 3)
+    out = partial_trace_env(kron(rho_e, rho_s), 2, 3)
     np.testing.assert_allclose(out, rho_s, atol=1e-14)
 
 
@@ -159,7 +159,7 @@ def test_partial_trace_bell_state():
 
 
 def test_partial_trace_block_mixture():
-    # sum_k p_k rho_k (x) |k><k| reduces to sum_k p_k rho_k
+    # sum_k p_k |k><k| (x) rho_k reduces to sum_k p_k rho_k
     rng = np.random.default_rng(10)
     weights = np.array([0.2, 0.5, 0.3])
     rhos = [random_density(rng, 2) for _ in range(3)]
@@ -168,7 +168,7 @@ def test_partial_trace_block_mixture():
     for k, (w, r) in enumerate(zip(weights, rhos)):
         sel = np.zeros((3, 3))
         sel[k, k] = 1.0
-        total += w * kron(r, sel)
+        total += w * kron(sel, r)
         expected += w * r
     np.testing.assert_allclose(partial_trace_env(total, 2, 3), expected, atol=1e-14)
 
@@ -375,6 +375,41 @@ def test_every_module_level_definition_is_exported_or_used():
                 dead.append(f"{module}.{stmt.name}")
     assert {"mastereq._make_rhs", "linops.EigenSystem", "cli.scenario_echo"} <= checked
     assert dead == []
+
+
+def test_workspace_budget_is_passed_whole_to_chunks():
+    # every loop's chunk takes the whole of WORKSPACE_BYTES, so one sentence
+    # bounds a run's transient memory. Each read of it must be the budget of
+    # a chunks call, itself or less a fixed part (the dilation's column
+    # blocks sit beside one sample's phases): no loop scales or divides it
+    # into a share, directly or through another name
+    def is_budget(node, parent):
+        return (
+            isinstance(parent, ast.Call)
+            and len(parent.args) == 3
+            and parent.args[2] is node
+            and (getattr(parent.func, "id", None) or getattr(parent.func, "attr", None))
+            == "chunks"
+        )
+
+    reads, misused = 0, []
+    for path in sorted(Path(rndunit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name != "WORKSPACE_BYTES" or not isinstance(node.ctx, ast.Load):
+                continue
+            reads += 1
+            parent = parents[node]
+            if isinstance(parent, ast.BinOp) and isinstance(parent.op, ast.Sub):
+                node, parent = parent, parents[parent]
+            if not is_budget(node, parent):
+                misused.append(f"{path.stem}:{node.lineno}")
+    # the averaged series, the dilation's samples and factor columns, both
+    # integrator representations, the CSV writer and the check row blocks
+    assert reads == 7
+    assert misused == []
 
 
 def _array_dataclasses():

@@ -460,6 +460,26 @@ def _select(monkeypatch, representation: str, d: int) -> None:
     assert (d <= mastereq._DENSE_MAX_DIM) == (representation == "dense")
 
 
+def _chunk_sizes(monkeypatch) -> list[int]:
+    # the steps of each chunk either representation yields, in order
+    sizes = []
+    for name in ("_steps_dense", "_steps_factored"):
+
+        def spy(*args, steps=getattr(mastereq, name)):
+            for start, block in steps(*args):
+                sizes.append(block.shape[0])
+                yield start, block
+
+        monkeypatch.setattr(mastereq, name, spy)
+    return sizes
+
+
+# chunks of the 100 steps below at a budget of 16 000 bytes, dense then
+# factored: a time-dependent kernel's tables take 7776 bytes a step dense and
+# 3888 factored (r = 2), a fixed one's output block 720 bytes either way
+CHUNKS_AT_16000 = {"redfield": (50, 25), "dephasing": (50, 25), "gksl": (5, 5)}
+
+
 @pytest.mark.parametrize("kind", ["redfield", "dephasing", "gksl"])
 def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     rng = np.random.default_rng(42)
@@ -474,13 +494,50 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     p = make_problem(hs, e, kind, epsilon=0.2 if kind == "gksl" else 0.0)
     rho0 = random_density(rng, 3)
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
-    # a budget of a few steps' tables: the 100 steps run in 20 factored
-    # chunks or 100 dense ones
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 40_000)
+    assert p.factors.shape[0] == 2
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 16_000)
+    sizes = _chunk_sizes(monkeypatch)
+    counts = []
     for representation in REPRESENTATIONS:
         _select(monkeypatch, representation, 3)
+        sizes.clear()
         ts = integrate(p, rho0, 1.0, 0.01)
         np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13, err_msg=representation)
+        assert sum(sizes) == 100
+        counts.append(len(sizes))
+    assert tuple(counts) == CHUNKS_AT_16000[kind]
+
+
+def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
+    # the kernel is never probed on an empty grid to learn whether it is
+    # fixed: the problem says so
+    rng = np.random.default_rng(43)
+    hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
+    rho0 = random_density(rng, 3)
+    for kind in ("redfield", "gksl"):
+        p = make_problem(random_hermitian(rng, 3), e, kind, epsilon=0.2)
+        assert p.fixed_kernel == (kind == "gksl")
+        grids = []
+        kernel = p.kernel
+        object.__setattr__(p, "kernel", lambda ts: grids.append(ts.size) or kernel(ts))
+        for representation in REPRESENTATIONS:
+            _select(monkeypatch, representation, 3)
+            grids.clear()
+            integrate(p, rho0, 0.5, 0.01)
+            assert grids and min(grids) > 0, (kind, representation)
+    # a fixed kernel's factored chunks hold only their output blocks: at
+    # d = 12 and r = 59 the tables of a time-dependent kernel would take
+    # 1.2 MB a step, over the whole budget
+    d, n = 12, 60
+    hams = np.stack([random_hermitian(rng, d) for _ in range(n)])
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(n, 1 / n)))
+    p = make_problem(random_hermitian(rng, d), e, "gksl", epsilon=0.2)
+    assert p.factors.shape[0] == n - 1
+    sizes = _chunk_sizes(monkeypatch)
+    _select(monkeypatch, "factored", d)
+    integrate(p, random_density(rng, d), 0.025, 0.005)
+    assert sum(sizes) == 5 and len(sizes) < 5
 
 
 def test_integrate_keeps_rho0_bitwise(monkeypatch):
