@@ -50,9 +50,12 @@ class ComparisonReport:
     def __post_init__(self) -> None:
         if self.times.shape != self.trace_distances.shape:
             raise ValueError("times and trace distances differ in shape")
-        over = self.times[self.trace_distances > BREAKDOWN_THRESHOLD]
+        over = self.trace_distances > BREAKDOWN_THRESHOLD
+        first = int(np.argmax(over))
         object.__setattr__(self, "max_error", float(self.trace_distances.max()))
-        object.__setattr__(self, "breakdown_time", float(over[0]) if over.size else None)
+        object.__setattr__(
+            self, "breakdown_time", float(self.times[first]) if over[first] else None
+        )
 
 
 def purity(rho) -> float:

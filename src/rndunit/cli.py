@@ -529,9 +529,10 @@ def write_csv(record: RunRecord, path) -> None:
 
     Floats are written as repr writes them, the shortest text that reads
     back as the same double, so equal doubles give equal text. Rows are
-    formatted from one float table, in linops.chunks within the workspace
-    budget: per series the state entries as _re/_im pairs, then
-    purity and trace distance. Each block is formatted by
+    formatted in linops.chunks within the workspace budget, each block one
+    float table made from its own rows, purity included: per series the
+    state entries as _re/_im pairs, then purity and trace distance. Each
+    block is formatted by
     _shortest.rows_text: each distinct magnitude once (a Hermitian state's
     lower triangle, a zero imaginary part or an all-zero column cost
     nothing more), by a batched exact shortest-digits kernel that sends the
@@ -540,28 +541,26 @@ def write_csv(record: RunRecord, path) -> None:
     imported and built on the first call, so validate pays for neither.
     """
     times = record.series["exact"].times
-    columns = [times[:, None]]
-    for name, series in record.series.items():
-        states = np.ascontiguousarray(series.states)
-        purity = np.trace(states @ states, axis1=1, axis2=2).real
-        if name == "exact":
-            distance = np.zeros(times.size)
-        else:
-            distance = record.reports[name].trace_distances
-        columns += [
-            states.reshape(times.size, -1).view(np.float64),
-            purity[:, None],
-            distance[:, None],
-        ]
-    width = sum(c.shape[1] for c in columns)
     header = csv_columns(record.scenario.dim, record.series)
     # imported here: validate, which writes no CSV, builds none of its tables
     from ._shortest import CSV_TERMINATOR, rows_text
 
     with open(path, "wb") as handle:
         handle.write((",".join(header) + CSV_TERMINATOR).encode("ascii"))
-        for rows in chunks(times.size, width * _CSV_FLOAT_BYTES, linops.WORKSPACE_BYTES):
-            handle.write(rows_text(np.hstack([c[rows] for c in columns])))
+        for rows in chunks(times.size, len(header) * _CSV_FLOAT_BYTES, linops.WORKSPACE_BYTES):
+            columns = [times[rows, None]]
+            for name, series in record.series.items():
+                states = np.ascontiguousarray(series.states[rows])
+                if name == "exact":
+                    distance = np.zeros(len(states))
+                else:
+                    distance = record.reports[name].trace_distances[rows]
+                columns += [
+                    states.reshape(len(states), -1).view(np.float64),
+                    np.trace(states @ states, axis1=1, axis2=2).real[:, None],
+                    distance[:, None],
+                ]
+            handle.write(rows_text(np.hstack(columns)))
 
 
 def _record_path(csv_path) -> str:

@@ -67,16 +67,19 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 # Byte budget of one chunk of any loop. Every batched loop (the averaged and
-# dilation series, the dense and factored integrator tables, the CSV row
-# blocks and the row blocks of the Hermitian and unitary checks) passes it
-# whole to chunks, and the loops run one at a time, none inside another, so a
-# run's transient memory is at most one chunk of WORKSPACE_BYTES on top of
-# the arrays it holds. At 1 MiB, against the per-loop shares it replaced
-# (best of 15 interleaved runs, seed 1, 2-core Xeon): gauss-d8's averaged
-# series took 62 ms (74 at 128 KiB), its dilation 41 ms (45 at 8 MiB) and
-# its factored redfield tables 67 ms (65 at 4 MiB); explicit-d4's dilation
-# 13 ms (17 at 8 MiB) and its dense redfield tables 54 ms (52 at 2 MiB). The
-# CSV and check blocks had 1 MiB before. Each benchmark run's own peak RSS
+# dilation series, the integrator's one chunk loop, whose chunks hold either
+# representation's tables at their grid points and midpoints, or for a fixed
+# kernel only the buffer that rotates and Hermitizes a chunk in place, the
+# trace distances of a stack, the CSV row blocks with their purities, and the
+# row blocks of the Hermitian and unitary checks) passes it whole to chunks,
+# and the loops run one at a time, none inside another, so a run's transient
+# memory is at most one chunk of WORKSPACE_BYTES on top of the arrays it
+# holds. At 1 MiB, against the per-loop shares it replaced (best of 15
+# interleaved runs, seed 1, 2-core Xeon): gauss-d8's averaged series took
+# 62 ms (74 at 128 KiB), its dilation 41 ms (45 at 8 MiB) and its factored
+# redfield tables 67 ms (65 at 4 MiB); explicit-d4's dilation 13 ms (17 at
+# 8 MiB) and its dense redfield tables 54 ms (52 at 2 MiB). The CSV and
+# check blocks had 1 MiB before. Each benchmark run's own peak RSS
 # fell, by up to 4.4 MB (gauss-d8). Full-rank tables pay most: at d = 6,
 # r = 35 dense redfield ran about 10% slower, 8 steps a chunk against 16.
 # Read as linops.WORKSPACE_BYTES at call time.
@@ -281,7 +284,8 @@ def trace_distance(a, b) -> float | np.ndarray:
     """Trace distance (1/2) sum of singular values of a - b.
 
     Matrices give a float; stacks (..., d, d) give the array of pairwise
-    distances, from one batched SVD.
+    distances, from batched SVDs over chunks of WORKSPACE_BYTES, so a stack
+    costs no temporary of its own size.
     """
     am = np.asarray(a, dtype=np.complex128)
     bm = np.asarray(b, dtype=np.complex128)
@@ -289,11 +293,19 @@ def trace_distance(a, b) -> float | np.ndarray:
         raise ValueError(f"shape mismatch {am.shape} vs {bm.shape}")
     if am.ndim < 2:
         raise ValueError(f"states must be matrices or stacks, got shape {am.shape}")
-    diff = am - bm
-    if not np.isfinite(diff).all():
-        raise ValueError("states contain non-finite entries")
-    dist = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
-    return float(dist) if am.ndim == 2 else dist
+    shape = am.shape[:-2]
+    am, bm = (m.reshape(-1, *m.shape[-2:]) for m in (am, bm))
+    dist = np.empty(len(am))
+    # a - b and its finiteness mask take 17 bytes an entry, the singular
+    # values and their sums at most 24 a row (tracemalloc: 24, 19 and 17.25
+    # bytes an entry at d = 2, 4 and 8, the distances included)
+    rows_bytes = am.shape[1] * (17 * am.shape[2] + 24)
+    for rows in chunks(len(am), rows_bytes, WORKSPACE_BYTES):
+        diff = am[rows] - bm[rows]
+        if not np.isfinite(diff).all():
+            raise ValueError("states contain non-finite entries")
+        dist[rows] = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
+    return float(dist[0]) if not shape else dist.reshape(shape)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -39,10 +39,12 @@ integrate runs fixed-step classical Runge-Kutta in the eigenbasis over
 one of two representations of that generator, chosen from d alone: for
 d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
 Liouvillian, affine in phi, so a chunk's one-step propagators are composed
-in batch; above it the factored form, with the kernels of a chunk
-tabulated at once. The steps are split by linops.chunks, so a chunk's
-tables fit linops.WORKSPACE_BYTES; a fixed kernel (gksl) has one table for
-all steps, so its chunks are sized by their output blocks alone.
+in batch; above it the factored form. One loop steps both: linops.chunks
+splits the steps so that a chunk's tables fit linops.WORKSPACE_BYTES, each
+chunk tabulates the generator at its grid points and midpoints at once, and
+each chunk is rotated back and Hermitized once, in place. A fixed kernel
+(gksl) is tabulated once for all steps, so its chunks are sized by their
+rotation buffers alone.
 """
 
 from __future__ import annotations
@@ -265,36 +267,36 @@ def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
 
 
 def _make_rhs(p: MasterEqProblem):
-    """Build kernels(ts) and rhs(rho~, x, a), the generator of p acting on
+    """Build tables(ts) and rhs(rho~, xa), the generator of p acting on
     rho~ = V+ rho V in the eigenbasis of H_S.
 
-    kernels(ts) tabulates x = [X~_1; ...; X~_r] with X~_j = G_j o phi(t) as
-    (T, r d, d) and a = sum_j G_j X~_j as (T, d, d) for times (T,); the
-    fixed gksl kernels are only broadcast. rhs(rho~, x, a) is
-    -i (E_m - E_n) o rho~ - (B + B+) with B = a rho~ - [G_1 rho~ ... G_r rho~] x,
-    which needs a Hermitian rho~.
+    tables(ts) stacks, for times (T,), x = [X~_1; ...; X~_r] with
+    X~_j = G_j o phi(t) above a = sum_j G_j X~_j, as one (T, (r + 1) d, d)
+    table xa = [x; a]; the fixed gksl kernel gives one (1, (r + 1) d, d)
+    table whatever ts. rhs(rho~, xa) is -i (E_m - E_n) o rho~ - (B + B+)
+    with B = a rho~ - [G_1 rho~ ... G_r rho~] x, which needs a Hermitian rho~.
     """
     g, phi = p.factors, p.kernel
     r, d = g.shape[0], p.dim
+    rd = r * d
     # row (m, j) holds row m of G_j: g_rows @ rho reshapes to the row block
     # [G_1 rho ... G_r rho] and g_rows.reshape(d, r d) is [G_1 ... G_r]
-    g_rows = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(d * r, d)
-    g_cols = g_rows.reshape(d, r * d)
+    g_rows = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(rd, d)
+    g_cols = g_rows.reshape(d, rd)
     free = -1j * p.eig.gaps
 
-    def kernels(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def tables(ts: np.ndarray) -> np.ndarray:
         at = phi(ts)
-        x = (g * at[:, None]).reshape(at.shape[0], r * d, d)
-        return (
-            np.broadcast_to(x, (ts.size, r * d, d)),
-            np.broadcast_to(g_cols @ x, (ts.size, d, d)),
-        )
+        xa = np.empty((at.shape[0], r + 1, d, d), dtype=np.complex128)
+        np.multiply(g, at[:, None], out=xa[:, :r])
+        np.matmul(g_cols, xa[:, :r].reshape(len(xa), rd, d), out=xa[:, r])
+        return xa.reshape(len(xa), rd + d, d)
 
-    def rhs(rho: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        b = a @ rho - (g_rows @ rho).reshape(d, r * d) @ x
+    def rhs(rho: np.ndarray, xa: np.ndarray) -> np.ndarray:
+        b = xa[rd:] @ rho - (g_rows @ rho).reshape(d, rd) @ xa[:rd]
         return free * rho - (b + dagger(b))
 
-    return kernels, rhs
+    return tables, rhs
 
 
 def _make_liouvillian(p: MasterEqProblem):
@@ -394,10 +396,9 @@ def master_rhs(p: MasterEqProblem, rho, t: float) -> np.ndarray:
     if rho.shape != (p.dim, p.dim):
         raise ValueError(f"state shape {rho.shape} does not match problem dimension {p.dim}")
     require_hermitian(rho, name="state")
-    kernels, rhs = _make_rhs(p)
-    x, a = kernels(np.array([float(t)]))
+    tables, rhs = _make_rhs(p)
     v = p.eig.basis
-    return v @ rhs(dagger(v) @ rho @ v, x[0], a[0]) @ dagger(v)
+    return v @ rhs(dagger(v) @ rho @ v, tables(np.array([float(t)]))[0]) @ dagger(v)
 
 
 def grid_steps(t_final: float, dt: float) -> int:
@@ -423,23 +424,26 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 
     The state is evolved as rho~ = V+ rho V in the eigenbasis of H_S, where
     every kind is one generator with the problem's kernel factor phi(t).
-    Steps run in chunks, each chunk's tables built at once, with one of two
-    representations, chosen from d alone:
+    The steps run in linops.chunks chunks, each tabulating the generator at
+    its grid points and midpoints at once, the end table of one step being
+    the start table of the next (a fixed gksl kernel is tabulated once, for
+    every step), in one of two representations, chosen from d alone:
 
     * dense, for d <= _DENSE_MAX_DIM: the d^2 x d^2 Liouvillian, from which
       the chunk's RK4 one-step propagators are composed in batch (the fixed
       gksl one once); each step is then one matrix-vector product on the
       row-major vector of rho~;
-    * factored, otherwise: the kernels at t, t + dt / 2 and t + dt of every
-      step are tabulated at once, and each step makes four master_rhs-style
-      evaluations and re-Hermitizes, rho~ <- (rho~ + rho~+) / 2, as the
-      B + B+ form of the rhs needs a Hermitian rho~.
+    * factored, otherwise: each step makes four master_rhs-style
+      evaluations. Their B + B+ form assumes a Hermitian rho~: the
+      rounding-level anti-Hermitian part the steps leave is only rotated,
+      feeds the Hermitian part at rounding level, and is removed when the
+      chunk is Hermitized.
 
-    Either way a chunk's tables fit linops.WORKSPACE_BYTES; with a fixed
-    kernel, whose one table serves every step, the chunk's output block and
-    the copies made of it below fit instead.
+    A chunk's tables fit linops.WORKSPACE_BYTES; with a fixed kernel, whose
+    one table serves every step, the chunk's rotation buffer fits instead.
 
-    Each chunk is rotated back and re-Hermitized, so the states after
+    Neither representation re-Hermitizes within a chunk. Each chunk is
+    rotated back and Hermitized once, in place, so the states after
     states[0] = rho0 are bitwise Hermitian; with the trace-free generator
     this keeps the trace drift at rounding level. A chunk with non-finite
     entries aborts the run, naming its first bad step. The grid is
@@ -469,18 +473,39 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     v = p.eig.basis
     vh = dagger(v)
     rho = vh @ rho0 @ v
-    steps = _steps_dense if p.dim <= _DENSE_MAX_DIM else _steps_factored
-    for start, block in steps(p, rho, times, dt):
-        block = v @ block @ vh
-        block = 0.5 * (block + block.conj().swapaxes(1, 2))
+    tables, step_bytes, advance = (_dense if p.dim <= _DENSE_MAX_DIM else _factored)(p, dt)
+    if p.fixed_kernel:
+        fixed = tables(times[:1])
+        step_tables = lambda grid: (fixed, fixed, fixed)
+        # a step then holds only its rotation buffer below (tracemalloc: 1.0
+        # d x d arrays a step, dense at d = 4, 5 and factored at d = 4, 5, 8)
+        step_bytes = 16 * p.dim * p.dim
+    else:
+
+        def step_tables(grid):
+            # the table at the end of one step is the one at the start of the next
+            at_grid = tables(grid)
+            return at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:]
+
+    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES):
+        block = states[sl.start + 1 : sl.stop + 1]
+        advance(rho, *step_tables(times[sl.start : sl.stop + 1]), block)
+        rho = block[-1].copy()
+        # block <- V block V+, then (block + block+) / 2, beside one buffer,
+        # freed before the finiteness mask is made
+        buffer = np.matmul(v, block)
+        np.matmul(buffer, vh, out=block)
+        np.conjugate(block.swapaxes(1, 2), out=buffer)
+        np.add(block, buffer, out=block)
+        block *= 0.5
+        del buffer
         bad = ~np.isfinite(block).all(axis=(1, 2))
         if bad.any():
-            step = start + int(np.argmax(bad)) + 1
+            step = sl.start + int(np.argmax(bad)) + 1
             raise RuntimeError(
                 f"integration produced non-finite entries at step {step} "
                 f"(t = {step * dt:g}); reduce dt"
             )
-        states[start + 1 : start + 1 + block.shape[0]] = block
     return TimeSeries(times=times, states=states)
 
 
@@ -504,71 +529,44 @@ _DENSE_MAX_DIM = 6
 _DENSE_TABLES = 6
 
 
-def _steps_factored(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
-    """RK4 over the factored rhs from rho~ = rho in the eigenbasis of H_S on
-    the grid times of step dt, yielding (start, block) with the states after
-    steps start + 1, ... of each linops.chunks chunk."""
-    kernels, rhs = _make_rhs(p)
-    d = p.dim
-    if p.fixed_kernel:
-        # the kernels are broadcast views of one table, so a step holds only
-        # its d x d output and the copies integrate makes of it rotating the
-        # block back: 4.0 to 4.2 outputs at the peak (tracemalloc, d = 4
-        # dense and d = 8 factored), counted as five
-        step_bytes = 5 * d * d * 16
-    else:
-        # the kernels hold r d + d rows of d complex entries per time, three
-        # times per step, and up to two more copies of the r d rows while
-        # the tables are built
-        step_bytes = 3 * 3 * (p.factors.shape[0] + 1) * d * d * 16
-    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES):
-        t = times[sl]
-        x, a = kernels(np.concatenate([t, t + 0.5 * dt, t + dt]))
-        steps = t.size
-        block = np.empty((steps, d, d), dtype=np.complex128)
-        for j in range(steps):
-            h = steps + j  # t + dt / 2; t + dt is h + steps
-            k1 = rhs(rho, x[j], a[j])
-            k2 = rhs(rho + 0.5 * dt * k1, x[h], a[h])
-            k3 = rhs(rho + 0.5 * dt * k2, x[h], a[h])
-            k4 = rhs(rho + dt * k3, x[h + steps], a[h + steps])
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = 0.5 * (rho + dagger(rho))
-            block[j] = rho
-        del x, a  # before the next chunk's tables are built
-        yield sl.start, block
+def _dense(p: MasterEqProblem, dt: float):
+    """The dense representation: tables(ts) of _make_liouvillian, the bytes
+    of one step's tables, and advance(rho~, start, mid, end, block), which
+    writes to block the states after each of its steps from rho~, given the
+    tables at the steps' starts, midpoints and ends (one table, for a fixed
+    kernel, serving every step)."""
+    n = p.dim * p.dim
 
-
-def _steps_dense(p: MasterEqProblem, rho, times: np.ndarray, dt: float):
-    """The dense RK4 step propagators of _make_liouvillian applied to
-    rho~ = rho in the eigenbasis of H_S, yielding (start, block) like
-    _steps_factored."""
-    tables = _make_liouvillian(p)
-    d = p.dim
-    vec = rho.reshape(-1)  # rho~ row-major; integrate re-Hermitizes each chunk
-    if p.fixed_kernel:
-        # one propagator for all steps, so a step holds only its output, as
-        # in _steps_factored
-        fixed = tables(times[:1])
-        fixed = _rk4_propagators(fixed, fixed, fixed, dt)
-        step_bytes = 5 * d * d * 16
-    else:
-        step_bytes = _DENSE_TABLES * d**4 * 16
-    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES):
-        steps = sl.stop - sl.start
-        if p.fixed_kernel:
-            props = np.broadcast_to(fixed, (steps, d * d, d * d))
-        else:
-            # the generator at t + dt of one step is the one at t of the next
-            grid = times[sl.start : sl.stop + 1]
-            at_grid = tables(grid)
-            props = _rk4_propagators(
-                at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:], dt
-            )
-            del at_grid
-        block = np.empty((steps, d * d), dtype=np.complex128)
-        for j in range(steps):
+    def advance(rho, start, mid, end, block):
+        props = np.broadcast_to(_rk4_propagators(start, mid, end, dt), (len(block), n, n))
+        vec = rho.reshape(-1)  # rho~ row-major
+        rows = block.reshape(len(block), n)
+        for j in range(len(block)):
             vec = props[j] @ vec
-            block[j] = vec
-        del props
-        yield sl.start, block.reshape(steps, d, d)
+            rows[j] = vec
+
+    return _make_liouvillian(p), _DENSE_TABLES * n * n * 16, advance
+
+
+def _factored(p: MasterEqProblem, dt: float):
+    """The factored representation, as _dense: tables(ts) and rhs of
+    _make_rhs, and advance making the four RK4 stages of each step."""
+    tables, rhs = _make_rhs(p)
+    r, d = p.factors.shape[:2]
+
+    def advance(rho, start, mid, end, block):
+        start, mid, end = (
+            np.broadcast_to(t, (len(block), *t.shape[1:])) for t in (start, mid, end)
+        )
+        for j in range(len(block)):
+            k1 = rhs(rho, start[j])
+            k2 = rhs(rho + 0.5 * dt * k1, mid[j])
+            k3 = rhs(rho + 0.5 * dt * k2, mid[j])
+            k4 = rhs(rho + dt * k3, end[j])
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            block[j] = rho
+
+    # a table's (r + 1) d rows of d complex entries, twice a step, and one
+    # more d x d array while the midpoint tables are built (tracemalloc:
+    # 2 (r + 1) + 1.0 d x d arrays a step at d = 4, 5, 8 and r = 1, 15)
+    return tables, (2 * r + 3) * d * d * 16, advance

@@ -9,6 +9,7 @@ import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -503,6 +504,30 @@ def test_dilation_series_dies_before_integrate(tmp_path, monkeypatch):
     monkeypatch.setattr(rndunit.cli, "integrate", integrate)
     out = tmp_path / "s.csv"
     assert main(["demo", "gksl-qubit", "--output", str(out), "--quiet"]) == 0
+
+
+def test_run_memory_is_the_series_it_holds_and_one_chunk(tmp_path):
+    # the two-point demo on a long grid: 200 001 samples, 12.2 MiB a series.
+    # At its peak a run holds two series (the exact one beside the dilation's
+    # or a generator's), each with its own time grid, and the report's times
+    # and distances, grid-sized too. Every loop over the grid (the series, the
+    # equivalence check, the integrator, the comparison, the CSV rows) adds
+    # at most one chunk of WORKSPACE_BYTES. The fixed part is the CSV
+    # formatter's tables (0.1 MiB) and its blocks' excess over their
+    # per-float estimate on this data: up to 154 bytes a float against 112,
+    # 0.4 MiB (the whole excess measured 0.48 MiB)
+    doc = demo_scenario("two-point-breakdown")
+    doc.update(t_final=200.0, dt=1e-3, output_path=str(tmp_path / "long.csv"))
+    scenario = scenario_from_dict(doc)
+    samples = 200_001
+    series, grid = samples * 4 * 16, samples * 8
+    tracemalloc.start()
+    try:
+        run(scenario)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * series + 4 * grid + linops.WORKSPACE_BYTES + 2**20
 
 
 def test_main_run_ok(tmp_path):

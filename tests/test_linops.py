@@ -406,8 +406,9 @@ def test_workspace_budget_is_passed_whole_to_chunks():
                 node, parent = parent, parents[parent]
             if not is_budget(node, parent):
                 misused.append(f"{path.stem}:{node.lineno}")
-    # the averaged series, the dilation's samples and factor columns, both
-    # integrator representations, the CSV writer and the check row blocks
+    # the averaged series, the dilation's samples and factor columns, the
+    # integrator's one chunk loop, the trace distances, the CSV writer and the
+    # check row blocks
     assert reads == 7
     assert misused == []
 

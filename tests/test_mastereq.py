@@ -418,7 +418,8 @@ def test_integrate_trace_stays_pinned():
 
 def _paper_rk4(hs, e, kind, eps, rho0, t_final, dt):
     # plain RK4 on the uncompressed paper formula, one double commutator per
-    # realization, re-Hermitized after every step as integrate does
+    # realization, re-Hermitized after every step (integrate Hermitizes once
+    # a chunk, which moves its states only at rounding level)
     eig = herm_eig(hs)
 
     def htil(hk, t):
@@ -461,23 +462,32 @@ def _select(monkeypatch, representation: str, d: int) -> None:
 
 
 def _chunk_sizes(monkeypatch) -> list[int]:
-    # the steps of each chunk either representation yields, in order
+    # the steps of each chunk either representation advances, in order
     sizes = []
-    for name in ("_steps_dense", "_steps_factored"):
+    for name in ("_dense", "_factored"):
 
-        def spy(*args, steps=getattr(mastereq, name)):
-            for start, block in steps(*args):
-                sizes.append(block.shape[0])
-                yield start, block
+        def spy(p, dt, build=getattr(mastereq, name)):
+            tables, table_bytes, advance = build(p, dt)
+
+            def counted(rho, start, mid, end, block):
+                sizes.append(len(block))
+                return advance(rho, start, mid, end, block)
+
+            return tables, table_bytes, counted
 
         monkeypatch.setattr(mastereq, name, spy)
     return sizes
 
 
-# chunks of the 100 steps below at a budget of 16 000 bytes, dense then
-# factored: a time-dependent kernel's tables take 7776 bytes a step dense and
-# 3888 factored (r = 2), a fixed one's output block 720 bytes either way
-CHUNKS_AT_16000 = {"redfield": (50, 25), "dephasing": (50, 25), "gksl": (5, 5)}
+# budget and chunks of the 100 steps below, dense then factored: a
+# time-dependent kernel's tables take 7776 bytes a step dense and 1008
+# factored (r = 2), while a fixed one's step holds only its 144-byte rotation
+# buffer either way, so it takes a smaller budget to split the steps
+CHUNKS = {
+    "redfield": (16_000, (50, 7)),
+    "dephasing": (16_000, (50, 7)),
+    "gksl": (2_000, (8, 8)),
+}
 
 
 @pytest.mark.parametrize("kind", ["redfield", "dephasing", "gksl"])
@@ -495,7 +505,8 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     rho0 = random_density(rng, 3)
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
     assert p.factors.shape[0] == 2
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 16_000)
+    budget, chunks = CHUNKS[kind]
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", budget)
     sizes = _chunk_sizes(monkeypatch)
     counts = []
     for representation in REPRESENTATIONS:
@@ -505,7 +516,7 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
         np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13, err_msg=representation)
         assert sum(sizes) == 100
         counts.append(len(sizes))
-    assert tuple(counts) == CHUNKS_AT_16000[kind]
+    assert tuple(counts) == chunks
 
 
 def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
@@ -526,9 +537,10 @@ def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
             grids.clear()
             integrate(p, rho0, 0.5, 0.01)
             assert grids and min(grids) > 0, (kind, representation)
-    # a fixed kernel's factored chunks hold only their output blocks: at
+    # a fixed kernel's factored chunks hold only their rotation buffers: at
     # d = 12 and r = 59 the tables of a time-dependent kernel would take
-    # 1.2 MB a step, over the whole budget
+    # 279 kB a step, over the whole budget of 256 KiB
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 2**18)
     d, n = 12, 60
     hams = np.stack([random_hermitian(rng, d) for _ in range(n)])
     _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(n, 1 / n)))
@@ -538,6 +550,34 @@ def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
     _select(monkeypatch, "factored", d)
     integrate(p, random_density(rng, d), 0.025, 0.005)
     assert sum(sizes) == 5 and len(sizes) < 5
+
+
+@pytest.mark.parametrize("kind", ["redfield", "gksl"])
+@pytest.mark.parametrize("representation", list(REPRESENTATIONS))
+def test_integrate_tabulates_only_grid_points_and_midpoints(kind, representation, monkeypatch):
+    # both representations tabulate the kernel at the grid times and their
+    # midpoints only, and the table at the end of one step is the one at the
+    # start of the next: a chunk tabulates its grid points and midpoints in
+    # two calls, 2 rows a step and 1 a chunk, and a fixed kernel one row in all
+    rng = np.random.default_rng(45)
+    hams = np.stack([random_hermitian(rng, 3) for _ in range(3)])
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(3, 1 / 3)))
+    p = make_problem(random_hermitian(rng, 3), e, kind, epsilon=0.2)
+    seen = []
+    kernel = p.kernel
+    object.__setattr__(p, "kernel", lambda ts: seen.append(ts.copy()) or kernel(ts))
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 16_000)
+    _select(monkeypatch, representation, 3)
+    dt = 0.01  # k dt + dt is not (k + 1) dt for 19 of these 200 steps
+    grid = mastereq.time_grid(2.0, dt)
+    integrate(p, random_density(rng, 3), 2.0, dt)
+    rows = np.concatenate(seen)
+    assert np.isin(rows, np.concatenate([grid, grid[:-1] + 0.5 * dt])).all()
+    if kind == "gksl":
+        assert rows.size == 1
+    else:
+        assert len(seen) > 2
+        assert rows.size == 2 * (grid.size - 1) + len(seen) // 2
 
 
 def test_integrate_keeps_rho0_bitwise(monkeypatch):
