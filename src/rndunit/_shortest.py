@@ -155,6 +155,9 @@ def _digits(magnitudes: np.ndarray):
     floor, ceil = np.floor(below), np.ceil(above)
     span = (ceil - floor).astype(np.int64) - 1
     upper = n + (ceil.astype(np.int64) - 1)
+    edge = 0.5 - _MARGIN
+    doubtful |= (np.abs(below - floor - 0.5) > edge) | (np.abs(ceil - above - 0.5) > edge)
+    del x, h, below, above, floor, ceil  # dead: the arrays held at once set the peak
     hundreds = upper // 100
     last = upper - hundreds * 100  # floor division by a constant is the fast one
     tens = n // 10
@@ -164,11 +167,8 @@ def _digits(magnitudes: np.ndarray):
     past = np.where(by_ten, units + f - 5.0, f - 0.5)  # rounds up when > 0
     up = past > 0
     c = np.where(by_hundred, hundreds * 100, np.where(by_ten, (tens + up) * 10, n + up))
-    edge = 0.5 - _MARGIN
-    doubtful |= (
-        (np.abs(below - floor - 0.5) > edge) | (np.abs(ceil - above - 0.5) > edge)
-        | (~by_hundred & (np.abs(past) < _MARGIN))
-    )
+    doubtful |= ~by_hundred & (np.abs(past) < _MARGIN)
+    del span, upper, hundreds, last, tens, units, past
     # 10^17 itself has one digit, a decimal exponent up; repr writes the
     # doubtful ones, which get any 17 digits meanwhile
     carry = c == _TEN[17]
@@ -200,6 +200,7 @@ def _layout(c, e, count) -> np.ndarray:
     halves[:, 1] = c - first * _TEN[16] - halves[:, 0] * _TEN[8]
     fours = halves // _TEN[4]
     quad = np.stack([fours, halves - fours * _TEN[4]], axis=2).reshape(-1, 4)
+    del halves, fours
     large = e.view(np.uint64) <= _FIXED_MAX
     scientific = (e < _FIXED_MIN) | (e > _FIXED_MAX)
     # fixed layout prints every digit before the point and one after it
@@ -208,11 +209,12 @@ def _layout(c, e, count) -> np.ndarray:
     lead = np.clip(-e, 0, 1 - _FIXED_MIN)  # "0." and zeros before the digits
     words = np.empty((c.size, 4), dtype=np.uint64)
     words[:, 0] = heads.take((lead * 10 + first) * 2 + point)
-    words[:, 1:3] = groups.take(quad).view(np.uint64) & masks.take(shown, axis=0)
+    np.bitwise_and(groups.take(quad).view(np.uint64), masks.take(shown, axis=0), out=words[:, 1:3])
     words[:, 3] = tails.take(np.where(scientific, e - _E_MIN, -1))
     out = words.view(np.uint8)
-    fixed = np.flatnonzero(large)
-    out[fixed] = out.take(moves.take(e[fixed], axis=0) + fixed[:, None] * _RECORD)
+    for x in np.flatnonzero(np.bincount(e[large])):  # one gather per exponent, no index table
+        rows = np.flatnonzero(large & (e == x))
+        out[rows] = out[rows][:, moves[x]]
     return out
 
 
@@ -237,17 +239,15 @@ def rows_text(block: np.ndarray) -> bytes:
     CSV_TERMINATOR.
 
     Each distinct magnitude is formatted once: the bit patterns with the
-    sign bit cleared are made unique, and a "-" is put before the copies
-    whose sign bit is set, except on nan, which repr prints as "nan"
-    whatever its sign.
+    sign bit cleared are made unique, each cell gathers its magnitude's
+    record, and a "-" is written into the sign byte of the cells whose sign
+    bit is set, except on nan, which repr prints as "nan" whatever its sign.
     """
     bits = block.view(np.uint64).ravel()
     magnitudes, where = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
-    records = _records(magnitudes.view(np.float64))
-    table = np.concatenate([records, records])
-    table[magnitudes.size :, 0] = ord("-")
-    where += ((bits > _MAGNITUDE_BITS) & ~np.isnan(block.ravel())) * magnitudes.size
-    cells = table.take(where, axis=0).reshape(*block.shape, _RECORD)
-    del table, where  # before the text is made, which sets the peak
-    cells[:, -1, _COMMA : _COMMA + 2] = [ord(c) for c in CSV_TERMINATOR]
-    return cells.tobytes().translate(None, b"\0")
+    cells = _records(magnitudes.view(np.float64)).take(where, axis=0)
+    cells[:, 0] = ((bits > _MAGNITUDE_BITS) & ~np.isnan(block.ravel())) * np.uint8(ord("-"))
+    cells[block.shape[1] - 1 :: block.shape[1], _COMMA : _COMMA + 2] = list(CSV_TERMINATOR.encode())
+    text = cells.tobytes()
+    del cells, where  # before the NUL bytes are dropped, which sets the peak
+    return text.translate(None, b"\0")

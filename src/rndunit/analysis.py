@@ -122,4 +122,4 @@ def compare(exact: TimeSeries, approx: TimeSeries) -> ComparisonReport:
         exact.times, approx.times
     ):
         raise ValueError("trajectories are sampled on different time grids")
-    return ComparisonReport(exact.times.copy(), trace_distance(exact.states, approx.states))
+    return ComparisonReport(exact.times, trace_distance(exact.states, approx.states))

@@ -98,10 +98,28 @@ SCENARIO_KEYS = {
 
 
 # A run holds its time grid and every series whole, one (d, d) complex state
-# per grid point and series, for comparison and the CSV. Their predicted size
-# is capped so a tiny dt cannot ask for more memory than a workstation has;
-# the run's transient copies come on top, so the cap sits well below that.
+# per grid point and series, for comparison and the CSV, and the exact series
+# is built beside its coefficient table (_require_average). Their predicted
+# size is capped so a tiny dt or a large ensemble cannot ask for more memory
+# than a workstation has; the run's transient copies come on top, so the cap
+# sits well below that.
 MAX_SERIES_BYTES = 2**30
+
+
+def _require_average(dim: int, size: int) -> int:
+    """Check the dilation cap, then that channel.evolve_average_series's
+    coefficient table fits MAX_SERIES_BYTES, and return the table's bytes:
+    16 for each realization, frequency pair a < b, phase part (cos, sin)
+    and state entry i <= j, so 8 size dim^2 (dim^2 - 1)."""
+    require_embeddable(dim, size)
+    table = 8 * size * dim * dim * (dim * dim - 1)
+    if table > MAX_SERIES_BYTES:
+        raise ValueError(
+            f"{size} realizations at dimension {dim} need a {table / 2**20:.4g} MiB "
+            f"coefficient table for the exact average, over the "
+            f"{MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; reduce the ensemble or the system size"
+        )
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +134,11 @@ class Scenario:
     Hermitian, the ensemble of its dimension, and rho0 a density matrix of
     its shape (linops.require_density); output_path must be writable,
     its directory existing and neither it nor its .run.json a directory; the
-    grid and its series (the exact one and one per generator), predicted at
-    points * (8 + 16 dim^2 n_series) bytes, must fit MAX_SERIES_BYTES; the
-    dilation must fit its cap; and each generator's problem is built, which
+    dilation must fit its cap and the exact average's coefficient table,
+    8 n dim^2 (dim^2 - 1) bytes for n realizations, MAX_SERIES_BYTES; with
+    that table, the grid and its series (the exact one and one per
+    generator), points * (8 + 16 dim^2 n_series) bytes, must fit
+    MAX_SERIES_BYTES too; and each generator's problem is built, which
     runs its guards (a known kind, commuting disorder for dephasing, a
     non-degenerate spectrum for gksl at epsilon = 0), and kept in `problems`.
     Errors name the scenario field at fault.
@@ -153,17 +173,17 @@ class Scenario:
                 raise ValueError(
                     f"output_path: cannot write {what}over the directory {path!r}"
                 )
-        predicted = points * (8 + 16 * self.dim * self.dim * n_series)
+        try:
+            table = _require_average(self.dim, self.ensemble.size)
+        except ValueError as err:
+            raise ValueError(f"ensemble: {err}") from err
+        predicted = table + points * (8 + 16 * self.dim * self.dim * n_series)
         if predicted > MAX_SERIES_BYTES:
             raise ValueError(
                 f"dt: {points} grid points of {n_series} series at dimension {self.dim} "
-                f"need {predicted / 2**20:.4g} MiB, over the "
-                f"{MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower t_final"
+                f"need {predicted / 2**20:.4g} MiB with the exact average's table, over "
+                f"the {MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower t_final"
             )
-        try:
-            require_embeddable(self.dim, self.ensemble.size)
-        except ValueError as err:
-            raise ValueError(f"ensemble: {err}") from err
         problems = {}
         for kind, epsilon in generators.items():
             try:
@@ -278,7 +298,7 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
         n_nodes = _number(spec["n_nodes"], "ensemble.n_nodes", int)
         # before numpy builds the rule, whose cost grows as n_nodes^3
         try:
-            require_embeddable(dim, n_nodes)
+            _require_average(dim, n_nodes)
         except ValueError as err:
             raise ValueError(f"ensemble.n_nodes: {err}") from err
         build, args = gauss_hermite_ensemble, (base, sigma, n_nodes)
@@ -444,6 +464,7 @@ def run(s: Scenario) -> RunRecord:
     """Execute a scenario: exact dynamics, requested generators, reports.
 
     The scenario was admitted when it was built, so the work starts at once.
+    Every series and report holds the run's one time grid array.
     The exact channel is evaluated both as an ensemble average and through
     the closed-system embedding; any disagreement beyond the equivalence
     tolerance is a hard failure. The outputs, the CSV and a .run.json
@@ -469,10 +490,11 @@ def run(s: Scenario) -> RunRecord:
     reports: dict[str, ComparisonReport] = {}
     for kind in s.generators:
         log.info("%s: integrating %s generator", s.name, kind)
-        trajectory = integrate(s.problems[kind], s.rho0, s.t_final, s.dt)
+        # on the run's grid: integrate's own copy of it goes with its result
+        states = integrate(s.problems[kind], s.rho0, s.t_final, s.dt).states
         stages["integrate_s"][kind], mark = _lap(mark)
-        series[kind] = trajectory
-        reports[kind] = compare(exact, trajectory)
+        series[kind] = TimeSeries(times=times, states=states)
+        reports[kind] = compare(exact, series[kind])
         elapsed, mark = _lap(mark)
         stages["compare_s"] += elapsed
     record = RunRecord(
@@ -500,8 +522,11 @@ def _lap(mark: float) -> tuple[float, float]:
 # The CSV writer formats row blocks of linops.WORKSPACE_BYTES (1 MiB, about
 # 9400 floats), counted at _CSV_FLOAT_BYTES per float: the block, the dedup's
 # and the kernel's temporaries, a 32-byte record per cell and the text
-# (tracemalloc peak 88 to 106 bytes per float). Each block pays about
-# 0.3 ms of numpy call overhead, so blocks a quarter of this size took
+# (write_csv's tracemalloc peak is 85 to 108 bytes per float on the demos,
+# gauss-d8, explicit-d4 and the two-point demo at dt = 1e-3, so a block
+# keeps to the budget: the kernel drops its dead arrays early and writes
+# each sign into the cell's own record). Each block pays about 0.3 ms of
+# numpy call overhead, so blocks a quarter of this size took
 # 35-55% longer on gauss-d8 and explicit-d4 (2-core Xeon). Blocks twice as
 # large ran no faster and raised the gaussian-dephasing demo's own peak RSS
 # by 1.0 MB; two blocks of half this size formatted at once on two threads
@@ -536,7 +561,7 @@ def write_csv(record: RunRecord, path) -> None:
     _shortest.rows_text: each distinct magnitude once (a Hermitian state's
     lower triangle, a zero imaginary part or an all-zero column cost
     nothing more), by a batched exact shortest-digits kernel that sends the
-    rare value it cannot settle to repr, then a "-" before the copies whose
+    rare value it cannot settle to repr, then a "-" into the cells whose
     sign bit is set, except on nan. The formatter and its tables are
     imported and built on the first call, so validate pays for neither.
     """

@@ -21,7 +21,7 @@ from conftest import SX, SZ
 import rndunit.cli
 from rndunit import _shortest, linops
 from rndunit.analysis import ComparisonReport
-from rndunit.channel import evolve_embedded_series
+from rndunit.channel import evolve_average_series, evolve_embedded_series
 from rndunit.cli import (
     DEMO_NAMES,
     RunRecord,
@@ -35,7 +35,7 @@ from rndunit.cli import (
     scenario_from_dict,
     write_csv,
 )
-from rndunit.ensemble import two_point_ensemble
+from rndunit.ensemble import DisorderEnsemble, two_point_ensemble
 from rndunit.mastereq import GENERATOR_KINDS, TimeSeries
 
 BASE_DOC = {
@@ -508,14 +508,16 @@ def test_dilation_series_dies_before_integrate(tmp_path, monkeypatch):
 
 def test_run_memory_is_the_series_it_holds_and_one_chunk(tmp_path):
     # the two-point demo on a long grid: 200 001 samples, 12.2 MiB a series.
-    # At its peak a run holds two series (the exact one beside the dilation's
-    # or a generator's), each with its own time grid, and the report's times
-    # and distances, grid-sized too. Every loop over the grid (the series, the
-    # equivalence check, the integrator, the comparison, the CSV rows) adds
-    # at most one chunk of WORKSPACE_BYTES. The fixed part is the CSV
-    # formatter's tables (0.1 MiB) and its blocks' excess over their
-    # per-float estimate on this data: up to 154 bytes a float against 112,
-    # 0.4 MiB (the whole excess measured 0.48 MiB)
+    # Every series and report of a run shares the run's one time grid, so at
+    # its peak a run holds two series (the exact one beside the dilation's or
+    # a generator's) and two grid-sized arrays, its grid and a report's
+    # distances. On top comes the larger of one chunk of WORKSPACE_BYTES,
+    # which every loop over the grid (the series, the equivalence check, the
+    # integrator, the comparison, the CSV rows) adds at most, and what
+    # integrate holds transiently past the run's own: its grid, which its
+    # result takes away with it, and the strict-increase check on that grid,
+    # 1.125 grids in all. The fixed part is the CSV formatter's tables
+    # (0.1 MiB) and small arrays; the peak measured 12 KB above the rest.
     doc = demo_scenario("two-point-breakdown")
     doc.update(t_final=200.0, dt=1e-3, output_path=str(tmp_path / "long.csv"))
     scenario = scenario_from_dict(doc)
@@ -523,11 +525,20 @@ def test_run_memory_is_the_series_it_holds_and_one_chunk(tmp_path):
     series, grid = samples * 4 * 16, samples * 8
     tracemalloc.start()
     try:
-        run(scenario)
-        _, peak = tracemalloc.get_traced_memory()
+        record = run(scenario)
+        held, peak = tracemalloc.get_traced_memory()
+        # each CSV block keeps to the workspace budget: blocks of
+        # _CSV_FLOAT_BYTES a float, with the formatter's tables already built
+        tracemalloc.reset_peak()
+        write_csv(record, tmp_path / "again.csv")
+        _, csv_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * series + 4 * grid + linops.WORKSPACE_BYTES + 2**20
+    times = record.series["exact"].times
+    assert all(s.times is times for s in record.series.values())
+    assert all(r.times is times for r in record.reports.values())
+    assert peak <= 2 * series + 2 * grid + max(linops.WORKSPACE_BYTES, grid + grid // 8) + 2**18
+    assert csv_peak - held <= linops.WORKSPACE_BYTES
 
 
 def test_main_run_ok(tmp_path):
@@ -634,10 +645,12 @@ def test_overflowing_step_count_exits_2(tmp_path, capsys):
 
 
 def test_series_admission_counts_grid_and_series_bytes(tmp_path, capsys, monkeypatch):
-    # 11 points, d = 2, exact plus one generator: 11 * (8 + 16 * 4 * 2) bytes
+    # 11 points, d = 2, exact plus one generator: 11 * (8 + 16 * 4 * 2) bytes,
+    # and the exact average's coefficient table for two realizations,
+    # 8 * 2 * 4 * 3 bytes
     path = tmp_path / "s.json"
     path.write_text(json.dumps(make_doc(output_path=str(tmp_path / "s.csv"))))
-    predicted = 11 * (8 + 16 * 4 * 2)
+    predicted = 11 * (8 + 16 * 4 * 2) + 8 * 2 * 4 * 3
     monkeypatch.setattr("rndunit.cli.MAX_SERIES_BYTES", predicted)
     assert main(["validate", str(path), "--quiet"]) == 0
     monkeypatch.setattr("rndunit.cli.MAX_SERIES_BYTES", predicted - 1)
@@ -840,12 +853,47 @@ def test_gauss_hermite_node_count_exits_2(tmp_path, capsys, monkeypatch):
     def no_rule(n_nodes):
         raise AssertionError("the Gauss-Hermite rule was built")
 
-    # over the dilation cap: refused before numpy builds the rule
+    # over the dilation cap, or at dim 64 on 64 nodes at the cap, 4096, with
+    # an exact average whose coefficient table would take 8 GiB in one array:
+    # refused naming n_nodes before numpy builds the rule
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", no_rule)
-    path.write_text(json.dumps(make_doc(ensemble={**gaussian, "n_nodes": 10**9})))
-    for command in ("validate", "run"):
-        assert main([command, str(path), "--quiet"]) == 2
-        assert "ensemble.n_nodes: composite dimension" in capsys.readouterr().err
+    base = np.diag(np.arange(64) - 31.5).tolist()
+    cases = [
+        (make_doc(ensemble={**gaussian, "n_nodes": 10**9}), "composite dimension"),
+        (
+            make_doc(dim=64, hs=[[0.0] * 64] * 64, rho0="maximally_mixed",
+                     ensemble={**gaussian, "base": base, "n_nodes": 64}),
+            "64 realizations at dimension 64 need a 8190 MiB coefficient table",
+        ),
+    ]
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            assert main([command, str(path), "--quiet"]) == 2
+            assert f"ensemble.n_nodes: {message}" in capsys.readouterr().err
+
+
+def test_average_table_bytes_are_the_ones_allocated(monkeypatch):
+    # the admitted table is the one evolve_average_series allocates: at
+    # d = 8 on 64 realizations, 2.0 MiB, and the rest of one sample's work
+    # (0.2 MiB) is small beside it
+    ensemble = DisorderEnsemble.from_pairs(
+        [(np.diag(np.linspace(-1.0, 1.0, 8) * k), 1 / 64) for k in range(-32, 32)]
+    )
+    hs = np.diag(np.arange(8.0)).astype(complex)
+    rho0 = np.full((8, 8), 1 / 8, dtype=complex)
+    table = 8 * 64 * 64 * 63
+    tracemalloc.start()
+    try:
+        evolve_average_series(hs, ensemble, rho0, np.zeros(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table <= peak <= table + 2**18
+    monkeypatch.setattr("rndunit.cli.MAX_SERIES_BYTES", table)
+    assert rndunit.cli._require_average(8, 64) == table
+    with pytest.raises(ValueError, match="^65 realizations at dimension 8 need"):
+        rndunit.cli._require_average(8, 65)
 
 
 # keys of another ensemble type are refused, not ignored

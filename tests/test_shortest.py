@@ -13,6 +13,9 @@ def _catalogue() -> np.ndarray:
     tiny, huge = np.nextafter(0.0, 1.0), np.finfo(np.float64).max
     largest_subnormal = np.nextafter(np.finfo(np.float64).tiny, 0.0)
     values = [0.0, tiny, largest_subnormal, huge, np.inf, np.nan]
+    # signs mixed within a row: each cell takes its magnitude's record and
+    # its own sign byte; nan keeps no "-" whatever its sign bit
+    values += [-0.0, 0.0, -np.nan, np.nan, -np.inf, np.inf, -tiny, 1e55, -1e55, -0.5, 0.5]
     values += [2.0**k for k in range(-1074, 1024)]
     for k in range(-30, 31):
         ten = float(f"1e{k}")
