@@ -62,6 +62,7 @@ __all__ = [
     "EmbeddedSystem",
     "evolve_average",
     "evolve_average_series",
+    "require_average",
     "require_embeddable",
     "embed",
     "evolve_embedded",
@@ -169,11 +170,14 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     linops.chunks whose table and triangles fit linops.WORKSPACE_BYTES
     (at least one sample); the split moves the result by rounding only,
     since the product's summation order may depend on the number of rows.
+    A coefficient table over linops.MAX_SERIES_BYTES is refused before it
+    is allocated (require_average).
     """
     hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
     times = require_times(times)
     d = e.dim
+    require_average(d, e.size)
     upper, lower = np.triu_indices(d, 1)  # frequency pairs a < b
     rows, cols = np.triu_indices(d)  # output entries i <= j
     pairs = upper.size
@@ -219,6 +223,22 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
         block[:, cols, rows] = tri.conj()
         block.imag[:, range(d), range(d)] = 0.0
     return out
+
+
+def require_average(dim: int, size: int) -> int:
+    """Check that evolve_average_series's coefficient table for size
+    realizations at dimension dim fits linops.MAX_SERIES_BYTES, and return
+    its bytes: 16 for each realization, frequency pair a < b, phase part
+    (cos, sin) and state entry i <= j, so 8 size dim^2 (dim^2 - 1)."""
+    table = 8 * size * dim * dim * (dim * dim - 1)
+    if table > linops.MAX_SERIES_BYTES:
+        raise ValueError(
+            f"{size} realizations at dimension {dim} need a {table / 2**20:.4g} MiB "
+            f"coefficient table for the exact average, over the "
+            f"{linops.MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; reduce the ensemble or "
+            "the system size"
+        )
+    return table
 
 
 def require_embeddable(dim_s: int, dim_e: int) -> None:

@@ -23,6 +23,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import reprlib
 import sys
 import time
@@ -37,12 +38,14 @@ from .channel import (
     embed,
     evolve_average_series,
     evolve_embedded_series,
+    require_average,
     require_embeddable,
 )
 from .ensemble import (
     DisorderEnsemble,
     center,
     gauss_hermite_ensemble,
+    gauss_hermite_exact_until,
     require_system,
     two_point_ensemble,
 )
@@ -58,6 +61,7 @@ from .mastereq import (
     GENERATOR_KINDS,
     MasterEqProblem,
     TimeSeries,
+    check_grid,
     grid_steps,
     integrate,
     make_problem,
@@ -65,7 +69,6 @@ from .mastereq import (
 )
 
 __all__ = [
-    "MAX_SERIES_BYTES",
     "Scenario",
     "RunRecord",
     "scenario_from_dict",
@@ -97,31 +100,6 @@ SCENARIO_KEYS = {
 }
 
 
-# A run holds its time grid and every series whole, one (d, d) complex state
-# per grid point and series, for comparison and the CSV, and the exact series
-# is built beside its coefficient table (_require_average). Their predicted
-# size is capped so a tiny dt or a large ensemble cannot ask for more memory
-# than a workstation has; the run's transient copies come on top, so the cap
-# sits well below that.
-MAX_SERIES_BYTES = 2**30
-
-
-def _require_average(dim: int, size: int) -> int:
-    """Check the dilation cap, then that channel.evolve_average_series's
-    coefficient table fits MAX_SERIES_BYTES, and return the table's bytes:
-    16 for each realization, frequency pair a < b, phase part (cos, sin)
-    and state entry i <= j, so 8 size dim^2 (dim^2 - 1)."""
-    require_embeddable(dim, size)
-    table = 8 * size * dim * dim * (dim * dim - 1)
-    if table > MAX_SERIES_BYTES:
-        raise ValueError(
-            f"{size} realizations at dimension {dim} need a {table / 2**20:.4g} MiB "
-            f"coefficient table for the exact average, over the "
-            f"{MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; reduce the ensemble or the system size"
-        )
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully resolved scenario, admitted when it is built.
@@ -134,11 +112,11 @@ class Scenario:
     Hermitian, the ensemble of its dimension, and rho0 a density matrix of
     its shape (linops.require_density); output_path must be writable,
     its directory existing and neither it nor its .run.json a directory; the
-    dilation must fit its cap and the exact average's coefficient table,
-    8 n dim^2 (dim^2 - 1) bytes for n realizations, MAX_SERIES_BYTES; with
-    that table, the grid and its series (the exact one and one per
-    generator), points * (8 + 16 dim^2 n_series) bytes, must fit
-    MAX_SERIES_BYTES too; and each generator's problem is built, which
+    dilation must fit its cap and the exact average's coefficient table
+    linops.MAX_SERIES_BYTES (channel.require_average); with that table,
+    the grid and its series (the exact one and one per generator),
+    points * (8 + 16 dim^2 n_series) bytes, must fit it too; and each
+    generator's problem is built, which
     runs its guards (a known kind, commuting disorder for dephasing, a
     non-degenerate spectrum for gksl at epsilon = 0), and kept in `problems`.
     Errors name the scenario field at fault.
@@ -174,15 +152,17 @@ class Scenario:
                     f"output_path: cannot write {what}over the directory {path!r}"
                 )
         try:
-            table = _require_average(self.dim, self.ensemble.size)
+            require_embeddable(self.dim, self.ensemble.size)
+            table = require_average(self.dim, self.ensemble.size)
         except ValueError as err:
             raise ValueError(f"ensemble: {err}") from err
         predicted = table + points * (8 + 16 * self.dim * self.dim * n_series)
-        if predicted > MAX_SERIES_BYTES:
+        if predicted > linops.MAX_SERIES_BYTES:
             raise ValueError(
                 f"dt: {points} grid points of {n_series} series at dimension {self.dim} "
                 f"need {predicted / 2**20:.4g} MiB with the exact average's table, over "
-                f"the {MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower t_final"
+                f"the {linops.MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower "
+                "t_final"
             )
         problems = {}
         for kind, epsilon in generators.items():
@@ -268,7 +248,10 @@ ENSEMBLE_KEYS = {
 }
 
 
-def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
+def _parse_ensemble(spec, dim: int) -> tuple[DisorderEnsemble, float]:
+    """The ensemble, and the time up to which it stands for its law within
+    a tenth of BREAKDOWN_THRESHOLD: inf, except for a gaussian, whose
+    Gauss-Hermite rule holds up to ensemble.gauss_hermite_exact_until."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError('ensemble: expected an object with a "type" key')
     kind = spec["type"]
@@ -298,7 +281,8 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
         n_nodes = _number(spec["n_nodes"], "ensemble.n_nodes", int)
         # before numpy builds the rule, whose cost grows as n_nodes^3
         try:
-            _require_average(dim, n_nodes)
+            require_embeddable(dim, n_nodes)
+            require_average(dim, n_nodes)
         except ValueError as err:
             raise ValueError(f"ensemble.n_nodes: {err}") from err
         build, args = gauss_hermite_ensemble, (base, sigma, n_nodes)
@@ -315,7 +299,9 @@ def _parse_ensemble(spec, dim: int) -> DisorderEnsemble:
     extra = set(spec) - {"type", *ENSEMBLE_KEYS[kind]}
     if extra:
         raise ValueError(f"ensemble: unknown keys {sorted(extra)} for type {kind}")
-    return ensemble
+    if kind != "gaussian":
+        return ensemble, math.inf
+    return ensemble, gauss_hermite_exact_until(*args, BREAKDOWN_THRESHOLD / 10)
 
 
 def _parse_generators(value) -> dict[str, float]:
@@ -385,7 +371,7 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     if dim < 1:
         raise ValueError("dim: must be a positive integer")
     hs = require_hermitian(_parse_matrix(doc["hs"], dim, "hs"), name="hs")
-    raw_ensemble = _parse_ensemble(doc["ensemble"], dim)
+    raw_ensemble, exact_until = _parse_ensemble(doc["ensemble"], dim)
     try:
         mean, ensemble = center(raw_ensemble)
     except ValueError as err:
@@ -403,7 +389,7 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
         log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
     output_path = str(doc.get("output_path", "rndunit_out.csv"))
     rho0 = _resolve_rho0(doc["rho0"], dim, hs_folded)
-    return Scenario(
+    scenario = Scenario(
         name=name,
         hs=hs_folded,
         ensemble=ensemble,
@@ -413,6 +399,16 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
         generators=generators,
         output_path=output_path,
     )
+    if exact_until < scenario.t_final:
+        log.info(
+            "%s: ensemble.n_nodes = %d keeps the exact reference within %.0e of the "
+            "Gaussian average only up to t = %.3g; a later breakdown may be the rule's",
+            name,
+            ensemble.size,
+            BREAKDOWN_THRESHOLD / 10,
+            exact_until,
+        )
+    return scenario
 
 
 def _load_doc(path) -> dict:
@@ -726,6 +722,10 @@ def main(argv=None) -> int:
             doc, source = _load_doc(args.scenario), str(args.scenario)
         scenario = scenario_from_dict(_apply_overrides(doc, args), source=source)
         if args.command == "validate":
+            if scenario.problems:
+                # integrate's grid warnings, once: every problem has hs's spectrum
+                problem = next(iter(scenario.problems.values()))
+                check_grid(problem, scenario.t_final, scenario.dt)
             log.info(
                 "%s: ok (dim %d, %d realizations, generators: %s)",
                 scenario.name,

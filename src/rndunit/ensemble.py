@@ -11,6 +11,7 @@ low moments exact with a handful of nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "mean_vanishes",
     "center",
     "gauss_hermite_ensemble",
+    "gauss_hermite_exact_until",
     "two_point_ensemble",
     "require_commuting",
     "require_system",
@@ -154,6 +156,28 @@ def gauss_hermite_ensemble(base, sigma: float, n_nodes: int) -> DisorderEnsemble
     lams = np.sqrt(2.0) * sigma * nodes
     hams = lams[:, None, None] * base[None, :, :]
     return DisorderEnsemble(hamiltonians=hams, weights=weights)
+
+
+def gauss_hermite_exact_until(base, sigma: float, n_nodes: int, error: float) -> float:
+    """The time t_q up to which the rule of gauss_hermite_ensemble keeps the
+    averaged state within `error` of the Gaussian average, whatever H_S.
+
+    The n-node rule integrates f(x) exp(-x^2) / sqrt(pi) with an error of at
+    most n! / (2^n (2n)!) max |f^(2n)|. As a function of the node x, the
+    state U rho0 U+ with U = exp(-it(H_S + sqrt(2) sigma x base)) has a
+    2n-th derivative of trace norm at most a^(2n), a = 2 sqrt(2) sigma t
+    |base| (spectral norm): each derivative brings down one commutator with
+    sqrt(2) sigma t base. t_q is where the bound reaches error, inf for a
+    vanishing sigma or base.
+    """
+    n = int(n_nodes)
+    rate = 2.0 * math.sqrt(2.0) * float(sigma) * float(np.linalg.norm(base, 2))
+    if rate == 0.0:
+        return math.inf
+    # log a^(2n) at which the bound equals error, in logs since (2n)!
+    # overflows a double from n = 86
+    log_a2n = math.log(error) + n * math.log(2.0) + math.lgamma(2 * n + 1) - math.lgamma(n + 1)
+    return math.exp(log_a2n / (2 * n)) / rate
 
 
 def two_point_ensemble(base, g: float) -> DisorderEnsemble:

@@ -18,6 +18,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "WORKSPACE_BYTES",
+    "MAX_SERIES_BYTES",
     "chunks",
     "EigenSystem",
     "as_complex_matrix",
@@ -84,6 +85,15 @@ DEFAULT_TOL = Tolerances()
 # r = 35 dense redfield ran about 10% slower, 8 steps a chunk against 16.
 # Read as linops.WORKSPACE_BYTES at call time.
 WORKSPACE_BYTES = 2**20
+
+# A run holds its time grid and every series whole, one (d, d) complex state
+# per grid point and series, for comparison and the CSV, and the exact series
+# is built beside its coefficient table (channel.require_average). Their
+# predicted size is capped so a tiny dt or a large ensemble cannot ask for
+# more memory than a workstation has; the run's transient copies come on top,
+# so the cap sits well below that. Read as linops.MAX_SERIES_BYTES at call
+# time.
+MAX_SERIES_BYTES = 2**30
 
 
 def chunks(count: int, item_size: int, budget: int):

@@ -85,6 +85,7 @@ __all__ = [
     "master_rhs",
     "grid_steps",
     "time_grid",
+    "check_grid",
     "integrate",
 ]
 
@@ -167,7 +168,8 @@ class TimeSeries:
     def __post_init__(self) -> None:
         times = require_times(self.times)
         states = np.asarray(self.states, dtype=np.complex128)
-        if times.size > 1 and np.any(np.diff(times) <= 0):
+        # a comparison of two views makes only the bool array, not a diff
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
         if states.ndim != 3 or states.shape[0] != times.size:
             raise ValueError(
@@ -419,6 +421,28 @@ def time_grid(t_final: float, dt: float) -> np.ndarray:
     return np.arange(grid_steps(t_final, dt) + 1, dtype=np.float64) * dt
 
 
+def check_grid(p: MasterEqProblem, t_final: float, dt: float) -> None:
+    """Warn when dt resolves the fastest phase of p's system poorly, by a
+    rule that sees only the gaps, as the generator does:
+    dt (E_max - E_min) / 2 > 0.05; and when t_final is not on the grid.
+    integrate calls it first, so its warnings point at integrate's caller."""
+    fastest = 0.5 * float(p.eig.energies[-1] - p.eig.energies[0])
+    if dt * fastest > 0.05:
+        warnings.warn(
+            f"dt = {dt:g} resolves the fastest system phase poorly (dt (E_max - E_min)"
+            f" / 2 = {dt * fastest:.3g} > 0.05); expect discretization error",
+            stacklevel=3,
+        )
+    # the last grid point, as time_grid makes it
+    last = grid_steps(t_final, dt) * dt
+    if abs(last - t_final) > 1e-9 * max(dt, t_final):
+        warnings.warn(
+            f"t_final = {t_final:g} is not a multiple of dt = {dt:g}; "
+            f"integrating to {last:g}",
+            stacklevel=3,
+        )
+
+
 def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries:
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
@@ -447,27 +471,13 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     states[0] = rho0 are bitwise Hermitian; with the trace-free generator
     this keeps the trace drift at rounding level. A chunk with non-finite
     entries aborts the run, naming its first bad step. The grid is
-    time_grid(t_final, dt). A warning is emitted when t_final is not
-    on it, or when dt resolves the fastest phase poorly, by a rule that sees
-    only the gaps, as the generator does: dt (E_max - E_min) / 2 > 0.05.
+    time_grid(t_final, dt), checked first by check_grid.
     """
     rho0 = require_density(rho0, "initial state", p.dim)
     dt = float(dt)
     t_final = float(t_final)
+    check_grid(p, t_final, dt)
     times = time_grid(t_final, dt)
-    fastest = 0.5 * float(p.eig.energies[-1] - p.eig.energies[0])
-    if dt * fastest > 0.05:
-        warnings.warn(
-            f"dt = {dt:g} resolves the fastest system phase poorly (dt (E_max - E_min)"
-            f" / 2 = {dt * fastest:.3g} > 0.05); expect discretization error",
-            stacklevel=2,
-        )
-    if abs(times[-1] - t_final) > 1e-9 * max(dt, t_final):
-        warnings.warn(
-            f"t_final = {t_final:g} is not a multiple of dt = {dt:g}; "
-            f"integrating to {times[-1]:g}",
-            stacklevel=2,
-        )
     states = np.empty((times.size, p.dim, p.dim), dtype=np.complex128)
     states[0] = rho0
     v = p.eig.basis

@@ -20,6 +20,7 @@ from rndunit.channel import (
     evolve_embedded,
     evolve_embedded_series,
     kraus_at,
+    require_average,
 )
 from rndunit.ensemble import (
     DisorderEnsemble,
@@ -142,6 +143,37 @@ def test_average_series_workspace_is_bounded(monkeypatch):
     coefficients = (2 * 96) * (2 * 10) * 8
     fixed = 2 * coefficients + 64 * 1024
     assert peak <= series.nbytes + linops.WORKSPACE_BYTES + fixed
+
+
+def test_average_table_bytes_are_the_ones_allocated(monkeypatch):
+    # the admitted table is the one evolve_average_series allocates: at
+    # d = 8 on 64 realizations, 1.97 MiB, and the rest of one sample's work
+    # (0.2 MiB) is small beside it. One byte over the ceiling, the library
+    # call refuses the table, naming it, before allocating it
+    ensemble = DisorderEnsemble.from_pairs(
+        [(np.diag(np.linspace(-1.0, 1.0, 8) * k), 1 / 64) for k in range(-32, 32)]
+    )
+    hs = np.diag(np.arange(8.0)).astype(complex)
+    rho0 = np.full((8, 8), 1 / 8, dtype=complex)
+    table = 8 * 64 * 64 * 63
+    message = "^64 realizations at dimension 8 need a 1.969 MiB coefficient table"
+    tracemalloc.start()
+    try:
+        evolve_average_series(hs, ensemble, rho0, np.zeros(1))
+        _, peak = tracemalloc.get_traced_memory()
+        monkeypatch.setattr(linops, "MAX_SERIES_BYTES", table - 1)
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match=message):
+            evolve_average_series(hs, ensemble, rho0, np.zeros(1))
+        _, refused_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table <= peak <= table + 2**18
+    assert refused_peak <= table // 64
+    monkeypatch.setattr(linops, "MAX_SERIES_BYTES", table)
+    assert require_average(8, 64) == table
+    with pytest.raises(ValueError, match="^65 realizations at dimension 8 need"):
+        require_average(8, 65)
 
 
 def test_average_series_rejects_bad_grid():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from conftest import PLUS, SX, SZ, random_hermitian, random_unitary, random_weights
@@ -11,6 +13,7 @@ from rndunit.ensemble import (
     DisorderEnsemble,
     center,
     gauss_hermite_ensemble,
+    gauss_hermite_exact_until,
     mean_hamiltonian,
     mean_vanishes,
     require_commuting,
@@ -151,6 +154,21 @@ def test_gauss_hermite_second_moment_exact(n_nodes):
     e = gauss_hermite_ensemble(SZ, sigma, n_nodes)
     lams = e.hamiltonians[:, 0, 0].real
     assert np.dot(e.weights, lams**2) == pytest.approx(sigma**2, rel=1e-13)
+
+
+def test_gauss_hermite_exact_until_solves_the_bound():
+    # t_q is where n! / (2^n (2n)!) a^(2n), a = 2 sqrt(2) sigma t |base|,
+    # reaches the error; it sees sigma and the spectral norm of base only
+    t_q = gauss_hermite_exact_until(SZ, 0.2, 32, 1e-3)
+    a = 2 * math.sqrt(2) * 0.2 * t_q
+    bound = math.factorial(32) / (2**32 * math.factorial(64)) * a**64
+    assert bound == pytest.approx(1e-3, rel=1e-9)
+    assert gauss_hermite_exact_until(2 * SX, 0.1, 32, 1e-3) == pytest.approx(t_q, rel=1e-12)
+    assert gauss_hermite_exact_until(SZ, 0.4, 32, 1e-3) == pytest.approx(t_q / 2, rel=1e-12)
+    assert gauss_hermite_exact_until(SZ, 0.2, 64, 1e-3) > t_q
+    # (2n)! overflows a double from n = 86; the bound is solved in logs
+    assert math.isfinite(gauss_hermite_exact_until(SZ, 0.2, 300, 1e-3))
+    assert gauss_hermite_exact_until(SZ, 0.0, 32, 1e-3) == math.inf
 
 
 def test_two_point_structure():
