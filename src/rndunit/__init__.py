@@ -9,7 +9,7 @@ where each approximation breaks down.
 
 __version__ = "0.1.0"
 
-from .analysis import ComparisonReport, compare, coherence_rate, heisenberg_time, purity
+from .analysis import ComparisonReport, compare, heisenberg_time, purity
 from .channel import (
     EmbeddedSystem,
     KrausChannel,
@@ -57,7 +57,6 @@ __all__ = [
     "__version__",
     "ComparisonReport",
     "compare",
-    "coherence_rate",
     "heisenberg_time",
     "purity",
     "EmbeddedSystem",

@@ -11,7 +11,6 @@ BREAKDOWN_THRESHOLD.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "ComparisonReport",
     "purity",
     "heisenberg_time",
-    "coherence_rate",
     "compare",
     "BREAKDOWN_THRESHOLD",
 ]
@@ -79,38 +77,6 @@ def heisenberg_time(eig: EigenSystem) -> float:
     if mean_gap <= eig.degeneracy_threshold:
         raise ValueError("spectrum is fully degenerate; Heisenberg time undefined")
     return 1.0 / mean_gap
-
-
-def coherence_rate(
-    series: TimeSeries, eig: EigenSystem, n: int, m: int
-) -> np.ndarray:
-    """Instantaneous decay rate -d ln |rho_nm| / dt of one eigenbasis coherence.
-
-    Uses second-order finite differences (one-sided at the ends). Samples
-    after the coherence first drops below 1e-12 are unusable for the
-    logarithm; the returned vector is truncated there and a warning notes
-    the shortened window.
-    """
-    n, m = int(n), int(m)
-    if not (0 <= n < eig.dim and 0 <= m < eig.dim):
-        raise ValueError(f"level indices ({n}, {m}) out of range for dim {eig.dim}")
-    if series.dim != eig.dim:
-        raise ValueError("series dimension does not match the eigensystem")
-    left = eig.basis[:, n].conj()
-    right = eig.basis[:, m]
-    amps = np.abs(np.einsum("a,tab,b->t", left, series.states, right))
-    below = np.flatnonzero(amps < 1e-12)
-    usable = below[0] if below.size else amps.size
-    if usable < amps.size:
-        warnings.warn(
-            f"coherence ({n}, {m}) falls below 1e-12 at t = {series.times[usable]:g}; "
-            f"rate window truncated to {usable} of {amps.size} samples",
-            stacklevel=2,
-        )
-    if usable < 3:
-        raise ValueError("coherence vanishes too early to differentiate its log")
-    log_amp = np.log(amps[:usable])
-    return -np.gradient(log_amp, series.times[:usable], edge_order=2)
 
 
 def compare(exact: TimeSeries, approx: TimeSeries) -> ComparisonReport:

@@ -27,7 +27,7 @@ import math
 import reprlib
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +41,7 @@ from .channel import (
     require_average,
     require_embeddable,
 )
-from .ensemble import (
-    DisorderEnsemble,
-    center,
-    gauss_hermite_ensemble,
-    gauss_hermite_exact_until,
-    require_system,
-    two_point_ensemble,
-)
+from .ensemble import ENSEMBLE_LAWS, DisorderEnsemble, DisorderLaw, center, require_system
 from .linops import (
     DEFAULT_TOL,
     chunks,
@@ -102,46 +95,44 @@ SCENARIO_KEYS = {
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A fully resolved scenario, admitted when it is built.
+    """A scenario admitted when it is built from hs and the disorder law as
+    given, rho0 as a matrix or one of RHO0_PRESETS, and generators mapping
+    each requested kind to its epsilon (gksl's only).
 
-    The ensemble is centered and its mean folded into hs; generators maps
-    each requested kind to its epsilon (which matters for gksl only). Building
-    a scenario derives dim from hs, puts generators in GENERATOR_KINDS order
-    and runs every check run() relies on, before any heavy work: t_final and
-    dt must give a grid (mastereq.grid_steps); hs must be square and
-    Hermitian, the ensemble of its dimension, and rho0 a density matrix of
-    its shape (linops.require_density); output_path must be writable,
-    its directory existing and neither it nor its .run.json a directory; the
-    dilation must fit its cap and the exact average's coefficient table
-    linops.MAX_SERIES_BYTES (channel.require_average); with that table,
-    the grid and its series (the exact one and one per generator),
-    points * (8 + 16 dim^2 n_series) bytes, must fit it too; and each
-    generator's problem is built, which
-    runs its guards (a known kind, commuting disorder for dephasing, a
-    non-degenerate spectrum for gksl at epsilon = 0), and kept in `problems`.
-    Errors name the scenario field at fault.
+    Building it runs every check run() relies on, before any heavy work:
+    t_final and dt must give a grid (mastereq.grid_steps), hs must be
+    Hermitian, output_path writable (its directory existing, neither it nor
+    its .run.json a directory), and the law's size must fit the dilation's
+    cap and the exact average's table (channel.require_average); with that
+    table, the grid and its series, points * (8 + 16 dim^2 n_series) bytes,
+    must fit linops.MAX_SERIES_BYTES. Only then is the law built into a
+    centered ensemble of hs's dimension, whose mean is folded into hs
+    (raw_hs keeps hs as given); a preset rho0 is resolved on the folded hs,
+    rho0 must be a density matrix, and each generator's problem is built
+    into `problems`, which runs its guards. quadrature_valid_until is the
+    time up to which the ensemble keeps the law's average within a tenth of
+    BREAKDOWN_THRESHOLD. Errors name the scenario field at fault.
     """
 
     name: str
     hs: np.ndarray
-    ensemble: DisorderEnsemble
-    rho0: np.ndarray
+    law: DisorderLaw
+    rho0: np.ndarray | str
     t_final: float
     dt: float
     generators: dict[str, float]
     output_path: str
     dim: int = field(init=False)
+    raw_hs: np.ndarray = field(init=False, repr=False)
+    ensemble: DisorderEnsemble = field(init=False, repr=False)
+    quadrature_valid_until: float = field(init=False)
     problems: dict[str, MasterEqProblem] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + len(self.generators)
-        hs = require_system(self.hs, self.ensemble)
-        rho0 = require_density(self.rho0, "rho0", hs.shape[0])
-        for name, value in (("hs", hs), ("rho0", rho0), ("dim", hs.shape[0])):
-            object.__setattr__(self, name, value)
+        dim = require_hermitian(self.hs, name="hs").shape[0]
         order = dict.fromkeys([*GENERATOR_KINDS, *self.generators])
         generators = {kind: self.generators[kind] for kind in order if kind in self.generators}
-        object.__setattr__(self, "generators", generators)
         folder = Path(self.output_path).parent
         if not folder.is_dir():
             raise ValueError(f"output_path: directory {str(folder)!r} does not exist")
@@ -152,27 +143,50 @@ class Scenario:
                     f"output_path: cannot write {what}over the directory {path!r}"
                 )
         try:
-            require_embeddable(self.dim, self.ensemble.size)
-            table = require_average(self.dim, self.ensemble.size)
+            require_embeddable(dim, self.law.size)
+            table = require_average(dim, self.law.size)
         except ValueError as err:
-            raise ValueError(f"ensemble: {err}") from err
-        predicted = table + points * (8 + 16 * self.dim * self.dim * n_series)
+            raise ValueError(f"{self.law.size_field}: {err}") from err
+        predicted = table + points * (8 + 16 * dim * dim * n_series)
         if predicted > linops.MAX_SERIES_BYTES:
             raise ValueError(
-                f"dt: {points} grid points of {n_series} series at dimension {self.dim} "
+                f"dt: {points} grid points of {n_series} series at dimension {dim} "
                 f"need {predicted / 2**20:.4g} MiB with the exact average's table, over "
                 f"the {linops.MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower "
                 "t_final"
             )
+        try:  # the constructors' messages name no field
+            mean, ensemble = center(self.law.build())
+        except ValueError as err:
+            raise ValueError(f"ensemble: {err}") from err
+        raw_hs = require_system(self.hs, ensemble)
+        scale = float(np.max(np.abs(mean)))
+        folded = f"folded ensemble mean into hs (|mean|_max = {scale:.3e})"
+        log.info("%s: %s", self.name, folded if scale > 0.0 else "ensemble mean already zero")
+        hs = raw_hs + mean
+        rho0 = require_density(_resolve_rho0(self.rho0, hs), "rho0", dim)
+        valid_until = self.law.exact_until(BREAKDOWN_THRESHOLD / 10)
+        derived = {
+            "hs": hs, "raw_hs": raw_hs, "ensemble": ensemble, "rho0": rho0, "dim": dim,
+            "generators": generators, "quadrature_valid_until": valid_until,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         problems = {}
         for kind, epsilon in generators.items():
             try:
-                problems[kind] = make_problem(self.hs, self.ensemble, kind, epsilon)
+                problems[kind] = make_problem(hs, ensemble, kind, epsilon)
             except np.linalg.LinAlgError:
                 raise  # a numerical failure, not a fault of the scenario
             except ValueError as err:
                 raise ValueError(f"generators: {kind}: {err}") from err
         object.__setattr__(self, "problems", problems)
+        if valid_until < self.t_final:
+            log.info(
+                "%s: %s = %d keeps the exact reference within %.0e of the law's average "
+                "only up to t = %.3g; a later breakdown may be the rule's", self.name,
+                self.law.size_field, self.law.size, BREAKDOWN_THRESHOLD / 10, valid_until,
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,73 +249,50 @@ def _parse_matrix(value, dim: int, field: str) -> np.ndarray:
 
 
 def _emit_matrix(m: np.ndarray) -> list:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in np.asarray(m)
-    ]
+    """Rows of entries, each a bare number where its imaginary part is +0.0,
+    which _parse_scalar reads back to the same bits, else an [re, im] pair."""
+    pair = lambda z: [z.real, z.imag] if z.imag or math.copysign(1.0, z.imag) < 0 else z.real
+    return [[pair(complex(z)) for z in row] for row in np.asarray(m)]
 
 
-# the keys of each ensemble type besides "type"; all of them are required
-ENSEMBLE_KEYS = {
-    "explicit": ("terms",),
-    "gaussian": ("base", "sigma", "n_nodes"),
-    "two_point": ("base", "g"),
+def _parse_terms(value, dim: int, field: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{field}: expected a non-empty list")
+    terms = []
+    for i, term in enumerate(value):
+        if not isinstance(term, dict) or set(term) != {"matrix", "weight"}:
+            raise ValueError(f"{field}[{i}]: expected keys matrix and weight")
+        matrix = _parse_matrix(term["matrix"], dim, f"{field}[{i}].matrix")
+        terms.append((matrix, _number(term["weight"], f"{field}[{i}].weight")))
+    return tuple(terms)
+
+
+# the parser of each ensemble key's value, called as parse(value, dim, field);
+# the keys of a type, all required besides "type", are its law's fields
+_ENSEMBLE_VALUES = {
+    "terms": _parse_terms,
+    "base": _parse_matrix,
+    "sigma": lambda value, dim, field: _number(value, field),
+    "n_nodes": lambda value, dim, field: _number(value, field, int),
+    "g": lambda value, dim, field: _number(value, field),
 }
 
 
-def _parse_ensemble(spec, dim: int) -> tuple[DisorderEnsemble, float]:
-    """The ensemble, and the time up to which it stands for its law within
-    a tenth of BREAKDOWN_THRESHOLD: inf, except for a gaussian, whose
-    Gauss-Hermite rule holds up to ensemble.gauss_hermite_exact_until."""
+def _parse_ensemble(spec, dim: int) -> DisorderLaw:
+    """The law, one of ENSEMBLE_LAWS, that the keys of an ensemble's type give."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError('ensemble: expected an object with a "type" key')
     kind = spec["type"]
-    if not isinstance(kind, str) or kind not in ENSEMBLE_KEYS:
+    if not isinstance(kind, str) or kind not in ENSEMBLE_LAWS:
         raise ValueError(
-            f"ensemble.type: {reprlib.repr(kind)} is not one of {sorted(ENSEMBLE_KEYS)}"
+            f"ensemble.type: {reprlib.repr(kind)} is not one of {sorted(ENSEMBLE_LAWS)}"
         )
-    missing = [key for key in ENSEMBLE_KEYS[kind] if key not in spec]
+    keys = [key.name for key in fields(ENSEMBLE_LAWS[kind])]
+    missing = [key for key in keys if key not in spec]
     if missing:
         raise ValueError(f"ensemble: {kind} needs {' and '.join(missing)}")
-    if kind == "explicit":
-        terms = spec["terms"]
-        if not isinstance(terms, list) or not terms:
-            raise ValueError("ensemble.terms: expected a non-empty list")
-        pairs = []
-        for i, term in enumerate(terms):
-            if not isinstance(term, dict) or set(term) != {"matrix", "weight"}:
-                raise ValueError(
-                    f"ensemble.terms[{i}]: expected keys matrix and weight"
-                )
-            matrix = _parse_matrix(term["matrix"], dim, f"ensemble.terms[{i}].matrix")
-            pairs.append((matrix, _number(term["weight"], f"ensemble.terms[{i}].weight")))
-        build, args = DisorderEnsemble.from_pairs, (pairs,)
-    elif kind == "gaussian":
-        base = _parse_matrix(spec["base"], dim, "ensemble.base")
-        sigma = _number(spec["sigma"], "ensemble.sigma")
-        n_nodes = _number(spec["n_nodes"], "ensemble.n_nodes", int)
-        # before numpy builds the rule, whose cost grows as n_nodes^3
-        try:
-            require_embeddable(dim, n_nodes)
-            require_average(dim, n_nodes)
-        except ValueError as err:
-            raise ValueError(f"ensemble.n_nodes: {err}") from err
-        build, args = gauss_hermite_ensemble, (base, sigma, n_nodes)
-    else:
-        base = _parse_matrix(spec["base"], dim, "ensemble.base")
-        build, args = two_point_ensemble, (base, _number(spec["g"], "ensemble.g"))
-    # the constructors' messages (weights, Hermiticity, sigma, n_nodes, g)
-    # name no field; those of the sub-keys parsed above already do
-    try:
-        ensemble = build(*args)
-    except ValueError as err:
-        raise ValueError(f"ensemble: {err}") from err
-    # after the type's own fields, so that a fault in one of them is named
-    extra = set(spec) - {"type", *ENSEMBLE_KEYS[kind]}
-    if extra:
-        raise ValueError(f"ensemble: unknown keys {sorted(extra)} for type {kind}")
-    if kind != "gaussian":
-        return ensemble, math.inf
-    return ensemble, gauss_hermite_exact_until(*args, BREAKDOWN_THRESHOLD / 10)
+    values = {key: _ENSEMBLE_VALUES[key](spec[key], dim, f"ensemble.{key}") for key in keys}
+    return ENSEMBLE_LAWS[kind](**values)
 
 
 def _parse_generators(value) -> dict[str, float]:
@@ -334,30 +325,25 @@ def _parse_generators(value) -> dict[str, float]:
     return requested
 
 
-def _resolve_rho0(value, dim: int, hs: np.ndarray) -> np.ndarray:
-    if isinstance(value, str):
-        if value not in RHO0_PRESETS:
-            raise ValueError(
-                f"rho0: {reprlib.repr(value)} is not one of {list(RHO0_PRESETS)}"
-            )
-        if value == "plus":
-            vec = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-            return np.outer(vec, vec.conj())
-        if value == "ground":
-            vec = herm_eig(hs).basis[:, 0]
-            return np.outer(vec, vec.conj())
+def _resolve_rho0(value, hs: np.ndarray):
+    """value, or the state of the preset it names on hs's levels."""
+    if not isinstance(value, str):
+        return value
+    if value not in RHO0_PRESETS:
+        raise ValueError(f"rho0: {reprlib.repr(value)} is not one of {list(RHO0_PRESETS)}")
+    dim = hs.shape[0]
+    if value == "maximally_mixed":
         return np.eye(dim, dtype=np.complex128) / dim
-    return _parse_matrix(value, dim, "rho0")
+    if value == "ground":
+        vec = herm_eig(hs).basis[:, 0]
+    else:
+        vec = np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
+    return np.outer(vec, vec.conj())
 
 
 def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
-    """Validate a scenario document and resolve it into runnable form.
-
-    Resolution folds the ensemble mean into the system Hamiltonian (the
-    total blocks H_S + H_k are unchanged by this) and expands named
-    initial states into matrices. The "ground" preset refers to the
-    lowest eigenstate of the folded Hamiltonian.
-    """
+    """Validate a scenario document and resolve it into runnable form: its
+    values are parsed here, and Scenario admits them and builds the rest."""
     if not isinstance(doc, dict):
         raise ValueError(f"{source}: expected a JSON object")
     unknown = set(doc) - SCENARIO_KEYS
@@ -370,44 +356,26 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     dim = _number(doc["dim"], "dim", int)
     if dim < 1:
         raise ValueError("dim: must be a positive integer")
-    hs = require_hermitian(_parse_matrix(doc["hs"], dim, "hs"), name="hs")
-    raw_ensemble, exact_until = _parse_ensemble(doc["ensemble"], dim)
-    try:
-        mean, ensemble = center(raw_ensemble)
-    except ValueError as err:
-        raise ValueError(f"ensemble: {err}") from err
-    mean_scale = float(np.max(np.abs(mean)))
-    if mean_scale > 0.0:
-        log.info(
-            "%s: folded ensemble mean into hs (|mean|_max = %.3e)", name, mean_scale
-        )
-    else:
-        log.info("%s: ensemble mean already zero", name)
-    hs_folded = hs + mean
+    hs = _parse_matrix(doc["hs"], dim, "hs")
+    law = _parse_ensemble(doc["ensemble"], dim)
     generators = _parse_generators(doc.get("generators"))
     if "seed" in doc:
         log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
-    output_path = str(doc.get("output_path", "rndunit_out.csv"))
-    rho0 = _resolve_rho0(doc["rho0"], dim, hs_folded)
+    rho0 = doc["rho0"]
     scenario = Scenario(
         name=name,
-        hs=hs_folded,
-        ensemble=ensemble,
-        rho0=rho0,
+        hs=hs,
+        law=law,
+        rho0=rho0 if isinstance(rho0, str) else _parse_matrix(rho0, dim, "rho0"),
         t_final=_number(doc["t_final"], "t_final"),
         dt=_number(doc["dt"], "dt"),
         generators=generators,
-        output_path=output_path,
+        output_path=str(doc.get("output_path", "rndunit_out.csv")),
     )
-    if exact_until < scenario.t_final:
-        log.info(
-            "%s: ensemble.n_nodes = %d keeps the exact reference within %.0e of the "
-            "Gaussian average only up to t = %.3g; a later breakdown may be the rule's",
-            name,
-            ensemble.size,
-            BREAKDOWN_THRESHOLD / 10,
-            exact_until,
-        )
+    # after the law is admitted and built, so that a fault of its keys is named
+    extra = set(doc["ensemble"]) - {"type", *(key.name for key in fields(law))}
+    if extra:
+        raise ValueError(f"ensemble: unknown keys {sorted(extra)} for type {law.type}")
     return scenario
 
 
@@ -430,22 +398,23 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_load_doc(path), source=str(path))
 
 
+def _emit_value(value):
+    """An ensemble key's value as JSON: a matrix, explicit terms or a number."""
+    if isinstance(value, tuple):
+        return [{"matrix": _emit_matrix(m), "weight": w} for m, w in value]
+    return _emit_matrix(value) if isinstance(value, np.ndarray) else value
+
+
 def scenario_echo(s: Scenario) -> dict:
-    """Scenario document that reruns this resolved scenario bit for bit."""
+    """Scenario document that reruns this scenario bit for bit: hs and the
+    ensemble's law as given, which it resolves again, and rho0 resolved."""
+    law = s.law
+    values = {key.name: _emit_value(getattr(law, key.name)) for key in fields(law)}
     return {
         "name": s.name,
         "dim": s.dim,
-        "hs": _emit_matrix(s.hs),
-        "ensemble": {
-            "type": "explicit",
-            "terms": [
-                {
-                    "matrix": _emit_matrix(s.ensemble.hamiltonians[k]),
-                    "weight": float(s.ensemble.weights[k]),
-                }
-                for k in range(s.ensemble.size)
-            ],
-        },
+        "hs": _emit_matrix(s.raw_hs),
+        "ensemble": {"type": law.type, **values},
         "rho0": _emit_matrix(s.rho0),
         "t_final": s.t_final,
         "dt": s.dt,
@@ -553,13 +522,11 @@ def write_csv(record: RunRecord, path) -> None:
     formatted in linops.chunks within the workspace budget, each block one
     float table made from its own rows, purity included: per series the
     state entries as _re/_im pairs, then purity and trace distance. Each
-    block is formatted by
-    _shortest.rows_text: each distinct magnitude once (a Hermitian state's
-    lower triangle, a zero imaginary part or an all-zero column cost
-    nothing more), by a batched exact shortest-digits kernel that sends the
-    rare value it cannot settle to repr, then a "-" into the cells whose
-    sign bit is set, except on nan. The formatter and its tables are
-    imported and built on the first call, so validate pays for neither.
+    block goes to _shortest.rows_text, which formats each distinct
+    magnitude once, so a Hermitian state's lower triangle, a zero imaginary
+    part or an all-zero column cost nothing more. The formatter and its
+    tables are imported and built on the first call, so validate pays for
+    neither.
     """
     times = record.series["exact"].times
     header = csv_columns(record.scenario.dim, record.series)
@@ -589,17 +556,20 @@ def _record_path(csv_path) -> str:
 
 
 def _write_record(record: RunRecord, path) -> None:
+    valid_until = record.scenario.quadrature_valid_until
     doc = {
         "name": record.scenario.name,
         "version": __version__,
         "wall_time_s": record.wall_time_s,
         "stages": record.stages,
         "equivalence_max_trace_distance": record.equivalence_error,
+        "quadrature_valid_until": None if math.isinf(valid_until) else valid_until,
         "reports": {
             name: {
                 "max_error": rep.max_error,
                 "threshold": BREAKDOWN_THRESHOLD,
                 "breakdown_time": rep.breakdown_time,
+                "beyond_reference": (rep.breakdown_time or 0.0) > valid_until,
             }
             for name, rep in record.reports.items()
         },

@@ -6,13 +6,15 @@ off the weighted mean as the pair (mean, fluctuations); the
 master-equation generators require the zero-mean fluctuations, and
 mean_vanishes is the one rule that decides when a mean counts as zero.
 Gaussian distributions are discretized by Gauss-Hermite quadrature, which keeps
-low moments exact with a handful of nodes.
+low moments exact with a handful of nodes. A scenario keeps its law, one
+of ENSEMBLE_LAWS, and builds the ensemble from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -27,11 +29,15 @@ from .linops import (
 
 __all__ = [
     "DisorderEnsemble",
+    "DisorderLaw",
+    "ExplicitLaw",
+    "GaussianLaw",
+    "TwoPointLaw",
+    "ENSEMBLE_LAWS",
     "mean_hamiltonian",
     "mean_vanishes",
     "center",
     "gauss_hermite_ensemble",
-    "gauss_hermite_exact_until",
     "two_point_ensemble",
     "require_commuting",
     "require_system",
@@ -158,28 +164,6 @@ def gauss_hermite_ensemble(base, sigma: float, n_nodes: int) -> DisorderEnsemble
     return DisorderEnsemble(hamiltonians=hams, weights=weights)
 
 
-def gauss_hermite_exact_until(base, sigma: float, n_nodes: int, error: float) -> float:
-    """The time t_q up to which the rule of gauss_hermite_ensemble keeps the
-    averaged state within `error` of the Gaussian average, whatever H_S.
-
-    The n-node rule integrates f(x) exp(-x^2) / sqrt(pi) with an error of at
-    most n! / (2^n (2n)!) max |f^(2n)|. As a function of the node x, the
-    state U rho0 U+ with U = exp(-it(H_S + sqrt(2) sigma x base)) has a
-    2n-th derivative of trace norm at most a^(2n), a = 2 sqrt(2) sigma t
-    |base| (spectral norm): each derivative brings down one commutator with
-    sqrt(2) sigma t base. t_q is where the bound reaches error, inf for a
-    vanishing sigma or base.
-    """
-    n = int(n_nodes)
-    rate = 2.0 * math.sqrt(2.0) * float(sigma) * float(np.linalg.norm(base, 2))
-    if rate == 0.0:
-        return math.inf
-    # log a^(2n) at which the bound equals error, in logs since (2n)!
-    # overflows a double from n = 86
-    log_a2n = math.log(error) + n * math.log(2.0) + math.lgamma(2 * n + 1) - math.lgamma(n + 1)
-    return math.exp(log_a2n / (2 * n)) / rate
-
-
 def two_point_ensemble(base, g: float) -> DisorderEnsemble:
     """Symmetric two-point distribution lambda = +-g with weight 1/2 each."""
     base = require_hermitian(base, name="base operator")
@@ -188,6 +172,85 @@ def two_point_ensemble(base, g: float) -> DisorderEnsemble:
         raise ValueError("g must be finite")
     hams = np.stack([g * base, -g * base])
     return DisorderEnsemble(hamiltonians=hams, weights=np.array([0.5, 0.5]))
+
+
+class DisorderLaw:
+    """A disorder law as a scenario gives it; its fields are the keys of its
+    ensemble type. Its size, the number of realizations build() makes, is
+    known before they are made and set by the scenario field size_field.
+    exact_until(error) is the time up to which the built ensemble's average
+    stays within error of the law's: inf where the ensemble is the law."""
+
+    type: ClassVar[str]
+    size_field: ClassVar[str] = "ensemble"
+
+    def exact_until(self, error: float) -> float:
+        return math.inf
+
+
+@dataclass(frozen=True, eq=False)
+class ExplicitLaw(DisorderLaw):
+    """Listed realizations: terms is a tuple of (hamiltonian, weight) pairs."""
+
+    terms: tuple
+    type = "explicit"
+    size = property(lambda self: len(self.terms))
+
+    def build(self) -> DisorderEnsemble:
+        return DisorderEnsemble.from_pairs(self.terms)
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianLaw(DisorderLaw):
+    """lambda ~ N(0, sigma^2) acting as lambda * base, on an n_nodes rule."""
+
+    base: np.ndarray
+    sigma: float
+    n_nodes: int
+    type = "gaussian"
+    size_field = "ensemble.n_nodes"
+    size = property(lambda self: self.n_nodes)
+
+    def build(self) -> DisorderEnsemble:
+        return gauss_hermite_ensemble(self.base, self.sigma, self.n_nodes)
+
+    def exact_until(self, error: float) -> float:
+        """The time t_q up to which the rule that build() makes keeps the
+        averaged state within `error` of the Gaussian average, whatever H_S.
+
+        The n-node rule integrates f(x) exp(-x^2) / sqrt(pi) with an error of
+        at most n! / (2^n (2n)!) max |f^(2n)|. As a function of the node x,
+        the state U rho0 U+ with U = exp(-it(H_S + sqrt(2) sigma x base)) has
+        a 2n-th derivative of trace norm at most a^(2n), a = 2 sqrt(2) sigma t
+        |base| (spectral norm): each derivative brings down one commutator
+        with sqrt(2) sigma t base. t_q is where the bound reaches error, inf
+        for a vanishing sigma or base.
+        """
+        n = int(self.n_nodes)
+        rate = 2.0 * math.sqrt(2.0) * float(self.sigma) * float(np.linalg.norm(self.base, 2))
+        if rate == 0.0:
+            return math.inf
+        # log a^(2n) at which the bound equals error, in logs since (2n)!
+        # overflows a double from n = 86
+        log_a2n = math.log(error) + n * math.log(2.0) + math.lgamma(2 * n + 1) - math.lgamma(n + 1)
+        return math.exp(log_a2n / (2 * n)) / rate
+
+
+@dataclass(frozen=True, eq=False)
+class TwoPointLaw(DisorderLaw):
+    """lambda = +-g with weight 1/2 each, acting as lambda * base."""
+
+    base: np.ndarray
+    g: float
+    type = "two_point"
+    size = 2
+
+    def build(self) -> DisorderEnsemble:
+        return two_point_ensemble(self.base, self.g)
+
+
+# each ensemble type's law, keyed by the scenario's "type"
+ENSEMBLE_LAWS = {law.type: law for law in (ExplicitLaw, GaussianLaw, TwoPointLaw)}
 
 
 def require_commuting(e: DisorderEnsemble, reference) -> None:

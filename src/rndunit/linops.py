@@ -315,6 +315,7 @@ def trace_distance(a, b) -> float | np.ndarray:
         if not np.isfinite(diff).all():
             raise ValueError("states contain non-finite entries")
         dist[rows] = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
+        del diff  # before the next chunk's difference is made
     return float(dist[0]) if not shape else dist.reshape(shape)
 
 

@@ -1,4 +1,4 @@
-"""Purity, Heisenberg time, decay rates, trajectory comparison."""
+"""Purity, Heisenberg time, trajectory comparison."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ from conftest import PLUS, SX, SZ, random_density
 from rndunit.analysis import (
     BREAKDOWN_THRESHOLD,
     ComparisonReport,
-    coherence_rate,
     compare,
     heisenberg_time,
     purity,
 )
 from rndunit.channel import evolve_average_series
-from rndunit.ensemble import gauss_hermite_ensemble, two_point_ensemble
+from rndunit.ensemble import two_point_ensemble
 from rndunit.linops import herm_eig
 from rndunit.mastereq import TimeSeries, integrate, make_problem
 
@@ -55,49 +54,6 @@ def test_heisenberg_time_degenerate_rejected():
         heisenberg_time(herm_eig(np.eye(2, dtype=complex)))
     with pytest.raises(ValueError, match="two levels"):
         heisenberg_time(herm_eig(np.ones((1, 1), dtype=complex)))
-
-
-def test_coherence_rate_gaussian_dephasing():
-    # |rho_01(t)| = exp(-2 sigma^2 t^2) / 2, so the rate is 4 sigma^2 t
-    sigma = 0.3
-    p = make_problem(HS_QUBIT, gauss_hermite_ensemble(SZ, sigma, 8), "dephasing")
-    ts = integrate(p, PLUS, 2.0, 0.01)
-    eig = herm_eig(HS_QUBIT)
-    rate = coherence_rate(ts, eig, 0, 1)
-    window = (ts.times >= 0.1) & (ts.times <= 2.0)
-    expected = 4 * sigma**2 * ts.times[window]
-    np.testing.assert_allclose(rate[window], expected, rtol=0.02)
-    assert abs(rate[0]) <= 1e-3
-
-
-def test_coherence_rate_zero_for_unitary():
-    states = np.stack(
-        [
-            np.array([[0.5, 0.5 * np.exp(-1j * t)], [0.5 * np.exp(1j * t), 0.5]])
-            for t in np.linspace(0, 1, 11)
-        ]
-    )
-    ts = TimeSeries(times=np.linspace(0, 1, 11), states=states)
-    rate = coherence_rate(ts, herm_eig(HS_QUBIT), 0, 1)
-    np.testing.assert_allclose(rate, 0.0, atol=1e-10)
-
-
-def test_coherence_rate_truncates_below_floor():
-    times = np.linspace(0.0, 1.0, 11)
-    amp = np.where(times < 0.65, 0.5 * np.exp(-times), 1e-14)
-    states = np.stack(
-        [np.array([[0.5, a], [a, 0.5]], dtype=complex) for a in amp]
-    )
-    ts = TimeSeries(times=times, states=states)
-    with pytest.warns(UserWarning, match="truncated"):
-        rate = coherence_rate(ts, herm_eig(HS_QUBIT), 0, 1)
-    assert rate.size == np.count_nonzero(times < 0.65)
-
-
-def test_coherence_rate_index_checks():
-    ts = TimeSeries(times=np.array([0.0, 1.0]), states=np.stack([PLUS, PLUS]))
-    with pytest.raises(ValueError, match="out of range"):
-        coherence_rate(ts, herm_eig(HS_QUBIT), 0, 2)
 
 
 def test_compare_identical():

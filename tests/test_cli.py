@@ -35,7 +35,7 @@ from rndunit.cli import (
     scenario_from_dict,
     write_csv,
 )
-from rndunit.ensemble import gauss_hermite_exact_until, two_point_ensemble
+from rndunit.ensemble import GaussianLaw, TwoPointLaw
 from rndunit.mastereq import GENERATOR_KINDS, TimeSeries
 
 BASE_DOC = {
@@ -156,9 +156,9 @@ def test_scenario_is_admitted_when_built(tmp_path):
     s = scenario_from_dict(make_doc())
     fields = {
         "name": s.name,
-        "hs": s.hs,
-        "ensemble": s.ensemble,
-        "rho0": s.rho0,
+        "hs": s.raw_hs,
+        "law": s.law,
+        "rho0": "plus",
         "t_final": s.t_final,
         "dt": s.dt,
         "generators": s.generators,
@@ -178,20 +178,24 @@ def test_scenario_is_admitted_when_built(tmp_path):
             Scenario(**{**fields, "t_final": t_final})
     with pytest.raises(ValueError, match="^dt: too small for t_final"):
         Scenario(**{**fields, "t_final": 1e300, "dt": 1e-300})
+    # the law is admitted on its size before it is built, naming the field
+    # that sets the size: a rule of 10^9 nodes would not be built in time
+    with pytest.raises(ValueError, match="^ensemble.n_nodes: composite dimension 2 x 10"):
+        Scenario(**{**fields, "law": GaussianLaw(SZ, 0.1, 10**9)})
     # generators are put in column order, and an unknown kind is refused
-    sx = {"ensemble": two_point_ensemble(SX, 0.1), "generators": {"gksl": 0.0, "redfield": 0.0}}
+    sx = {"law": TwoPointLaw(SX, 0.1), "generators": {"gksl": 0.0, "redfield": 0.0}}
     crossed = Scenario(**{**fields, **sx})
     assert list(crossed.generators) == list(crossed.problems) == ["redfield", "gksl"]
     with pytest.raises(ValueError, match="^generators: lindblad: unknown generator kind"):
         Scenario(**{**fields, "generators": {"dephasing": 0.0, "lindblad": 0.0}})
     # dim follows hs
     qutrit = np.diag([1.0, 0.0, -1.0])
-    three = {"hs": 0.5 * qutrit, "ensemble": two_point_ensemble(qutrit, 0.5), "rho0": np.eye(3) / 3}
+    three = {"hs": 0.5 * qutrit, "law": TwoPointLaw(qutrit, 0.5), "rho0": np.eye(3) / 3}
     assert Scenario(**{**fields, **three}).dim == 3
     # hs, the ensemble's dimension and rho0 are refused naming the field
     faults = {
         "hs": [{"hs": np.array([[0.0, 1.0], [0.0, 0.0]])}, {"hs": np.zeros(2)}],
-        "ensemble": [{"ensemble": three["ensemble"]}],
+        "ensemble": [{"law": three["law"]}],
         "rho0": [{"rho0": np.diag([2.0, -1.0])}, {"rho0": np.eye(3) / 3}],
     }
     for name, cases in faults.items():
@@ -249,13 +253,37 @@ def test_run_outputs_deterministic(tmp_path):
 
 
 def test_record_echo_reruns_bit_for_bit(tmp_path):
-    first = tmp_path / "first.csv"
-    run(scenario_from_dict(make_doc(output_path=str(first))))
-    record_doc = json.loads((tmp_path / "first.run.json").read_text())
-    echo = record_doc["scenario"]
-    echo["output_path"] = str(tmp_path / "second.csv")
-    run(scenario_from_dict(echo, source="echo"))
-    assert first.read_bytes() == (tmp_path / "second.csv").read_bytes()
+    # the echo holds hs and the ensemble's law as given, so its rerun repeats
+    # the same resolution: the same CSV bytes and the same record, apart from
+    # timings and the output path
+    docs = {"base": make_doc(), **{name: demo_scenario(name) for name in DEMO_NAMES}}
+    for name, doc in docs.items():
+        first = tmp_path / f"{name}.csv"
+        run(scenario_from_dict({**doc, "output_path": str(first)}))
+        record_doc = json.loads((tmp_path / f"{name}.run.json").read_text())
+        echo = record_doc["scenario"]
+        assert echo["ensemble"] == doc["ensemble"], name
+        echo["output_path"] = str(tmp_path / f"{name}-echo.csv")
+        run(scenario_from_dict(echo, source="echo"))
+        assert first.read_bytes() == (tmp_path / f"{name}-echo.csv").read_bytes(), name
+        rerun_doc = json.loads((tmp_path / f"{name}-echo.run.json").read_text())
+        for kept in (record_doc, rerun_doc):
+            del kept["wall_time_s"], kept["stages"], kept["scenario"]["output_path"]
+        assert rerun_doc == record_doc, name
+
+
+def test_gaussian_rule_is_built_once_per_resolution(monkeypatch):
+    # a resolution admits a gaussian on its n_nodes and builds the rule once;
+    # the echo keeps the law, so its resolution builds the same rule again
+    calls = []
+    hermgauss = np.polynomial.hermite.hermgauss
+    monkeypatch.setattr(
+        np.polynomial.hermite, "hermgauss", lambda n: calls.append(n) or hermgauss(n)
+    )
+    s = scenario_from_dict(demo_scenario("gaussian-dephasing"))
+    assert calls == [32] and isinstance(s.law, GaussianLaw)
+    scenario_from_dict(json.loads(json.dumps(scenario_echo(s))), source="echo")
+    assert calls == [32, 32]
 
 
 def test_scenario_echo_is_json_ready():
@@ -273,7 +301,7 @@ def test_run_record_json_fields(tmp_path):
     assert doc["name"] == "qubit-dephasing"
     assert set(doc["reports"]) == {"dephasing"}
     rep = doc["reports"]["dephasing"]
-    assert set(rep) == {"max_error", "threshold", "breakdown_time"}
+    assert set(rep) == {"max_error", "threshold", "breakdown_time", "beyond_reference"}
     assert doc["equivalence_max_trace_distance"] <= 1e-10
 
 
@@ -514,13 +542,35 @@ def test_gaussian_reference_logs_where_it_stops_being_exact(tmp_path, caplog):
         assert all("up to t = 15.5;" in m for m in horizon)
     # the bound is conservative: the exact coherence is within 1e-3 of the
     # Gaussian average 1/2 exp(-2 sigma^2 t^2) all the way to t_q
-    t_q = gauss_hermite_exact_until(SZ, 0.2, 32, BREAKDOWN_THRESHOLD / 10)
+    t_q = GaussianLaw(SZ, 0.2, 32).exact_until(BREAKDOWN_THRESHOLD / 10)
     assert t_q == pytest.approx(15.48, abs=0.01)
     scenario = scenario_from_dict(demo_scenario("gaussian-dephasing"))
     times = np.arange(0.0, t_q, 0.01)
     states = evolve_average_series(scenario.hs, scenario.ensemble, scenario.rho0, times)
     expected = 0.5 * np.exp(-2 * 0.2**2 * times**2)
     assert np.abs(np.abs(states[:, 0, 1]) - expected).max() <= 1e-3
+
+
+def test_record_flags_breakdowns_beyond_the_reference(tmp_path):
+    # the record holds the Gauss-Hermite rule's t_q (null for a finite law)
+    # and flags each breakdown past it: on the demo run to t = 30, both
+    # generators' false breakdowns at 21.71
+    cases = (
+        ("gaussian-dephasing", ["--t-final", "30"], 15.48, {"redfield": True, "dephasing": True}),
+        ("gaussian-dephasing", [], 15.48, {"redfield": False, "dephasing": False}),
+        ("two-point-breakdown", [], None, {"dephasing": False}),
+    )
+    for name, flags, valid_until, beyond in cases:
+        out = tmp_path / "r.csv"
+        assert main(["demo", name, "--output", str(out), "--quiet", *flags]) == 0
+        doc = json.loads((tmp_path / "r.run.json").read_text())
+        if valid_until is None:
+            assert doc["quadrature_valid_until"] is None
+        else:
+            assert doc["quadrature_valid_until"] == pytest.approx(valid_until, abs=0.01)
+        assert {k: rep["beyond_reference"] for k, rep in doc["reports"].items()} == beyond
+        if flags:
+            assert {rep["breakdown_time"] for rep in doc["reports"].values()} == {21.71}
 
 
 def test_document_that_is_not_an_object_exits_2(tmp_path, capsys):

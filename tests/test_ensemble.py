@@ -10,10 +10,13 @@ from conftest import PLUS, SX, SZ, random_hermitian, random_unitary, random_weig
 
 from rndunit.channel import evolve_average
 from rndunit.ensemble import (
+    ENSEMBLE_LAWS,
     DisorderEnsemble,
+    ExplicitLaw,
+    GaussianLaw,
+    TwoPointLaw,
     center,
     gauss_hermite_ensemble,
-    gauss_hermite_exact_until,
     mean_hamiltonian,
     mean_vanishes,
     require_commuting,
@@ -159,16 +162,32 @@ def test_gauss_hermite_second_moment_exact(n_nodes):
 def test_gauss_hermite_exact_until_solves_the_bound():
     # t_q is where n! / (2^n (2n)!) a^(2n), a = 2 sqrt(2) sigma t |base|,
     # reaches the error; it sees sigma and the spectral norm of base only
-    t_q = gauss_hermite_exact_until(SZ, 0.2, 32, 1e-3)
+    t_q = GaussianLaw(SZ, 0.2, 32).exact_until(1e-3)
     a = 2 * math.sqrt(2) * 0.2 * t_q
     bound = math.factorial(32) / (2**32 * math.factorial(64)) * a**64
     assert bound == pytest.approx(1e-3, rel=1e-9)
-    assert gauss_hermite_exact_until(2 * SX, 0.1, 32, 1e-3) == pytest.approx(t_q, rel=1e-12)
-    assert gauss_hermite_exact_until(SZ, 0.4, 32, 1e-3) == pytest.approx(t_q / 2, rel=1e-12)
-    assert gauss_hermite_exact_until(SZ, 0.2, 64, 1e-3) > t_q
+    assert GaussianLaw(2 * SX, 0.1, 32).exact_until(1e-3) == pytest.approx(t_q, rel=1e-12)
+    assert GaussianLaw(SZ, 0.4, 32).exact_until(1e-3) == pytest.approx(t_q / 2, rel=1e-12)
+    assert GaussianLaw(SZ, 0.2, 64).exact_until(1e-3) > t_q
     # (2n)! overflows a double from n = 86; the bound is solved in logs
-    assert math.isfinite(gauss_hermite_exact_until(SZ, 0.2, 300, 1e-3))
-    assert gauss_hermite_exact_until(SZ, 0.0, 32, 1e-3) == math.inf
+    assert math.isfinite(GaussianLaw(SZ, 0.2, 300).exact_until(1e-3))
+    assert GaussianLaw(SZ, 0.0, 32).exact_until(1e-3) == math.inf
+
+
+def test_law_knows_its_size_before_it_builds():
+    # a scenario is admitted on the law's size before the law is built
+    laws = [
+        ExplicitLaw(((SZ, 0.25), (SX, 0.5), (-SZ, 0.25))),
+        GaussianLaw(SZ, 0.2, 7),
+        TwoPointLaw(SX, 0.3),
+    ]
+    assert sorted(law.type for law in laws) == sorted(ENSEMBLE_LAWS)
+    for law in laws:
+        assert law.size == law.build().size
+        assert ENSEMBLE_LAWS[law.type] is type(law)
+    # only the Gauss-Hermite rule stands for a law it does not hold exactly
+    assert math.isfinite(laws[1].exact_until(1e-3))
+    assert laws[0].exact_until(1e-3) == laws[2].exact_until(1e-3) == math.inf
 
 
 def test_two_point_structure():

@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -322,6 +323,23 @@ def test_require_hermitian_scales_with_magnitude():
     require_hermitian(big)  # defect 1e-8 is within 1e-12 * 1e6
     with pytest.raises(ValueError):
         require_hermitian(SZ + np.array([[0.0, 1e-8], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("dim, count", [(2, 200_001), (4, 20_001), (8, 20_001)])
+def test_trace_distance_workspace_is_bounded(dim, count):
+    # past its output, the distances, a call holds one chunk of
+    # WORKSPACE_BYTES: each chunk's difference goes before the next is made
+    a = np.zeros((count, dim, dim), dtype=complex)
+    b = np.zeros((count, dim, dim), dtype=complex)
+    b[:, 0, 0] = 1.0
+    tracemalloc.start()
+    try:
+        distances = trace_distance(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(distances == 0.5)
+    assert peak - distances.nbytes <= linops.WORKSPACE_BYTES
 
 
 def test_trace_distance_batches_stacks():
