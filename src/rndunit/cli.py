@@ -79,18 +79,12 @@ log = logging.getLogger("rndunit")
 
 RHO0_PRESETS = ("plus", "ground", "maximally_mixed")
 
-SCENARIO_KEYS = {
-    "name",
-    "dim",
-    "hs",
-    "ensemble",
-    "rho0",
-    "t_final",
-    "dt",
-    "generators",
-    "seed",  # accepted for older files, ignored
-    "output_path",
-}
+# the keys of a scenario document, required then optional; seed is accepted
+# for older files and ignored
+SCENARIO_KEYS = (
+    ("dim", "hs", "ensemble", "rho0", "t_final", "dt"),
+    ("name", "generators", "seed", "output_path"),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,19 +93,20 @@ class Scenario:
     given, rho0 as a matrix or one of RHO0_PRESETS, and generators mapping
     each requested kind to its epsilon (gksl's only).
 
-    Building it runs every check run() relies on, before any heavy work:
-    t_final and dt must give a grid (mastereq.grid_steps), hs must be
-    Hermitian, output_path writable (its directory existing, neither it nor
-    its .run.json a directory), and the law's size must fit the dilation's
-    cap and the exact average's table (channel.require_average); with that
-    table, the grid and its series, points * (8 + 16 dim^2 n_series) bytes,
-    must fit linops.MAX_SERIES_BYTES. Only then is the law built into a
-    centered ensemble of hs's dimension, whose mean is folded into hs
-    (raw_hs keeps hs as given); a preset rho0 is resolved on the folded hs,
-    rho0 must be a density matrix, and each generator's problem is built
-    into `problems`, which runs its guards. quadrature_valid_until is the
-    time up to which the ensemble keeps the law's average within a tenth of
-    BREAKDOWN_THRESHOLD. Errors name the scenario field at fault.
+    Building it runs every check run() relies on, before any heavy work: a
+    rho0 given by name must name a preset, t_final and dt must give a grid
+    (mastereq.grid_steps), hs must be Hermitian, output_path writable (its
+    directory existing, neither it nor its .run.json a directory), and the
+    law's size must fit the dilation's cap and the exact average's table
+    (channel.require_average); with that table, the grid and its series,
+    points * (8 + 16 dim^2 n_series) bytes, must fit linops.MAX_SERIES_BYTES.
+    Only then is the law built into a centered ensemble of hs's dimension,
+    whose mean is folded into hs (raw_hs keeps hs as given); a preset rho0
+    is resolved on the folded hs, rho0 must be a density matrix, and each
+    generator's problem is built into `problems`, which runs its guards.
+    quadrature_valid_until is the time up to which the ensemble keeps the
+    law's average within a tenth of BREAKDOWN_THRESHOLD. Errors name the
+    scenario field at fault.
     """
 
     name: str
@@ -129,6 +124,10 @@ class Scenario:
     problems: dict[str, MasterEqProblem] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.rho0, str) and self.rho0 not in RHO0_PRESETS:
+            raise ValueError(
+                f"rho0: {reprlib.repr(self.rho0)} is not one of {list(RHO0_PRESETS)}"
+            )
         points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + len(self.generators)
         dim = require_hermitian(self.hs, name="hs").shape[0]
         order = dict.fromkeys([*GENERATOR_KINDS, *self.generators])
@@ -206,6 +205,20 @@ class RunRecord:
     stages: dict = field(default_factory=dict)
 
 
+def _require_keys(obj, field: str, required, optional=()) -> dict:
+    """obj, the JSON object read as field, refused naming field if it lacks a
+    key of required ("missing keys [...]", checked first) or has a key
+    outside required and optional ("unknown keys [...]"). Every object of a
+    scenario document is checked by this one rule where it is read."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{field}: expected a JSON object")
+    missing, unknown = set(required) - set(obj), set(obj) - {*required, *optional}
+    for fault, keys in (("missing", missing), ("unknown", unknown)):
+        if keys:
+            raise ValueError(f"{field}: {fault} keys {sorted(keys)}")
+    return obj
+
+
 def _number(value, field: str, kind=float):
     """kind(value), raising a ValueError that names field where it fails.
 
@@ -260,8 +273,7 @@ def _parse_terms(value, dim: int, field: str) -> tuple:
         raise ValueError(f"{field}: expected a non-empty list")
     terms = []
     for i, term in enumerate(value):
-        if not isinstance(term, dict) or set(term) != {"matrix", "weight"}:
-            raise ValueError(f"{field}[{i}]: expected keys matrix and weight")
+        _require_keys(term, f"{field}[{i}]", ("matrix", "weight"))
         matrix = _parse_matrix(term["matrix"], dim, f"{field}[{i}].matrix")
         terms.append((matrix, _number(term["weight"], f"{field}[{i}].weight")))
     return tuple(terms)
@@ -279,20 +291,19 @@ _ENSEMBLE_VALUES = {
 
 
 def _parse_ensemble(spec, dim: int) -> DisorderLaw:
-    """The law, one of ENSEMBLE_LAWS, that the keys of an ensemble's type give."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError('ensemble: expected an object with a "type" key')
-    kind = spec["type"]
-    if not isinstance(kind, str) or kind not in ENSEMBLE_LAWS:
+    """The law, one of ENSEMBLE_LAWS, that an ensemble object gives. Its
+    keys are "type" and the fields of that type's law, all required, so a
+    key of another type is refused with the others, before a value is read
+    or the law is built."""
+    kind = spec.get("type") if isinstance(spec, dict) else None
+    law = ENSEMBLE_LAWS.get(kind) if isinstance(kind, str) else None
+    if law is None and isinstance(spec, dict) and "type" in spec:
         raise ValueError(
             f"ensemble.type: {reprlib.repr(kind)} is not one of {sorted(ENSEMBLE_LAWS)}"
         )
-    keys = [key.name for key in fields(ENSEMBLE_LAWS[kind])]
-    missing = [key for key in keys if key not in spec]
-    if missing:
-        raise ValueError(f"ensemble: {kind} needs {' and '.join(missing)}")
-    values = {key: _ENSEMBLE_VALUES[key](spec[key], dim, f"ensemble.{key}") for key in keys}
-    return ENSEMBLE_LAWS[kind](**values)
+    keys = [key.name for key in fields(law)] if law else []
+    _require_keys(spec, "ensemble", ["type", *keys])
+    return law(**{key: _ENSEMBLE_VALUES[key](spec[key], dim, f"ensemble.{key}") for key in keys})
 
 
 def _parse_generators(value) -> dict[str, float]:
@@ -305,12 +316,7 @@ def _parse_generators(value) -> dict[str, float]:
         if isinstance(item, str):
             name, epsilon = item, 0.0
         elif isinstance(item, dict):
-            extra = set(item) - {"name", "epsilon"}
-            if extra or "name" not in item:
-                raise ValueError(
-                    f"generators[{i}]: expected keys name and optional epsilon"
-                )
-            name = item["name"]
+            name = _require_keys(item, f"generators[{i}]", ("name",), ("epsilon",))["name"]
             epsilon = _number(item.get("epsilon", 0.0), f"generators[{i}].epsilon")
         else:
             raise ValueError(f"generators[{i}]: expected a name or an object")
@@ -329,8 +335,6 @@ def _resolve_rho0(value, hs: np.ndarray):
     """value, or the state of the preset it names on hs's levels."""
     if not isinstance(value, str):
         return value
-    if value not in RHO0_PRESETS:
-        raise ValueError(f"rho0: {reprlib.repr(value)} is not one of {list(RHO0_PRESETS)}")
     dim = hs.shape[0]
     if value == "maximally_mixed":
         return np.eye(dim, dtype=np.complex128) / dim
@@ -342,16 +346,11 @@ def _resolve_rho0(value, hs: np.ndarray):
 
 
 def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
-    """Validate a scenario document and resolve it into runnable form: its
-    values are parsed here, and Scenario admits them and builds the rest."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source}: expected a JSON object")
-    unknown = set(doc) - SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"{source}: unknown keys {sorted(unknown)}")
-    missing = {"dim", "hs", "ensemble", "rho0", "t_final", "dt"} - set(doc)
-    if missing:
-        raise ValueError(f"{source}: missing keys {sorted(missing)}")
+    """Validate a scenario document and resolve it into runnable form. Each
+    object is read under the one key rule, _require_keys, and its values are
+    parsed as it is read, so a fault that a field shows on its own is refused
+    before anything is built; Scenario admits the rest and builds it."""
+    _require_keys(doc, source, *SCENARIO_KEYS)
     name = str(doc.get("name", "scenario"))
     dim = _number(doc["dim"], "dim", int)
     if dim < 1:
@@ -362,7 +361,7 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
     if "seed" in doc:
         log.info("%s: scenario key 'seed' is ignored (nothing is random)", name)
     rho0 = doc["rho0"]
-    scenario = Scenario(
+    return Scenario(
         name=name,
         hs=hs,
         law=law,
@@ -372,11 +371,6 @@ def scenario_from_dict(doc, source: str = "scenario") -> Scenario:
         generators=generators,
         output_path=str(doc.get("output_path", "rndunit_out.csv")),
     )
-    # after the law is admitted and built, so that a fault of its keys is named
-    extra = set(doc["ensemble"]) - {"type", *(key.name for key in fields(law))}
-    if extra:
-        raise ValueError(f"ensemble: unknown keys {sorted(extra)} for type {law.type}")
-    return scenario
 
 
 def _load_doc(path) -> dict:

@@ -320,14 +320,15 @@ def _make_liouvillian(p: MasterEqProblem):
     n = d * d
     k = np.einsum("jac,jeb->abce", g, g)
     q = np.einsum("jam,jmc->amc", g, g)  # A_ac = sum_m Q_amc phi_mc, B_eb = sum_m Q_emb phi_em
-    unit = np.eye(n).reshape(n, d, d)  # each phi_mn = 1 in turn: the rows of M
-    eye = np.eye(d)
-    # axes [u, a, b, c, e]; eye[:, None, :] is delta_be, eye[:, None, :, None] delta_ac
-    rows = k * (unit.swapaxes(1, 2)[:, None, :, None, :] + unit[:, :, None, :, None])
-    rows -= np.einsum("amc,umc->uac", q, unit)[:, :, None, :, None] * eye[:, None, :]
-    rows -= np.einsum("emb,uem->ube", q, unit)[:, None, :, None, :] * eye[:, None, :, None]
-    free = -1j * np.diag(p.eig.gaps.ravel())
-    m = np.concatenate([rows.reshape(n, n * n), free.reshape(1, n * n)])
+    m = np.zeros((n + 1, n * n), dtype=np.complex128)
+    # row (x, y) of M is the generator at phi_xy = 1, the other entries 0;
+    # axes [x, y, a, b, c, e], each term written through a diagonal view
+    rows = m[:n].reshape(d, d, d, d, d, d)
+    np.einsum("xyaycx->xyac", rows)[...] = k.transpose(3, 1, 0, 2)  # phi_eb
+    np.einsum("xyxbye->xybe", rows)[...] += k.transpose(0, 2, 1, 3)  # phi_ac
+    np.einsum("xyabyb->xyab", rows)[...] -= q.transpose(1, 2, 0)[..., None]  # A delta_be
+    np.einsum("xyabax->xyab", rows)[...] -= q[:, :, None, :]  # delta_ac B
+    m[n] = (-1j * np.diag(p.eig.gaps.ravel())).ravel()
 
     def tables(ts: np.ndarray) -> np.ndarray:
         at = phi(ts)
@@ -527,10 +528,12 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 # two runs): d = 4: 34-47 / 8-13 us against 159-167 / 142-146 us; d = 5:
 # 56-67 / 16-17 against 206-218 / 152-155; d = 6: 99-128 / 21-25 against
 # 230-253 / 129-161; d = 7: 259-267 / 36-49 against 208-220 / 141-142;
-# d = 8: 530-667 / 92 against 258-262 / 166-180. Redfield crosses over
-# between 6 and 7. At r = 1 the factored cost falls: on gauss-d8 (d = 8)
-# traced runs took 82-109 / 77-93 us. At d <= 6 one step's dense tables
-# take at most 6 * 6^4 * 16 B (122 KiB), well within the budget.
+# d = 8 (re-measured by setting this constant, as the tests do; three
+# processes, two warm runs each): 497-591 / 6-13 against 85-138 / 70-112.
+# Redfield crosses over between 6 and 7. At r = 1 the factored cost falls:
+# on gauss-d8 (d = 8) traced runs took 75-96 / 82-88 us (quartiles). At
+# d <= 6 one step's dense tables take at most 6 * 6^4 * 16 B (122 KiB),
+# well within the budget.
 _DENSE_MAX_DIM = 6
 
 # complex d^2 x d^2 arrays per step at the peak of a dense chunk: the

@@ -35,7 +35,7 @@ from rndunit.cli import (
     scenario_from_dict,
     write_csv,
 )
-from rndunit.ensemble import GaussianLaw, TwoPointLaw
+from rndunit.ensemble import ENSEMBLE_LAWS, GaussianLaw, TwoPointLaw
 from rndunit.mastereq import GENERATOR_KINDS, TimeSeries
 
 BASE_DOC = {
@@ -106,7 +106,7 @@ def test_scenario_explicit_ensemble_weights_checked():
 def test_scenario_ensemble_type_checked():
     with pytest.raises(ValueError, match="ensemble.type"):
         scenario_from_dict(make_doc(ensemble={"type": "lorentzian"}))
-    with pytest.raises(ValueError, match="two_point needs g"):
+    with pytest.raises(ValueError, match=r"^ensemble: missing keys \['g'\]$"):
         scenario_from_dict(
             make_doc(ensemble={"type": "two_point", "base": [[1, 0], [0, -1]]})
         )
@@ -182,6 +182,9 @@ def test_scenario_is_admitted_when_built(tmp_path):
     # that sets the size: a rule of 10^9 nodes would not be built in time
     with pytest.raises(ValueError, match="^ensemble.n_nodes: composite dimension 2 x 10"):
         Scenario(**{**fields, "law": GaussianLaw(SZ, 0.1, 10**9)})
+    # a preset name is checked first, before the law's size
+    with pytest.raises(ValueError, match="^rho0: 'cat' is not one of"):
+        Scenario(**{**fields, "rho0": "cat", "law": GaussianLaw(SZ, 0.1, 10**9)})
     # generators are put in column order, and an unknown kind is refused
     sx = {"law": TwoPointLaw(SX, 0.1), "generators": {"gksl": 0.0, "redfield": 0.0}}
     crossed = Scenario(**{**fields, **sx})
@@ -795,6 +798,7 @@ TAKEN_PATHS = {"output-is-a-directory": "taken", "record-is-a-directory": "s.run
 
 # a mistyped numeric field is a validation error naming it, not a TypeError
 _TWO_POINT = BASE_DOC["ensemble"]
+_GAUSSIAN = {"type": "gaussian", "base": _TWO_POINT["base"], "sigma": 0.1, "n_nodes": 4}
 _ONE_TERM = {"matrix": [[1.0, 0.0], [0.0, -1.0]], "weight": 1.0}
 MISTYPED_FIELDS = {
     "dim-list": ({"dim": [2]}, "dim: expected a number"),
@@ -802,12 +806,12 @@ MISTYPED_FIELDS = {
     "dt-object": ({"dt": {"value": 0.05}}, "dt: expected a number"),
     "g-null": ({"ensemble": {**_TWO_POINT, "g": None}}, "ensemble.g: expected a number"),
     "sigma-null": (
-        {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": None, "n_nodes": 4}},
+        {"ensemble": {**_GAUSSIAN, "sigma": None}},
         "ensemble.sigma: expected a number",
     ),
     # JSON's Infinity: int() overflows
     "n_nodes-infinite": (
-        {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": float("inf")}},
+        {"ensemble": {**_GAUSSIAN, "n_nodes": float("inf")}},
         "ensemble.n_nodes: expected a number",
     ),
     "weight-null": (
@@ -819,12 +823,13 @@ MISTYPED_FIELDS = {
         "generators[0].epsilon: expected a number",
     ),
     "type-list": ({"ensemble": {**_TWO_POINT, "type": ["two_point"]}}, "ensemble.type"),
+    "type-null": ({"ensemble": {**_TWO_POINT, "type": None}}, "ensemble.type"),
     # float() and int() would read these as 1.0, 2 and 4
     "g-bool": ({"ensemble": {**_TWO_POINT, "g": True}}, "ensemble.g: expected a number"),
     "t_final-bool": ({"t_final": True}, "t_final: expected a number"),
     "dim-fraction": ({"dim": 2.9}, "dim: expected an integer"),
     "n_nodes-fraction": (
-        {"ensemble": {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": 4.9}},
+        {"ensemble": {**_GAUSSIAN, "n_nodes": 4.9}},
         "ensemble.n_nodes: expected an integer",
     ),
     # JSON integer literals beyond the double range: float() overflows
@@ -833,7 +838,6 @@ MISTYPED_FIELDS = {
 }
 
 # a fault found by the ensemble's constructor is named as the ensemble's
-_GAUSSIAN = {**_TWO_POINT, "type": "gaussian", "sigma": 0.1, "n_nodes": 4}
 _NOT_HERMITIAN = [[0.0, 1.0], [0.0, 0.0]]
 ENSEMBLE_FAULTS = {
     "weights-sum": (
@@ -940,7 +944,7 @@ def test_centering_errors_name_the_ensemble(monkeypatch):
 
 
 def test_gauss_hermite_node_count_exits_2(tmp_path, capsys, monkeypatch):
-    gaussian = {**_TWO_POINT, "type": "gaussian", "sigma": 0.1}
+    gaussian = _GAUSSIAN
     path = tmp_path / "s.json"
     # numpy's 400-node rule overflows; refused naming n_nodes, without warnings
     path.write_text(json.dumps(make_doc(ensemble={**gaussian, "n_nodes": 400})))
@@ -988,10 +992,63 @@ def test_ensemble_keys_of_another_type_exit_2(case, tmp_path, capsys):
     keys, ensemble = STRAY_ENSEMBLE_KEYS[case]
     path = tmp_path / "s.json"
     path.write_text(json.dumps(make_doc(ensemble=ensemble, output_path=str(tmp_path / "s.csv"))))
-    kind = ensemble["type"]
     for command in ("validate", "run"):
         assert main([command, str(path), "--quiet"]) == 2
-        assert f"ensemble: unknown keys {keys} for type {kind}" in capsys.readouterr().err
+        assert f"ensemble: unknown keys {keys}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+# one key rule for the four kinds of object: the document, the ensemble, a
+# generator and an explicit term; each case's only fault is the key named
+# (a document key given as None is left out)
+_TERMS = {"type": "explicit", "terms": [_ONE_TERM]}
+KEY_FAULTS = {
+    ("document", "unknown"): ({"extra": 1}, "{source}: unknown keys ['extra']"),
+    ("document", "missing"): ({"dt": None}, "{source}: missing keys ['dt']"),
+    # over the dilation cap too, but the stray key is named and no rule built
+    ("ensemble", "unknown"): (
+        {"ensemble": {**_GAUSSIAN, "n_nodes": 10**9, "g": 0.5}},
+        "ensemble: unknown keys ['g']",
+    ),
+    ("ensemble", "missing"): (
+        {"ensemble": {key: value for key, value in _GAUSSIAN.items() if key != "sigma"}},
+        "ensemble: missing keys ['sigma']",
+    ),
+    ("generator", "unknown"): (
+        {"generators": [{"name": "dephasing", "eps": 0.1}]},
+        "generators[0]: unknown keys ['eps']",
+    ),
+    ("generator", "missing"): (
+        {"generators": ["redfield", {"epsilon": 0.1}]},
+        "generators[1]: missing keys ['name']",
+    ),
+    ("term", "unknown"): (
+        {"ensemble": {**_TERMS, "terms": [{**_ONE_TERM, "label": "a"}]}},
+        "ensemble.terms[0]: unknown keys ['label']",
+    ),
+    ("term", "missing"): (
+        {"ensemble": {**_TERMS, "terms": [_ONE_TERM, {"matrix": _ONE_TERM["matrix"]}]}},
+        "ensemble.terms[1]: missing keys ['weight']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEY_FAULTS), ids="-".join)
+def test_key_faults_exit_2_before_anything_is_built(case, tmp_path, capsys, monkeypatch):
+    def built(*args):
+        raise AssertionError("built before the keys were checked")
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", built)
+    for law in ENSEMBLE_LAWS.values():
+        monkeypatch.setattr(law, "build", built)
+    overrides, message = KEY_FAULTS[case]
+    doc = {**make_doc(**overrides), "output_path": str(tmp_path / "s.csv")}
+    doc = {key: value for key, value in doc.items() if value is not None}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "run"):
+        assert main([command, str(path), "--quiet"]) == 2
+        assert f"validation error: {message.format(source=path)}\n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [path]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -597,6 +598,27 @@ def test_integrate_keeps_rho0_bitwise(monkeypatch):
         np.testing.assert_array_equal(
             later, later.conj().swapaxes(1, 2), err_msg=representation
         )
+
+
+def test_dense_liouvillian_is_built_within_the_workspace():
+    # past the (d^2 + 1) x d^4 matrix it keeps (0.73 MiB at d = 6), building
+    # the dense Liouvillian holds at most one workspace budget: its rows are
+    # written in the matrix's own buffer
+    rng = np.random.default_rng(46)
+    d, n = 6, 16
+    hams = np.stack([random_hermitian(rng, d) for _ in range(n)])
+    _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(n, 1 / n)))
+    p = make_problem(random_hermitian(rng, d), e, "redfield")
+    assert d <= mastereq._DENSE_MAX_DIM and p.factors.shape[0] == n - 1
+    tracemalloc.start()
+    try:
+        tables = mastereq._make_liouvillian(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= (d**2 + 1) * d**4 * 16
+    assert peak - held <= linops.WORKSPACE_BYTES
+    assert tables(np.array([0.0, 0.5])).shape == (2, d * d, d * d)
 
 
 def test_integrate_warns_on_coarse_dt():
