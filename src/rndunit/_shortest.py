@@ -190,9 +190,9 @@ def _outside(n):
     return (n - _TEN[16]).view(np.uint64) >= np.uint64(9 * 10**16)
 
 
-def _layout(c, e, count) -> np.ndarray:
-    """(m, _RECORD) uint8 records of repr's layout of the digits c, with
-    decimal exponent e and count digits, and a ','."""
+def _layout(c, e, count, out: np.ndarray) -> None:
+    """Write into the (m, _RECORD) uint8 records out repr's layout of the
+    digits c, with decimal exponent e and count digits, and a ','."""
     _, groups, heads, masks, tails, moves = _tables()
     first = c // _TEN[16]
     halves = np.empty((c.size, 2), dtype=np.int64)
@@ -207,22 +207,21 @@ def _layout(c, e, count) -> np.ndarray:
     shown = np.where(large, np.maximum(count, e + 2), count) - 1
     point = large | scientific & (count > 1)
     lead = np.clip(-e, 0, 1 - _FIXED_MIN)  # "0." and zeros before the digits
-    words = np.empty((c.size, 4), dtype=np.uint64)
+    words = out.view(np.uint64)
     words[:, 0] = heads.take((lead * 10 + first) * 2 + point)
     np.bitwise_and(groups.take(quad).view(np.uint64), masks.take(shown, axis=0), out=words[:, 1:3])
     words[:, 3] = tails.take(np.where(scientific, e - _E_MIN, -1))
-    out = words.view(np.uint8)
     for x in np.flatnonzero(np.bincount(e[large])):  # one gather per exponent, no index table
         rows = np.flatnonzero(large & (e == x))
         out[rows] = out[rows][:, moves[x]]
-    return out
 
 
-def _records(magnitudes: np.ndarray) -> np.ndarray:
-    """(m, _RECORD) uint8 records of non-negative doubles or nans: the text
-    repr gives and ',' in the columns above, NUL elsewhere."""
+def _records(magnitudes: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (m, _RECORD) uint8 records out those of non-negative
+    doubles or nans: the text repr gives and ',' in the columns above, NUL
+    elsewhere."""
     c, e, count, doubtful = _digits(magnitudes)
-    out = _layout(c, e, count)
+    _layout(c, e, count, out)
     rest = np.flatnonzero(doubtful)
     if rest.size:
         texts = b"".join(
@@ -230,7 +229,6 @@ def _records(magnitudes: np.ndarray) -> np.ndarray:
             for v in magnitudes[rest].tolist()
         )
         out[rest] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, _RECORD)
-    return out
 
 
 def rows_text(block: np.ndarray) -> bytes:
@@ -242,10 +240,22 @@ def rows_text(block: np.ndarray) -> bytes:
     sign bit cleared are made unique, each cell gathers its magnitude's
     record, and a "-" is written into the sign byte of the cells whose sign
     bit is set, except on nan, which repr prints as "nan" whatever its sign.
+    The kernel's temporaries grow with the magnitudes it formats at once,
+    about 130 bytes each: up to 55% of the block's cells go in one go (a
+    block of Hermitian states is about half distinct), more in slices of a
+    quarter of them. A block of magnitudes in the kernel's range then peaks
+    at no more than 110 bytes a cell however many are distinct (88 when all
+    are), where one go would take 172.
     """
     bits = block.view(np.uint64).ravel()
     magnitudes, where = np.unique(bits & _MAGNITUDE_BITS, return_inverse=True)
-    cells = _records(magnitudes.view(np.float64)).take(where, axis=0)
+    magnitudes = magnitudes.view(np.float64)
+    records = np.empty((magnitudes.size, _RECORD), dtype=np.uint8)
+    step = magnitudes.size if 20 * magnitudes.size <= 11 * bits.size else -(-bits.size // 4)
+    for first in range(0, magnitudes.size, step):
+        _records(magnitudes[first : first + step], records[first : first + step])
+    cells = records.take(where, axis=0)
+    del records
     cells[:, 0] = ((bits > _MAGNITUDE_BITS) & ~np.isnan(block.ravel())) * np.uint8(ord("-"))
     cells[block.shape[1] - 1 :: block.shape[1], _COMMA : _COMMA + 2] = list(CSV_TERMINATOR.encode())
     text = cells.tobytes()

@@ -10,13 +10,15 @@ of a closed system-environment pair with a block-diagonal total
 Hamiltonian. All three are implemented here; agreeing results across
 them is the main correctness cross-check of the whole package.
 
-The averaged series over a time grid is a sum over the Bohr frequencies
-w = E_a - E_b of every realization. One table exp(-itw) over the pairs
-a < b, times one coefficient matrix, gives the upper triangle of every
-sample; the lower triangle is its mirrored conjugate, so the series is
-Hermitian bit for bit, as the re-Hermitized generator series are. The
-table is built a chunk of samples at a time, within linops.WORKSPACE_BYTES,
-so the stage holds little more than its output.
+The averaged series over a time grid is a sum over realizations: each is
+eigendecomposed once, H_S + H_k = V_k diag(E_k) V_k+, and its term at time
+t is V_k (b_k o P_k(t)) V_k+ with b_k = p_k V_k+ rho0 V_k and the Bohr
+phases P_k(t) = p p*, p = exp(-itE_k), whose diagonal is exactly 1. Only
+the upper triangle of the sum is kept; the lower one is its mirrored
+conjugate, so the series is Hermitian bit for bit, as the re-Hermitized
+generator series are. Samples go in chunks within linops.WORKSPACE_BYTES,
+and the realizations of a sample over it in blocks, so the stage holds
+little more than its output and its fixed arrays, 3 n d^2 complex.
 
 The dilation over a time grid never forms a composite density matrix. Its
 total Hamiltonian sum_k (H_S + H_k) (x) |k><k| commutes with every register
@@ -62,7 +64,6 @@ __all__ = [
     "EmbeddedSystem",
     "evolve_average",
     "evolve_average_series",
-    "require_average",
     "require_embeddable",
     "embed",
     "evolve_embedded",
@@ -156,89 +157,75 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     """Ensemble-averaged states over a whole time grid, shape (T, d, d).
 
     Each realization is eigendecomposed once, H_S + H_k = V_k diag(E_k) V_k+.
-    With b_k = V_k+ rho0 V_k the average is a sum over Bohr frequencies,
+    With b_k = p_k V_k+ rho0 V_k the average is a sum over realizations,
 
-        rho(t)_ij = sum_(k, a, b) p_k b_k[a, b] V_k[i, a] conj(V_k[j, b])
-                    exp(-it (E_k[a] - E_k[b])),
+        rho(t) = sum_k V_k (b_k o P_k(t)) V_k+,   P_k(t) = p p*,  p = exp(-it E_k),
 
-    so one frequency table exp(-it w) times one coefficient matrix gives the
-    upper triangle i <= j of every sample. The terms a = b are constant and
-    those of a > b are the conjugate phases of a < b, so the table holds
-    only the n d (d - 1) / 2 phases with a < b, and the lower triangle is
-    mirrored as the conjugate of the upper one: the series is Hermitian
-    bit for bit, with diagonal imaginary parts +0.0. Times go in the
-    linops.chunks whose table and triangles fit linops.WORKSPACE_BYTES
-    (at least one sample); the split moves the result by rounding only,
-    since the product's summation order may depend on the number of rows.
-    A coefficient table over linops.MAX_SERIES_BYTES is refused before it
-    is allocated (require_average).
+    so a sample costs d phases and two d x d products per realization, made
+    for a whole chunk of samples in one product per realization and factor.
+    The diagonal of P_k is exactly 1, as the constant terms a = b are. Only
+    the upper triangle i <= j is kept: the lower one is mirrored as its
+    conjugate, so the series is Hermitian bit for bit, with diagonal
+    imaginary parts +0.0.
+
+    Times go in the linops.chunks of samples whose temporaries fit
+    linops.WORKSPACE_BYTES (at least one sample); a sample whose realizations
+    exceed the budget is summed over blocks of realizations, split by the
+    same rule. Either split moves the result by rounding only. Besides the
+    output, the fixed arrays are the V_k, the V_k+ and the b_k: 3 n d^2
+    complex, at most 3/n of the dilation's N x N total Hamiltonian. numpy's
+    ufunc buffers, np.getbufsize() elements for each broadcast operand of
+    the phases' products, come on top of a chunk; at the shipped budget
+    its own arrays leave room for them.
     """
     hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
     times = require_times(times)
-    d = e.dim
-    require_average(d, e.size)
-    upper, lower = np.triu_indices(d, 1)  # frequency pairs a < b
-    rows, cols = np.triu_indices(d)  # output entries i <= j
-    pairs = upper.size
-    freqs = np.empty((e.size, pairs))
-    # per pair a < b, the coefficients of cos(t w) and of -sin(t w): the
-    # terms exp(-itw) f_ab + exp(itw) f_ba are cos(tw) (f_ab + f_ba)
-    # + (-sin(tw)) i (f_ab - f_ba), so in the table's (re, im) layout one
-    # real product gives them all
-    coeffs = np.empty((e.size, pairs, 2, rows.size), dtype=np.complex128)
-    constant = np.zeros(rows.size, dtype=np.complex128)
-    for k in range(e.size):
+    d, n = e.dim, e.size
+    energies = np.empty((n, d))
+    v, vh, b = np.empty((3, n, d, d), dtype=np.complex128)  # V_k, V_k+, b_k
+    for k in range(n):
         eig = herm_eig(hs + e.hamiltonians[k])
-        v = eig.basis
-        b = e.weights[k] * (dagger(v) @ rho0 @ v)
-        # f[a, b, (i, j)] = p_k b_k[a, b] V_k[i, a] conj(V_k[j, b])
-        f = b[:, :, None] * v[rows].T[:, None, :] * v[cols].conj().T[None, :, :]
-        constant += np.einsum("aaq->q", f)
-        up, down = f[upper, lower], f[lower, upper]
-        coeffs[k, :, 0] = up + down
-        coeffs[k, :, 1] = 1j * (up - down)
-        freqs[k] = eig.energies[upper] - eig.energies[lower]
-    freqs = freqs.ravel()
-    # (2 m, 2 q) real: row (pair, re/im of the phase), column (entry, re/im)
-    coeffs = coeffs.view(np.float64).reshape(2 * freqs.size, 2 * rows.size)
-    # per sample: the table row, and the upper triangle with its conjugate
-    row_bytes = 16 * (freqs.size + 2 * rows.size)
-    out = np.empty((times.size, d, d), dtype=np.complex128)
-    for sl in linops.chunks(times.size, row_bytes, linops.WORKSPACE_BYTES):
-        ts = times[sl]
-        if sl.start == 0:  # the first chunk is the largest
-            table = np.empty((ts.size, freqs.size), dtype=np.complex128)
-        phases = table[: ts.size]
-        phases.real = 0.0
-        # -t w as a (T, 1) x (1, m) product: matmul writes the strided
-        # imaginary parts directly, where a broadcasting ufunc would first
-        # allocate a buffer as large as the table
-        np.matmul(-ts[:, None], freqs[None, :], out=phases.imag)
-        np.exp(phases, out=phases)
-        tri = (phases.view(np.float64) @ coeffs).view(np.complex128)
-        tri += constant
-        block = out[sl]
-        block[:, rows, cols] = tri
-        block[:, cols, rows] = tri.conj()
+        energies[k], v[k], vh[k] = eig.energies, eig.basis, dagger(eig.basis)
+        b[k] = e.weights[k] * (dagger(eig.basis) @ rho0 @ eig.basis)
+    # per realization and sample: its phases and their conjugates, and the
+    # two work buffers; per sample the sum over a block's realizations and
+    # the triangle
+    realization, sample = 32 * d * (d + 1), 32 * d * d
+    blocks = [
+        (energies[sl], v[sl], vh[sl], b[sl, :, None, :])
+        for sl in linops.chunks(n, realization, linops.WORKSPACE_BYTES - sample)
+    ]
+    upper, lower = np.triu_indices(d, 1)
+    out = np.zeros((times.size, d, d), dtype=np.complex128)
+    work = None
+    for sl in linops.chunks(times.size, sample + n * realization, linops.WORKSPACE_BYTES):
+        ts, block = times[sl], out[sl]
+        for energy, v_block, vh_block, b_block in blocks:
+            m = len(energy)
+            size = m * d * ts.size * d
+            if work is None:
+                # the first chunk and block are the largest; reusing their
+                # buffers spares a fresh process the page faults of new ones
+                work = np.empty((2, size), dtype=np.complex128)
+            # b_k o P_k with entries [k, a, t, b], so that one product per
+            # realization multiplies its rows (a, t) by V_k+, and V_k times
+            # the result's rows (a, t j) writes V_k (b_k o P_k) V_k+ over it
+            phases, x = work[0, :size].reshape(m, d, ts.size, d), work[1, :size]
+            p = -1j * np.multiply.outer(energy, ts)
+            np.exp(p, out=p)
+            np.multiply(p[..., None], p.conj().transpose(0, 2, 1)[:, None], out=phases)
+            phases[:, range(d), :, range(d)] = 1.0
+            phases *= b_block
+            np.matmul(phases.reshape(m, -1, d), vh_block, out=x.reshape(m, -1, d))
+            terms = phases.reshape(m, d, -1)
+            np.matmul(v_block, x.reshape(m, d, -1), out=terms)
+            # entries [i, t, j]
+            block += terms.sum(axis=0).reshape(d, ts.size, d).transpose(1, 0, 2)
+        tri = block[:, upper, lower]
+        block[:, lower, upper] = np.conjugate(tri, out=tri)
         block.imag[:, range(d), range(d)] = 0.0
     return out
-
-
-def require_average(dim: int, size: int) -> int:
-    """Check that evolve_average_series's coefficient table for size
-    realizations at dimension dim fits linops.MAX_SERIES_BYTES, and return
-    its bytes: 16 for each realization, frequency pair a < b, phase part
-    (cos, sin) and state entry i <= j, so 8 size dim^2 (dim^2 - 1)."""
-    table = 8 * size * dim * dim * (dim * dim - 1)
-    if table > linops.MAX_SERIES_BYTES:
-        raise ValueError(
-            f"{size} realizations at dimension {dim} need a {table / 2**20:.4g} MiB "
-            f"coefficient table for the exact average, over the "
-            f"{linops.MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; reduce the ensemble or "
-            "the system size"
-        )
-    return table
 
 
 def require_embeddable(dim_s: int, dim_e: int) -> None:

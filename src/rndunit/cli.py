@@ -38,7 +38,6 @@ from .channel import (
     embed,
     evolve_average_series,
     evolve_embedded_series,
-    require_average,
     require_embeddable,
 )
 from .ensemble import ENSEMBLE_LAWS, DisorderEnsemble, DisorderLaw, center, require_system
@@ -97,9 +96,10 @@ class Scenario:
     rho0 given by name must name a preset, t_final and dt must give a grid
     (mastereq.grid_steps), hs must be Hermitian, output_path writable (its
     directory existing, neither it nor its .run.json a directory), and the
-    law's size must fit the dilation's cap and the exact average's table
-    (channel.require_average); with that table, the grid and its series,
+    law's size must fit the dilation's cap, and the grid and its series,
     points * (8 + 16 dim^2 n_series) bytes, must fit linops.MAX_SERIES_BYTES.
+    The exact average's fixed arrays, 3 size dim^2 complex, are at most 3/size
+    of the dilation's total Hamiltonian, so the cap bounds them too.
     Only then is the law built into a centered ensemble of hs's dimension,
     whose mean is folded into hs (raw_hs keeps hs as given); a preset rho0
     is resolved on the folded hs, rho0 must be a density matrix, and each
@@ -143,16 +143,14 @@ class Scenario:
                 )
         try:
             require_embeddable(dim, self.law.size)
-            table = require_average(dim, self.law.size)
         except ValueError as err:
             raise ValueError(f"{self.law.size_field}: {err}") from err
-        predicted = table + points * (8 + 16 * dim * dim * n_series)
+        predicted = points * (8 + 16 * dim * dim * n_series)
         if predicted > linops.MAX_SERIES_BYTES:
             raise ValueError(
                 f"dt: {points} grid points of {n_series} series at dimension {dim} "
-                f"need {predicted / 2**20:.4g} MiB with the exact average's table, over "
-                f"the {linops.MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower "
-                "t_final"
+                f"need {predicted / 2**20:.4g} MiB, over the "
+                f"{linops.MAX_SERIES_BYTES / 2**20:.4g} MiB ceiling; raise dt or lower t_final"
             )
         try:  # the constructors' messages name no field
             mean, ensemble = center(self.law.build())
@@ -482,8 +480,10 @@ def _lap(mark: float) -> tuple[float, float]:
 # 9400 floats), counted at _CSV_FLOAT_BYTES per float: the block, the dedup's
 # and the kernel's temporaries, a 32-byte record per cell and the text
 # (write_csv's tracemalloc peak is 85 to 108 bytes per float on the demos,
-# gauss-d8, explicit-d4 and the two-point demo at dt = 1e-3, so a block
-# keeps to the budget: the kernel drops its dead arrays early and writes
+# gauss-d8, explicit-d4 and the two-point demo at dt = 1e-3, and the
+# kernel's at most 110 on a block of any share of distinct magnitudes in its
+# range, so a block keeps to the budget: the kernel drops its dead arrays
+# early, formats a block of mostly distinct magnitudes in slices and writes
 # each sign into the cell's own record). Each block pays about 0.3 ms of
 # numpy call overhead, so blocks a quarter of this size took
 # 35-55% longer on gauss-d8 and explicit-d4 (2-core Xeon). Blocks twice as

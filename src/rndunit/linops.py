@@ -87,11 +87,12 @@ DEFAULT_TOL = Tolerances()
 WORKSPACE_BYTES = 2**20
 
 # A run holds its time grid and every series whole, one (d, d) complex state
-# per grid point and series, for comparison and the CSV, and the exact series
-# is built beside its coefficient table (channel.require_average). Their
-# predicted size is capped so a tiny dt or a large ensemble cannot ask for
-# more memory than a workstation has; the run's transient copies come on top,
-# so the cap sits well below that. Read as linops.MAX_SERIES_BYTES at call
+# per grid point and series, for comparison and the CSV. Their predicted
+# size is capped so a tiny dt cannot ask for more memory than a workstation
+# has; the run's transient copies come on top, so the cap sits well below
+# that. The exact series is built beside its fixed arrays, 3 n d^2 complex
+# for n realizations, at most 3/n of the dilation's total Hamiltonian, which
+# channel.MAX_EMBEDDED_DIM caps. Read as linops.MAX_SERIES_BYTES at call
 # time.
 MAX_SERIES_BYTES = 2**30
 

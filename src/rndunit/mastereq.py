@@ -525,15 +525,16 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
 # numpy calls; a factored step is about 70 small numpy calls whatever d, on
 # products that shrink with the rank r. Per step, dense against factored,
 # redfield then gksl (2-core Xeon, 2000 steps, 16 full-rank terms: r = 15,
-# two runs): d = 4: 34-47 / 8-13 us against 159-167 / 142-146 us; d = 5:
-# 56-67 / 16-17 against 206-218 / 152-155; d = 6: 99-128 / 21-25 against
-# 230-253 / 129-161; d = 7: 259-267 / 36-49 against 208-220 / 141-142;
-# d = 8 (re-measured by setting this constant, as the tests do; three
-# processes, two warm runs each): 497-591 / 6-13 against 85-138 / 70-112.
-# Redfield crosses over between 6 and 7. At r = 1 the factored cost falls:
-# on gauss-d8 (d = 8) traced runs took 75-96 / 82-88 us (quartiles). At
-# d <= 6 one step's dense tables take at most 6 * 6^4 * 16 B (122 KiB),
-# well within the budget.
+# the form chosen by setting this constant, as the tests do; three
+# processes, two warm runs each, leaving out one first run of 512 us at
+# d = 4): d = 4: 12-15 / 3-5 us against 55-115 / 50-79 us; d = 5: 27-39 /
+# 3-6 against 59-92 / 60-98; d = 6: 62-82 / 3-5 against 62-88 / 58-97;
+# d = 7: 183-278 / 4-9 against 82-143 / 67-122; d = 8: 506-771 / 6-7
+# against 85-123 / 65-96. Redfield's two forms tie at d = 6 and the
+# factored one wins from d = 7; gksl's fixed dense step wins at every d up
+# to 8. At r = 1 the factored cost falls: on gauss-d8 (d = 8) traced runs
+# took 75-96 / 82-88 us (quartiles). At d <= 6 one step's dense tables take
+# at most 6 * 6^4 * 16 B (122 KiB), well within the budget.
 _DENSE_MAX_DIM = 6
 
 # complex d^2 x d^2 arrays per step at the peak of a dense chunk: the

@@ -20,7 +20,6 @@ from rndunit.channel import (
     evolve_embedded,
     evolve_embedded_series,
     kraus_at,
-    require_average,
 )
 from rndunit.ensemble import (
     DisorderEnsemble,
@@ -109,71 +108,102 @@ def test_average_series_is_bitwise_hermitian():
     assert not np.ascontiguousarray(series.imag[:, diag, diag]).view(np.uint64).any()
 
 
-@pytest.mark.parametrize("rows", [1, 4, 23])
-def test_average_series_chunks_match_pointwise(rows, monkeypatch):
-    # d = 3, five explicit terms, a full-rank rho0: a sample's table row has
-    # 15 frequencies a < b, next to 6 upper-triangle entries and their
-    # conjugates, so this budget splits the 23 samples every rows samples
+def _average_bytes(d):
+    # evolve_average_series's temporaries per realization and sample, and
+    # per sample
+    return 32 * d * (d + 1), 32 * d * d
+
+
+@pytest.mark.parametrize(
+    ("rows", "realizations"),
+    [(1, 5), (4, 5), (23, 5), (1, 2)],
+    ids=["1", "4", "23", "1-blocks-of-2"],
+)
+def test_average_series_chunks_match_pointwise(rows, realizations, monkeypatch):
+    # d = 3, five explicit terms, a full-rank rho0: this budget splits the 23
+    # samples every rows samples, and a sample's five realizations into
+    # blocks of realizations
     hs, e, rho0 = _random_setup(9, dim=3, size=5)
     assert np.linalg.eigvalsh(rho0).min() > 1e-3
-    sample_bytes = 16 * (15 + 2 * 6)
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", sample_bytes * rows)
+    realization, sample = _average_bytes(3)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", rows * (sample + realizations * realization))
+    splits = {}
+    chunks = linops.chunks
+
+    def recorded(count, item_size, budget):
+        slices = list(chunks(count, item_size, budget))
+        splits[count] = [sl.stop - sl.start for sl in slices]
+        return iter(slices)
+
+    monkeypatch.setattr(linops, "chunks", recorded)
     times = np.linspace(0.0, 6.0, 23)
     series = evolve_average_series(hs, e, rho0, times)
+    for count, step in ((23, rows), (5, realizations)):
+        assert splits[count] == [min(step, count - i) for i in range(0, count, step)]
     for i, t in enumerate(times):
         np.testing.assert_allclose(
             series[i], evolve_average(hs, e, rho0, t), rtol=0, atol=1e-13
         )
 
 
-def test_average_series_workspace_is_bounded(monkeypatch):
-    # 16 terms at d = 4: 96 frequencies, so the whole 2001-sample table would
-    # take 3 MB; the chunks keep it within a budget well below that
-    hs, e, rho0 = _random_setup(10, dim=4, size=16)
-    times = np.linspace(0.0, 10.0, 2001)
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 256 * 1024)
+def _average_peak(hs, e, rho0, times):
+    """The series, and its tracemalloc peak beyond it and the form's fixed
+    arrays: V_k, V_k+ and b_k, 3 n d^2 complex, and the n d energies."""
     tracemalloc.start()
     try:
         series = evolve_average_series(hs, e, rho0, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the output, the budget for the chunk, the (2 m, 2 q) coefficient
-    # matrix and small per-realization arrays
-    coefficients = (2 * 96) * (2 * 10) * 8
-    fixed = 2 * coefficients + 64 * 1024
-    assert peak <= series.nbytes + linops.WORKSPACE_BYTES + fixed
+    return series, peak - series.nbytes - e.size * e.dim * (48 * e.dim + 8)
 
 
-def test_average_table_bytes_are_the_ones_allocated(monkeypatch):
-    # the admitted table is the one evolve_average_series allocates: at
-    # d = 8 on 64 realizations, 1.97 MiB, and the rest of one sample's work
-    # (0.2 MiB) is small beside it. One byte over the ceiling, the library
-    # call refuses the table, naming it, before allocating it
-    ensemble = DisorderEnsemble.from_pairs(
-        [(np.diag(np.linspace(-1.0, 1.0, 8) * k), 1 / 64) for k in range(-32, 32)]
-    )
-    hs = np.diag(np.arange(8.0)).astype(complex)
-    rho0 = np.full((8, 8), 1 / 8, dtype=complex)
-    table = 8 * 64 * 64 * 63
-    message = "^64 realizations at dimension 8 need a 1.969 MiB coefficient table"
-    tracemalloc.start()
-    try:
-        evolve_average_series(hs, ensemble, rho0, np.zeros(1))
-        _, peak = tracemalloc.get_traced_memory()
-        monkeypatch.setattr(linops, "MAX_SERIES_BYTES", table - 1)
-        tracemalloc.reset_peak()
-        with pytest.raises(ValueError, match=message):
-            evolve_average_series(hs, ensemble, rho0, np.zeros(1))
-        _, refused_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert table <= peak <= table + 2**18
-    assert refused_peak <= table // 64
-    monkeypatch.setattr(linops, "MAX_SERIES_BYTES", table)
-    assert require_average(8, 64) == table
-    with pytest.raises(ValueError, match="^65 realizations at dimension 8 need"):
-        require_average(8, 65)
+# numpy's ufuncs buffer up to np.getbufsize() elements of an operand that is
+# broadcast: the phases' outer product has two, complex. At the shipped budget
+# the chunk's own arrays leave room for them; a small budget does not
+_UFUNC_BUFFERS = 2 * 16 * np.getbufsize()
+
+
+def test_average_series_workspace_is_bounded(monkeypatch):
+    # 16 terms at d = 4 over 2001 samples, at a quarter of the budget: the
+    # chunks keep the stage within it and numpy's buffers, beside its output
+    # and fixed arrays
+    hs, e, rho0 = _random_setup(10, dim=4, size=16)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 256 * 1024)
+    _, beyond = _average_peak(hs, e, rho0, np.linspace(0.0, 10.0, 2001))
+    assert beyond <= linops.WORKSPACE_BYTES + _UFUNC_BUFFERS
+
+
+def test_average_series_at_d24_keeps_to_the_budget():
+    # d = 24 on 32 realizations, where a table over the Bohr frequencies of
+    # every realization took 91.6 MiB: one sample's realizations take 0.6 MiB,
+    # and the stage holds at most the budget beside its output and its
+    # 0.84 MiB of fixed arrays
+    hs, e, rho0 = _random_setup(11, dim=24, size=32)
+    times = np.linspace(0.0, 2.0, 21)
+    series, beyond = _average_peak(hs, e, rho0, times)
+    assert beyond <= WORKSPACE_BYTES
+    for i in (1, 20):
+        np.testing.assert_allclose(
+            series[i], evolve_average(hs, e, rho0, times[i]), rtol=0, atol=1e-12
+        )
+
+
+def test_average_series_realization_blocks_keep_to_the_budget(monkeypatch):
+    # d = 16 on 256 realizations at a quarter of the budget: one sample's
+    # realizations would take 2.1 MiB, so each sample is summed over 9 blocks
+    # of at most 29, and the stage holds at most the budget and numpy's
+    # buffers beside its output and fixed arrays
+    hs, e, rho0 = _random_setup(12, dim=16, size=256)
+    times = np.linspace(0.0, 3.0, 11)
+    whole = evolve_average_series(hs, e, rho0, times)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 256 * 1024)
+    realization, sample = _average_bytes(16)
+    assert 256 * realization > 2 * 2**20
+    assert (linops.WORKSPACE_BYTES - sample) // realization == 29
+    series, beyond = _average_peak(hs, e, rho0, times)
+    assert beyond <= linops.WORKSPACE_BYTES + _UFUNC_BUFFERS
+    np.testing.assert_allclose(series, whole, rtol=0, atol=1e-14)
 
 
 def test_average_series_rejects_bad_grid():

@@ -398,8 +398,9 @@ def test_every_module_level_definition_is_exported_or_used():
 def test_workspace_budget_is_passed_whole_to_chunks():
     # every loop's chunk takes the whole of WORKSPACE_BYTES, so one sentence
     # bounds a run's transient memory. Each read of it must be the budget of
-    # a chunks call, itself or less a fixed part (the dilation's column
-    # blocks sit beside one sample's phases): no loop scales or divides it
+    # a chunks call, itself or less a fixed part (the averaged series'
+    # realization blocks and the dilation's column blocks sit beside one
+    # sample's own arrays): no loop scales or divides it
     # into a share, directly or through another name
     def is_budget(node, parent):
         return (
@@ -424,10 +425,10 @@ def test_workspace_budget_is_passed_whole_to_chunks():
                 node, parent = parent, parents[parent]
             if not is_budget(node, parent):
                 misused.append(f"{path.stem}:{node.lineno}")
-    # the averaged series, the dilation's samples and factor columns, the
-    # integrator's one chunk loop, the trace distances, the CSV writer and the
-    # check row blocks
-    assert reads == 7
+    # the averaged series' samples and realization blocks, the dilation's
+    # samples and factor columns, the integrator's one chunk loop, the trace
+    # distances, the CSV writer and the check row blocks
+    assert reads == 8
     assert misused == []
 
 

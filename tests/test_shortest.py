@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from rndunit import linops
 from rndunit._shortest import CSV_TERMINATOR, rows_text
+from rndunit.cli import _CSV_FLOAT_BYTES
 
 
 def _catalogue() -> np.ndarray:
@@ -59,3 +64,30 @@ def test_rows_text_is_repr_of_every_double():
         got, want = text.splitlines(), expected.splitlines()
         first = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
         raise AssertionError(f"row {first}: {got[first]!r} != {want[first]!r}")
+
+
+@pytest.mark.parametrize("distinct", [1.0, 0.55])
+def test_rows_text_keeps_the_csv_budget_on_distinct_magnitudes(distinct):
+    # a block of the CSV writer's size, 9301 floats, whose magnitudes are
+    # all distinct, or 55% distinct, the most formatted in one go: the block
+    # and the formatter's peak keep to the budget the writer counts,
+    # _CSV_FLOAT_BYTES a float (in one go, all distinct took 172 a float)
+    width = 71
+    rows = linops.WORKSPACE_BYTES // (width * _CSV_FLOAT_BYTES)
+    rng = np.random.default_rng(28)
+    values = rng.standard_normal(round(distinct * rows * width)) * 10.0 ** rng.integers(-8, 8)
+    block = np.resize(values, rows * width)
+    rng.shuffle(block)
+    block = block.reshape(rows, width)
+    assert np.unique(np.abs(block)).size == values.size
+    rows_text(block[:1])  # the formatter's tables are built once per process
+    tracemalloc.start()
+    try:
+        text = rows_text(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes + peak <= block.size * _CSV_FLOAT_BYTES
+    assert text.decode("ascii").split(CSV_TERMINATOR)[7].split(",") == list(
+        map(repr, block[7].tolist())
+    )
