@@ -169,14 +169,13 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     imaginary parts +0.0.
 
     Times go in the linops.chunks of samples whose temporaries fit
-    linops.WORKSPACE_BYTES (at least one sample); a sample whose realizations
-    exceed the budget is summed over blocks of realizations, split by the
-    same rule. Either split moves the result by rounding only. Besides the
-    output, the fixed arrays are the V_k, the V_k+ and the b_k: 3 n d^2
-    complex, at most 3/n of the dilation's N x N total Hamiltonian. numpy's
-    ufunc buffers, np.getbufsize() elements for each broadcast operand of
-    the phases' products, come on top of a chunk; at the shipped budget
-    its own arrays leave room for them.
+    linops.WORKSPACE_BYTES less numpy's buffers (at least one sample); a
+    sample whose realizations exceed it is summed over realization blocks
+    split by the same rule, and from d = 110 or so one realization's sample
+    is taken whole. Either split moves the result by rounding only. Besides
+    the output, the fixed arrays are the V_k, the V_k+ and the b_k:
+    3 n d^2 = 3 N^2 / n complex for the dilation's dimension N = n d, as
+    large as its total Hamiltonian at n = 3; its cap alone bounds them.
     """
     hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
@@ -190,16 +189,17 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
         b[k] = e.weights[k] * (dagger(eig.basis) @ rho0 @ eig.basis)
     # per realization and sample: its phases and their conjugates, and the
     # two work buffers; per sample the sum over a block's realizations and
-    # the triangle
-    realization, sample = 32 * d * (d + 1), 32 * d * d
+    # the triangle; beside a chunk, np.getbufsize() elements of each of the
+    # outer product's two broadcast operands, buffered by numpy
+    realization, sample, buffers = 32 * d * (d + 1), 32 * d * d, 2 * 16 * np.getbufsize()
     blocks = [
         (energies[sl], v[sl], vh[sl], b[sl, :, None, :])
-        for sl in linops.chunks(n, realization, linops.WORKSPACE_BYTES - sample)
+        for sl in linops.chunks(n, realization, linops.WORKSPACE_BYTES - (buffers + sample))
     ]
     upper, lower = np.triu_indices(d, 1)
     out = np.zeros((times.size, d, d), dtype=np.complex128)
     work = None
-    for sl in linops.chunks(times.size, sample + n * realization, linops.WORKSPACE_BYTES):
+    for sl in linops.chunks(times.size, sample + n * realization, linops.WORKSPACE_BYTES - buffers):
         ts, block = times[sl], out[sl]
         for energy, v_block, vh_block, b_block in blocks:
             m = len(energy)

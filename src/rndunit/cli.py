@@ -98,8 +98,8 @@ class Scenario:
     directory existing, neither it nor its .run.json a directory), and the
     law's size must fit the dilation's cap, and the grid and its series,
     points * (8 + 16 dim^2 n_series) bytes, must fit linops.MAX_SERIES_BYTES.
-    The exact average's fixed arrays, 3 size dim^2 complex, are at most 3/size
-    of the dilation's total Hamiltonian, so the cap bounds them too.
+    The exact average's fixed arrays, 3 size dim^2 = 3 N^2 / size complex for
+    the dilation's dimension N, are bounded by that cap alone.
     Only then is the law built into a centered ensemble of hs's dimension,
     whose mean is folded into hs (raw_hs keeps hs as given); a preset rho0
     is resolved on the folded hs, rho0 must be a density matrix, and each

@@ -90,10 +90,9 @@ WORKSPACE_BYTES = 2**20
 # per grid point and series, for comparison and the CSV. Their predicted
 # size is capped so a tiny dt cannot ask for more memory than a workstation
 # has; the run's transient copies come on top, so the cap sits well below
-# that. The exact series is built beside its fixed arrays, 3 n d^2 complex
-# for n realizations, at most 3/n of the dilation's total Hamiltonian, which
-# channel.MAX_EMBEDDED_DIM caps. Read as linops.MAX_SERIES_BYTES at call
-# time.
+# that. The exact series is built beside its fixed arrays, 3 n d^2 = 3 N^2 / n
+# complex for the dilation's dimension N = n d, which only the dilation cap
+# (channel.MAX_EMBEDDED_DIM) bounds. Read as linops.MAX_SERIES_BYTES at call time.
 MAX_SERIES_BYTES = 2**30
 
 

@@ -110,8 +110,9 @@ def test_average_series_is_bitwise_hermitian():
 
 def _average_bytes(d):
     # evolve_average_series's temporaries per realization and sample, and
-    # per sample
-    return 32 * d * (d + 1), 32 * d * d
+    # per sample, and numpy's buffers beside a chunk: np.getbufsize()
+    # complex elements for each of the phases' two broadcast operands
+    return 32 * d * (d + 1), 32 * d * d, 2 * 16 * np.getbufsize()
 
 
 @pytest.mark.parametrize(
@@ -125,8 +126,9 @@ def test_average_series_chunks_match_pointwise(rows, realizations, monkeypatch):
     # blocks of realizations
     hs, e, rho0 = _random_setup(9, dim=3, size=5)
     assert np.linalg.eigvalsh(rho0).min() > 1e-3
-    realization, sample = _average_bytes(3)
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", rows * (sample + realizations * realization))
+    realization, sample, buffers = _average_bytes(3)
+    budget = buffers + rows * (sample + realizations * realization)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", budget)
     splits = {}
     chunks = linops.chunks
 
@@ -147,31 +149,40 @@ def test_average_series_chunks_match_pointwise(rows, realizations, monkeypatch):
 
 
 def _average_peak(hs, e, rho0, times):
-    """The series, and its tracemalloc peak beyond it and the form's fixed
-    arrays: V_k, V_k+ and b_k, 3 n d^2 complex, and the n d energies."""
+    """The series, and its tracemalloc peak beyond it and the arrays the
+    stage holds: the form's V_k, V_k+ and b_k, 3 n d^2 complex, the n d
+    energies, and four d x d complex for hs, rho0, the last realization's
+    eigensystem and the triangle's indices."""
     tracemalloc.start()
     try:
         series = evolve_average_series(hs, e, rho0, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return series, peak - series.nbytes - e.size * e.dim * (48 * e.dim + 8)
-
-
-# numpy's ufuncs buffer up to np.getbufsize() elements of an operand that is
-# broadcast: the phases' outer product has two, complex. At the shipped budget
-# the chunk's own arrays leave room for them; a small budget does not
-_UFUNC_BUFFERS = 2 * 16 * np.getbufsize()
+    d, n = e.dim, e.size
+    return series, peak - series.nbytes - n * d * (48 * d + 8) - 4 * 16 * d * d
 
 
 def test_average_series_workspace_is_bounded(monkeypatch):
-    # 16 terms at d = 4 over 2001 samples, at a quarter of the budget: the
-    # chunks keep the stage within it and numpy's buffers, beside its output
-    # and fixed arrays
+    # 16 terms at d = 4 over 2001 samples, at half the shipped budget: half
+    # of it goes to numpy's buffers, and the chunks keep the rest of the
+    # stage within the other half
     hs, e, rho0 = _random_setup(10, dim=4, size=16)
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 256 * 1024)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 512 * 1024)
+    assert linops.WORKSPACE_BYTES == 2 * _average_bytes(4)[2]
     _, beyond = _average_peak(hs, e, rho0, np.linspace(0.0, 10.0, 2001))
-    assert beyond <= linops.WORKSPACE_BYTES + _UFUNC_BUFFERS
+    assert beyond <= linops.WORKSPACE_BYTES
+
+
+@pytest.mark.parametrize(
+    ("dim", "size", "steps"), [(2, 32, 2001), (4, 16, 2001), (8, 32, 1001), (16, 256, 11)]
+)
+def test_average_series_keeps_to_the_shipped_budget(dim, size, steps):
+    # small systems on long grids, whose chunks fill the budget as counted,
+    # numpy's buffers included, and a sample over realization blocks
+    hs, e, rho0 = _random_setup(13, dim=dim, size=size)
+    _, beyond = _average_peak(hs, e, rho0, np.linspace(0.0, 10.0, steps))
+    assert beyond <= WORKSPACE_BYTES
 
 
 def test_average_series_at_d24_keeps_to_the_budget():
@@ -190,19 +201,19 @@ def test_average_series_at_d24_keeps_to_the_budget():
 
 
 def test_average_series_realization_blocks_keep_to_the_budget(monkeypatch):
-    # d = 16 on 256 realizations at a quarter of the budget: one sample's
+    # d = 16 on 256 realizations at half the shipped budget: one sample's
     # realizations would take 2.1 MiB, so each sample is summed over 9 blocks
-    # of at most 29, and the stage holds at most the budget and numpy's
-    # buffers beside its output and fixed arrays
+    # of at most 29, and the stage holds at most the budget beside its
+    # output and fixed arrays
     hs, e, rho0 = _random_setup(12, dim=16, size=256)
     times = np.linspace(0.0, 3.0, 11)
     whole = evolve_average_series(hs, e, rho0, times)
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 256 * 1024)
-    realization, sample = _average_bytes(16)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 512 * 1024)
+    realization, sample, buffers = _average_bytes(16)
     assert 256 * realization > 2 * 2**20
-    assert (linops.WORKSPACE_BYTES - sample) // realization == 29
+    assert (linops.WORKSPACE_BYTES - buffers - sample) // realization == 29
     series, beyond = _average_peak(hs, e, rho0, times)
-    assert beyond <= linops.WORKSPACE_BYTES + _UFUNC_BUFFERS
+    assert beyond <= linops.WORKSPACE_BYTES
     np.testing.assert_allclose(series, whole, rtol=0, atol=1e-14)
 
 
