@@ -16,9 +16,7 @@ t is V_k (b_k o P_k(t)) V_k+ with b_k = p_k V_k+ rho0 V_k and the Bohr
 phases P_k(t) = p p*, p = exp(-itE_k), whose diagonal is exactly 1. Only
 the upper triangle of the sum is kept; the lower one is its mirrored
 conjugate, so the series is Hermitian bit for bit, as the re-Hermitized
-generator series are. Samples go in chunks within linops.WORKSPACE_BYTES,
-and the realizations of a sample over it in blocks, so the stage holds
-little more than its output and its fixed arrays, 3 n d^2 complex.
+generator series are.
 
 The dilation over a time grid never forms a composite density matrix. Its
 total Hamiltonian sum_k (H_S + H_k) (x) |k><k| commutes with every register
@@ -35,6 +33,14 @@ first order in its size, where a mixed register would hide it to second
 order. Eigenvalues are dropped only while their total magnitude stays
 within 1e-3 of the equivalence budget, which moves the result by at most
 half that in trace distance.
+
+Both series run one loop: samples go in linops.chunks whose temporaries
+fit linops.WORKSPACE_BYTES less numpy's buffers for the loop's one
+broadcast product, each chunk's phases are made once, and the inner axis
+(the realizations, or the dilation's factor columns) of a sample over the
+budget is summed in blocks split by the same rule. Each stage so holds at
+most one budget beside its output and its fixed arrays: the V_k, V_k+ and
+b_k (3 n d^2 complex), or H_tot's eigendecomposition and an r x N factor.
 """
 
 from __future__ import annotations
@@ -168,14 +174,11 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
     conjugate, so the series is Hermitian bit for bit, with diagonal
     imaginary parts +0.0.
 
-    Times go in the linops.chunks of samples whose temporaries fit
-    linops.WORKSPACE_BYTES less numpy's buffers (at least one sample); a
-    sample whose realizations exceed it is summed over realization blocks
-    split by the same rule, and from d = 110 or so one realization's sample
-    is taken whole. Either split moves the result by rounding only. Besides
-    the output, the fixed arrays are the V_k, the V_k+ and the b_k:
-    3 n d^2 = 3 N^2 / n complex for the dilation's dimension N = n d, as
-    large as its total Hamiltonian at n = 3; its cap alone bounds them.
+    It runs the module's one loop, whose splits move the result by rounding
+    only; from d = 110 or so one realization's sample is taken whole. The
+    fixed arrays, 3 n d^2 = 3 N^2 / n complex for the dilation's dimension
+    N = n d, are as large as its total Hamiltonian at n = 3; its cap alone
+    bounds them.
     """
     hs = require_system(hs, e)
     rho0 = require_density(rho0, "initial state", e.dim)
@@ -189,9 +192,8 @@ def evolve_average_series(hs, e: DisorderEnsemble, rho0, times) -> np.ndarray:
         b[k] = e.weights[k] * (dagger(eig.basis) @ rho0 @ eig.basis)
     # per realization and sample: its phases and their conjugates, and the
     # two work buffers; per sample the sum over a block's realizations and
-    # the triangle; beside a chunk, np.getbufsize() elements of each of the
-    # outer product's two broadcast operands, buffered by numpy
-    realization, sample, buffers = 32 * d * (d + 1), 32 * d * d, 2 * 16 * np.getbufsize()
+    # the triangle; beside a chunk, numpy's buffers for the outer product
+    realization, sample, buffers = 32 * d * (d + 1), 32 * d * d, linops.buffer_bytes(2)
     blocks = [
         (energies[sl], v[sl], vh[sl], b[sl, :, None, :])
         for sl in linops.chunks(n, realization, linops.WORKSPACE_BYTES - (buffers + sample))
@@ -296,14 +298,12 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     channel contracts trace distance, the result moves by at most half that
     sum.
 
-    Times are split by linops.chunks into as many samples as keep their
-    temporaries (the phases, and the scaled factor, Y and the weighted Y of
-    each column) within linops.WORKSPACE_BYTES. The r columns of every
-    sample in a chunk go through one product with V. The columns are split
-    the same way, in blocks that fit the budget beside one sample's phases.
-    Neither split changes the result of a run whose samples fit the
-    budget. Besides H_tot, the fixed arrays are the eigendecomposition and
-    the r x N factor G^T, G = V+ C.
+    It runs the module's one loop: per chunk the phases exp(-itE), once;
+    per block of factor columns the rows (sample, m) of Y^T from one
+    product with V^T, and sum_m lam_m Y Y+ written into the chunk's slice
+    of the output, or added to it after the first block. Neither split
+    changes the result of a run whose samples fit the budget. Beside H_tot
+    the fixed arrays are the eigendecomposition and G^T, G = V+ C.
     """
     rho0_s = require_density(rho0_s, "initial state", sys.dim_s)
     times = require_times(times)
@@ -316,49 +316,38 @@ def evolve_embedded_series(sys: EmbeddedSystem, rho0_s, times) -> np.ndarray:
     keep = order[~dropped]
     lam, q = lam[keep], q[:, keep]
     # G^T for G = V+ C, formed as conj(C+ V) so V is neither conjugated nor
-    # reordered: _reduced_chunk multiplies by the transposed view V^T
+    # reordered: the loop multiplies by the transposed view V^T
     c = np.kron(np.sqrt(sys.weights)[:, None], q)
     gt = np.conjugate(dagger(c) @ eig.basis)
     vt = eig.basis.T
-    # per sample, its phases and per factor column the scaled factor, Y and
-    # the weighted Y (Y is conjugated in place)
-    phase_row, column = 16 * full, 3 * 16 * full
+    # per sample its phases and a later block's sum; per sample and factor
+    # column two N-rows, the scaled factor and Y, then Y and its weighted copy
+    sample, column, buffers = 16 * (full + d * d), 32 * full, linops.buffer_bytes(2)
     blocks = [
-        (gt[sl], lam[sl])
-        for sl in linops.chunks(lam.size, column, linops.WORKSPACE_BYTES - phase_row)
+        (gt[sl], np.repeat(lam[sl], n)[:, None])
+        for sl in linops.chunks(lam.size, column, linops.WORKSPACE_BYTES - (buffers + sample))
     ]
     out = np.empty((times.size, d, d), dtype=np.complex128)
-    for sl in linops.chunks(times.size, phase_row + lam.size * column, linops.WORKSPACE_BYTES):
-        out[sl] = _reduced_chunk(times[sl], eig.energies, blocks, vt, n)
-    return out
-
-
-def _reduced_chunk(ts, energies, blocks, vt, dim_e: int) -> np.ndarray:
-    # per block of factor columns: the rows (sample, m) of Y^T from one
-    # product with V^T, then sum_(m, k) lam_m Y Y+ over factor columns and
-    # register rows (the sum is additive over blocks). The phases die before
-    # the product, and each temporary of a block before the next one
-    full = vt.shape[0]
-    out = None
-    for gt, lam in blocks:
-        phases = -1j * np.multiply.outer(ts, energies)
+    for sl in linops.chunks(times.size, sample + lam.size * column, linops.WORKSPACE_BYTES - buffers):
+        ts, block = times[sl], out[sl]
+        phases = -1j * np.multiply.outer(ts, eig.energies)
         np.exp(phases, out=phases)
-        x = (phases[:, None, :] * gt).reshape(-1, full)
-        del phases
-        if x.shape[0] == 1:
-            # matmul sends a one-row product to gemv, which rounds otherwise
-            # than gemm; a second row keeps every chunk on gemm, so how the
-            # samples are split never shows in the result
-            x = np.concatenate([x, x])
-        y = (x @ vt)[: ts.size * lam.size].reshape(ts.size, -1, full // dim_e)
-        del x
-        weighted = y * np.repeat(lam, dim_e)[:, None]
-        part = weighted.swapaxes(1, 2) @ np.conjugate(y, out=y)
-        del y, weighted
-        if out is None:
-            out = part
-        else:
-            out += part
+        for i, (gt_block, weights) in enumerate(blocks):
+            x = (phases[:, None, :] * gt_block).reshape(-1, full)
+            if x.shape[0] == 1:
+                # matmul sends a one-row product to gemv, which rounds otherwise
+                # than gemm; a second row keeps every chunk on gemm, so how the
+                # samples are split never shows in the result
+                x = np.concatenate([x, x])
+            y = (x @ vt)[: ts.size * len(gt_block)].reshape(ts.size, -1, d)  # [t, (m, k), i]
+            del x
+            weighted = (y * weights).swapaxes(1, 2)
+            np.conjugate(y, out=y)
+            if i == 0:
+                np.matmul(weighted, y, out=block)
+            else:
+                block += weighted @ y
+            del y, weighted  # before the next block's or chunk's are made
     return out
 
 

@@ -97,9 +97,9 @@ class Scenario:
     (mastereq.grid_steps), hs must be Hermitian, output_path writable (its
     directory existing, neither it nor its .run.json a directory), and the
     law's size must fit the dilation's cap, and the grid and its series,
-    points * (8 + 16 dim^2 n_series) bytes, must fit linops.MAX_SERIES_BYTES.
-    The exact average's fixed arrays, 3 size dim^2 = 3 N^2 / size complex for
-    the dilation's dimension N, are bounded by that cap alone.
+    points * (8 + 16 dim^2 n_series) bytes, must fit linops.MAX_SERIES_BYTES,
+    n_series = 1 + max(1, generators): the exact series beside the
+    dilation's until they are compared, then beside the generators'.
     Only then is the law built into a centered ensemble of hs's dimension,
     whose mean is folded into hs (raw_hs keeps hs as given); a preset rho0
     is resolved on the folded hs, rho0 must be a density matrix, and each
@@ -128,7 +128,7 @@ class Scenario:
             raise ValueError(
                 f"rho0: {reprlib.repr(self.rho0)} is not one of {list(RHO0_PRESETS)}"
             )
-        points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + len(self.generators)
+        points, n_series = grid_steps(self.t_final, self.dt) + 1, 1 + max(1, len(self.generators))
         dim = require_hermitian(self.hs, name="hs").shape[0]
         order = dict.fromkeys([*GENERATOR_KINDS, *self.generators])
         generators = {kind: self.generators[kind] for kind in order if kind in self.generators}

@@ -18,6 +18,7 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "WORKSPACE_BYTES",
+    "buffer_bytes",
     "MAX_SERIES_BYTES",
     "chunks",
     "EigenSystem",
@@ -72,19 +73,27 @@ DEFAULT_TOL = Tolerances()
 # representation's tables at their grid points and midpoints, or for a fixed
 # kernel only the buffer that rotates and Hermitizes a chunk in place, the
 # trace distances of a stack, the CSV row blocks with their purities, and the
-# row blocks of the Hermitian and unitary checks) passes it whole to chunks,
-# and the loops run one at a time, none inside another, so a run's transient
-# memory is at most one chunk of WORKSPACE_BYTES on top of the arrays it
-# holds. At 1 MiB, against the per-loop shares it replaced (best of 15
-# interleaved runs, seed 1, 2-core Xeon): gauss-d8's averaged series took
-# 62 ms (74 at 128 KiB), its dilation 41 ms (45 at 8 MiB) and its factored
-# redfield tables 67 ms (65 at 4 MiB); explicit-d4's dilation 13 ms (17 at
-# 8 MiB) and its dense redfield tables 54 ms (52 at 2 MiB). The CSV and
-# check blocks had 1 MiB before. Each benchmark run's own peak RSS
-# fell, by up to 4.4 MB (gauss-d8). Full-rank tables pay most: at d = 6,
-# r = 35 dense redfield ran about 10% slower, 8 steps a chunk against 16.
-# Read as linops.WORKSPACE_BYTES at call time.
+# row blocks of the Hermitian and unitary checks) passes it to chunks, whole
+# or, where a chunk makes a ufunc call that numpy buffers (the two exact
+# series and the integrator), less buffer_bytes. The loops run one at a time,
+# none inside another, so a run's transient memory is at most one chunk of
+# WORKSPACE_BYTES, numpy's buffers included, on top of the arrays it holds.
+# At 1 MiB, against the per-loop shares it replaced (best of 15 interleaved
+# runs, seed 1, 2-core Xeon): gauss-d8's averaged series took 62 ms (74 at
+# 128 KiB), its dilation 41 ms (45 at 8 MiB) and its factored redfield
+# tables 67 ms (65 at 4 MiB); explicit-d4's dilation 13 ms (17 at 8 MiB) and
+# its dense redfield tables 54 ms (52 at 2 MiB). Each benchmark run's own
+# peak RSS fell, by up to 4.4 MB (gauss-d8). Full-rank tables pay most: at
+# d = 6, r = 35 dense redfield ran about 10% slower, 8 steps a chunk against
+# 16. Read as linops.WORKSPACE_BYTES at call time.
 WORKSPACE_BYTES = 2**20
+
+
+def buffer_bytes(operands: int) -> int:
+    """numpy's buffers for one ufunc call: np.getbufsize() elements of each
+    buffered complex operand (a broadcast one, or a strided output)."""
+    return operands * 16 * np.getbufsize()
+
 
 # A run holds its time grid and every series whole, one (d, d) complex state
 # per grid point and series, for comparison and the CSV. Their predicted

@@ -40,11 +40,11 @@ one of two representations of that generator, chosen from d alone: for
 d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
 Liouvillian, affine in phi, so a chunk's one-step propagators are composed
 in batch; above it the factored form. One loop steps both: linops.chunks
-splits the steps so that a chunk's tables fit linops.WORKSPACE_BYTES, each
-chunk tabulates the generator at its grid points and midpoints at once, and
-each chunk is rotated back and Hermitized once, in place. A fixed kernel
-(gksl) is tabulated once for all steps, so its chunks are sized by their
-rotation buffers alone.
+splits the steps so that a chunk's tables fit linops.WORKSPACE_BYTES less
+numpy's buffers, each chunk tabulates the generator at its grid points and
+midpoints at once, and each chunk is rotated back and Hermitized once, in
+place. A fixed kernel (gksl) is tabulated once for all steps, so its
+chunks are sized by their rotation buffers alone.
 """
 
 from __future__ import annotations
@@ -464,8 +464,9 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
       feeds the Hermitian part at rounding level, and is removed when the
       chunk is Hermitized.
 
-    A chunk's tables fit linops.WORKSPACE_BYTES; with a fixed kernel, whose
-    one table serves every step, the chunk's rotation buffer fits instead.
+    A chunk's tables, or with a fixed kernel (one table for every step) its
+    rotation buffer, fit linops.WORKSPACE_BYTES less numpy's buffers for the
+    factored tables' product: two broadcast operands and a strided output.
 
     Neither representation re-Hermitizes within a chunk. Each chunk is
     rotated back and Hermitized once, in place, so the states after
@@ -498,7 +499,7 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
             at_grid = tables(grid)
             return at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:]
 
-    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES):
+    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES - linops.buffer_bytes(3)):
         block = states[sl.start + 1 : sl.stop + 1]
         advance(rho, *step_tables(times[sl.start : sl.stop + 1]), block)
         rho = block[-1].copy()

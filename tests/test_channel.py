@@ -366,33 +366,69 @@ def test_embedded_series_matches_pointwise():
 
 
 def test_embedded_series_chunking_is_invisible(monkeypatch):
-    # a budget of k 16 N (1 + 3 r) bytes holds the temporaries of k samples
-    # of r factor columns. A rank-1 rho0 gives one column per sample, so
-    # k = 1 and the one-sample tail of k = 2 are one-row products
+    # a budget of numpy's buffers and k times 16 (N + d^2 + 2 N r) bytes holds
+    # k samples of r factor columns. A rank-1 rho0 gives one column per
+    # sample, so k = 1 and the one-sample tail of k = 2 are one-row products
     hs, e, mixed = _random_setup(15)
     plus = np.full((3, 3), 1.0 / 3, dtype=complex)
     sys = embed(hs, e)
     n = sys.dim_s * sys.dim_e
     times = np.linspace(0.0, 5.0, 23)
     sizes = []
-    reduced_chunk = channel._reduced_chunk
+    chunks = linops.chunks
 
-    def spy(ts, *args):
-        sizes.append(ts.size)
-        return reduced_chunk(ts, *args)
+    def recorded(count, item_size, budget):
+        slices = list(chunks(count, item_size, budget))
+        if count == times.size:
+            sizes.extend(sl.stop - sl.start for sl in slices)
+        return iter(slices)
 
-    monkeypatch.setattr(channel, "_reduced_chunk", spy)
+    monkeypatch.setattr(linops, "chunks", recorded)
     for rho0, rank in ((mixed, 3), (plus, 1)):
         sizes.clear()
         whole = evolve_embedded_series(sys, rho0, times)
         assert sizes == [times.size]
         for k in (1, 2, 4):
             sizes.clear()
+            budget = linops.buffer_bytes(2) + k * 16 * (n + sys.dim_s**2 + 2 * n * rank)
             with monkeypatch.context() as m:
-                m.setattr(linops, "WORKSPACE_BYTES", k * 16 * n * (1 + 3 * rank))
+                m.setattr(linops, "WORKSPACE_BYTES", budget)
                 part = evolve_embedded_series(sys, rho0, times)
             assert max(sizes) == k and sum(sizes) == times.size
             np.testing.assert_array_equal(whole, part)
+
+
+@pytest.mark.parametrize("budget", [2**20, 2**19], ids=["1MiB", "512KiB"])
+@pytest.mark.parametrize("rank", ["pure", "full"])
+@pytest.mark.parametrize(("dim", "size", "steps"), [(2, 32, 2001), (4, 16, 2001), (8, 32, 1001)])
+def test_embedded_series_loop_keeps_to_the_budget(dim, size, steps, rank, budget, monkeypatch):
+    # from herm_eig's return on, the stage holds its output, V, the energies
+    # and G^T beside the loop, whose chunks of phases and factor columns and
+    # numpy's buffers stay within the budget (small systems on long grids,
+    # whose chunks fill it as counted)
+    hs, e, rho0 = _random_setup(19, dim=dim, size=size)
+    if rank == "pure":
+        rho0 = np.full((dim, dim), 1.0 / dim, dtype=complex)
+    sys = embed(hs, e)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", budget)
+    held = []
+    eig = channel.herm_eig
+
+    def reset(h):
+        result = eig(h)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return result
+
+    monkeypatch.setattr(channel, "herm_eig", reset)
+    tracemalloc.start()
+    try:
+        series = evolve_embedded_series(sys, rho0, np.linspace(0.0, 10.0, steps))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    factor = 16 * dim * size * (1 if rank == "pure" else dim)
+    assert peak - held[0] - series.nbytes - factor <= linops.WORKSPACE_BYTES
 
 
 def test_embedded_series_workspace_is_bounded():

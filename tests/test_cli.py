@@ -757,6 +757,19 @@ def test_series_admission_counts_grid_and_series_bytes(tmp_path, capsys, monkeyp
     assert "dt: 11 grid points" in capsys.readouterr().err
 
 
+def test_series_admission_counts_the_dilation_without_generators(tmp_path, capsys, monkeypatch):
+    # with no generator a run still holds two series until it compares them,
+    # the exact one and the dilation's: 11 * (8 + 16 * 4 * 2) bytes
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(make_doc(generators=[], output_path=str(tmp_path / "s.csv"))))
+    predicted = 11 * (8 + 16 * 4 * 2)
+    monkeypatch.setattr("rndunit.linops.MAX_SERIES_BYTES", predicted)
+    assert main(["validate", str(path), "--quiet"]) == 0
+    monkeypatch.setattr("rndunit.linops.MAX_SERIES_BYTES", predicted - 1)
+    assert main(["validate", str(path), "--quiet"]) == 2
+    assert "dt: 11 grid points of 2 series" in capsys.readouterr().err
+
+
 # each case passes scenario parsing but fails a check that run() makes before
 # the exact channel: validate must fail it too, naming the field at fault
 _SX_G = {"type": "two_point", "base": [[0.0, 1.0], [1.0, 0.0]], "g": 0.1}

@@ -480,10 +480,11 @@ def _chunk_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
-# budget and chunks of the 100 steps below, dense then factored: a
-# time-dependent kernel's tables take 7776 bytes a step dense and 1008
-# factored (r = 2), while a fixed one's step holds only its 144-byte rotation
-# buffer either way, so it takes a smaller budget to split the steps
+# budget beside numpy's buffers and chunks of the 100 steps below, dense
+# then factored: a time-dependent kernel's tables take 7776 bytes a step
+# dense and 1008 factored (r = 2), while a fixed one's step holds only its
+# 144-byte rotation buffer either way, so it takes a smaller budget to split
+# the steps
 CHUNKS = {
     "redfield": (16_000, (50, 7)),
     "dephasing": (16_000, (50, 7)),
@@ -507,7 +508,7 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
     assert p.factors.shape[0] == 2
     budget, chunks = CHUNKS[kind]
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", budget)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(3) + budget)
     sizes = _chunk_sizes(monkeypatch)
     counts = []
     for representation in REPRESENTATIONS:
@@ -540,8 +541,8 @@ def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
             assert grids and min(grids) > 0, (kind, representation)
     # a fixed kernel's factored chunks hold only their rotation buffers: at
     # d = 12 and r = 59 the tables of a time-dependent kernel would take
-    # 279 kB a step, over the whole budget of 256 KiB
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 2**18)
+    # 279 kB a step, over the whole budget of 256 KiB beside numpy's buffers
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(3) + 2**18)
     d, n = 12, 60
     hams = np.stack([random_hermitian(rng, d) for _ in range(n)])
     _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(n, 1 / n)))
@@ -567,7 +568,7 @@ def test_integrate_tabulates_only_grid_points_and_midpoints(kind, representation
     seen = []
     kernel = p.kernel
     object.__setattr__(p, "kernel", lambda ts: seen.append(ts.copy()) or kernel(ts))
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", 16_000)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(3) + 16_000)
     _select(monkeypatch, representation, 3)
     dt = 0.01  # k dt + dt is not (k + 1) dt for 19 of these 200 steps
     grid = mastereq.time_grid(2.0, dt)
@@ -598,6 +599,48 @@ def test_integrate_keeps_rho0_bitwise(monkeypatch):
         np.testing.assert_array_equal(
             later, later.conj().swapaxes(1, 2), err_msg=representation
         )
+
+
+@pytest.mark.parametrize("budget", [2**20, 2**19], ids=["1MiB", "512KiB"])
+@pytest.mark.parametrize("kind", ["redfield", "gksl"])
+@pytest.mark.parametrize(
+    ("dim", "terms", "steps"), [(4, 16, 4000), (8, 1, 2000)], ids=["dense", "factored"]
+)
+def test_integrate_keeps_to_the_budget(dim, terms, steps, kind, budget, monkeypatch):
+    # from the chunk loop on, beside the states, the grid and what was built
+    # once (the dense affine matrix or the factor rows, a fixed kernel's
+    # table), the chunks' tables and rotation buffers and numpy's buffers stay
+    # within the budget: d = 4 on 16 full-rank terms (r = 15), and d = 8 on
+    # one, gauss-d8's shape
+    rng = np.random.default_rng(47)
+    if terms == 1:
+        e = two_point_ensemble(random_hermitian(rng, dim), 0.3)
+    else:
+        hams = 0.1 * np.stack([random_hermitian(rng, dim) for _ in range(terms)])
+        _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(terms, 1 / terms)))
+    p = make_problem(0.2 * random_hermitian(rng, dim), e, kind, epsilon=0.2)
+    assert (dim <= mastereq._DENSE_MAX_DIM) == (terms > 1)
+    assert p.factors.shape[0] == max(1, terms - 1)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", budget)
+    held = []
+    chunks = linops.chunks
+
+    def start(count, item_size, budget):
+        if count == steps:
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        return chunks(count, item_size, budget)
+
+    monkeypatch.setattr(linops, "chunks", start)
+    rho0 = random_density(rng, dim)
+    tracemalloc.start()
+    try:
+        integrate(p, rho0, steps * 0.01, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert peak - held[0] <= linops.WORKSPACE_BYTES
 
 
 def test_dense_liouvillian_is_built_within_the_workspace():
