@@ -67,6 +67,9 @@ _FIXED_MIN, _FIXED_MAX = -4, 15
 # text, 23 bytes as in 2.2250738585072014e-308.
 _RECORD = 32
 _DIGITS, _COMMA = 8, 29
+# values formatted by repr at once: each holds a Python float and its text
+# (about 140 bytes) until its slice is written
+_REPR_SLICE = 256
 
 
 def _words(rows, size: int = 8) -> np.ndarray:
@@ -178,10 +181,16 @@ def _digits(magnitudes: np.ndarray):
     # must, or a multiple of 100 would be inside; a multiple of 100 in as
     # many as it has
     count = 17 - by_ten
-    short = np.flatnonzero(by_hundred)
-    # below 10^15, so exact as doubles, and so is every quotient that is whole
-    kept = (c[short] // 100).astype(np.float64)[:, None] / _TEN[1:16]
-    count[short] = 15 - (np.floor(kept) == kept).sum(axis=1)
+    short = np.flatnonzero(by_hundred & ~doubtful)  # repr writes the doubtful ones
+    # the trailing zeros of c // 100, 15 digits, in steps of 8, 4, 2 and 1:
+    # a few arrays of the short ones' size, however many zeros
+    kept = c[short] // 100
+    zeros = np.zeros(short.size, dtype=np.int64)
+    for k in (8, 4, 2, 1):
+        whole = kept % _TEN[k] == 0
+        kept = np.where(whole, kept // _TEN[k], kept)
+        zeros += k * whole
+    count[short] = 15 - zeros
     return c, e, count, doubtful
 
 
@@ -223,12 +232,15 @@ def _records(magnitudes: np.ndarray, out: np.ndarray) -> None:
     c, e, count, doubtful = _digits(magnitudes)
     _layout(c, e, count, out)
     rest = np.flatnonzero(doubtful)
-    if rest.size:
+    # in slices, so repr's Python floats and texts stay a fixed size however
+    # many values go to it
+    for first in range(0, rest.size, _REPR_SLICE):
+        some = rest[first : first + _REPR_SLICE]
         texts = b"".join(
             b"\0" + repr(v).encode().ljust(_COMMA - 1, b"\0") + b",\0\0"
-            for v in magnitudes[rest].tolist()
+            for v in magnitudes[some].tolist()
         )
-        out[rest] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, _RECORD)
+        out[some] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, _RECORD)
 
 
 def rows_text(block: np.ndarray) -> bytes:

@@ -69,14 +69,16 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 # Byte budget of one chunk of any loop. Every batched loop (the averaged and
-# dilation series, the integrator's one chunk loop, whose chunks hold either
-# representation's tables at their grid points and midpoints, or for a fixed
-# kernel only the buffer that rotates and Hermitizes a chunk in place, the
-# trace distances of a stack, the CSV row blocks with their purities, and the
-# row blocks of the Hermitian and unitary checks) passes it to chunks, whole
-# or, where a chunk makes a ufunc call that numpy buffers (the two exact
-# series and the integrator), less buffer_bytes. The loops run one at a time,
-# none inside another, so a run's transient memory is at most one chunk of
+# dilation series, the integrator's one chunk loop, whose chunks hold a
+# time-dependent generator's tables at their grid points and midpoints, or
+# for a fixed kernel only the buffer that rotates and Hermitizes a chunk in
+# place, the trace distances of a stack, the CSV row blocks with their
+# purities, and the row blocks of the Hermitian and unitary checks) passes it
+# to chunks, whole or, where a chunk makes a ufunc call that numpy buffers
+# (the two exact series and the integrator), less buffer_bytes. The one
+# build that is not a loop, a fixed kernel's RK4 propagator, is made only
+# where it fits the same budget. The loops run one at a time, none inside
+# another, so a run's transient memory is at most one chunk of
 # WORKSPACE_BYTES, numpy's buffers included, on top of the arrays it holds.
 # At 1 MiB, against the per-loop shares it replaced (best of 15 interleaved
 # runs, seed 1, 2-core Xeon): gauss-d8's averaged series took 62 ms (74 at
@@ -300,11 +302,13 @@ def partial_trace_env(rho_total, dim_s: int, dim_e: int) -> np.ndarray:
 
 
 def trace_distance(a, b) -> float | np.ndarray:
-    """Trace distance (1/2) sum of singular values of a - b.
+    """Trace distance (1/2) sum |lambda| over the eigenvalues of a - b.
 
-    Matrices give a float; stacks (..., d, d) give the array of pairwise
-    distances, from batched SVDs over chunks of WORKSPACE_BYTES, so a stack
-    costs no temporary of its own size.
+    a - b must be Hermitian: one whose anti-Hermitian part (D - D+) / 2 has
+    a real or imaginary part beyond DEFAULT_TOL.hermitian is refused, as is
+    one with non-finite entries. Matrices give a float; stacks (..., d, d)
+    give the array of pairwise distances, from batched eigvalsh over chunks
+    of WORKSPACE_BYTES, so a stack costs no temporary of its own size.
     """
     am = np.asarray(a, dtype=np.complex128)
     bm = np.asarray(b, dtype=np.complex128)
@@ -315,15 +319,25 @@ def trace_distance(a, b) -> float | np.ndarray:
     shape = am.shape[:-2]
     am, bm = (m.reshape(-1, *m.shape[-2:]) for m in (am, bm))
     dist = np.empty(len(am))
-    # a - b and its finiteness mask take 17 bytes an entry, the singular
-    # values and their sums at most 24 a row (tracemalloc: 24, 19 and 17.25
-    # bytes an entry at d = 2, 4 and 8, the distances included)
-    rows_bytes = am.shape[1] * (17 * am.shape[2] + 24)
+    # a - b and, one at a time, a real part of its anti-Hermitian part and
+    # that part's magnitudes take 32 bytes an entry, the eigenvalues and
+    # their sums at most 24 a row (tracemalloc: 34.3, 28.2 and 32.2 bytes an
+    # entry at d = 2, 4 and 8, the distances included)
+    rows_bytes = am.shape[1] * (32 * am.shape[2] + 24)
     for rows in chunks(len(am), rows_bytes, WORKSPACE_BYTES):
         diff = am[rows] - bm[rows]
         if not np.isfinite(diff).all():
             raise ValueError("states contain non-finite entries")
-        dist[rows] = 0.5 * np.sum(np.linalg.svd(diff, compute_uv=False), axis=-1)
+        defect = 0.5 * max(
+            max_abs(diff.real - diff.real.swapaxes(-1, -2)),
+            max_abs(diff.imag + diff.imag.swapaxes(-1, -2)),
+        )
+        if defect > DEFAULT_TOL.hermitian:
+            raise ValueError(
+                f"a - b is not Hermitian: its anti-Hermitian part reaches {defect:.3e}, "
+                f"beyond {DEFAULT_TOL.hermitian:.3e}"
+            )
+        dist[rows] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
         del diff  # before the next chunk's difference is made
     return float(dist[0]) if not shape else dist.reshape(shape)
 

@@ -36,15 +36,19 @@ B = (sum_j G_j X~_j) rho~ - [G_1 rho~ ... G_r rho~] [X~_1; ...; X~_r],
 three matrix products whatever r; so master_rhs takes Hermitian rho only.
 
 integrate runs fixed-step classical Runge-Kutta in the eigenbasis over
-one of two representations of that generator, chosen from d alone: for
-d <= _DENSE_MAX_DIM (the measured crossover) the dense d^2 x d^2
-Liouvillian, affine in phi, so a chunk's one-step propagators are composed
-in batch; above it the factored form. One loop steps both: linops.chunks
-splits the steps so that a chunk's tables fit linops.WORKSPACE_BYTES less
-numpy's buffers, each chunk tabulates the generator at its grid points and
-midpoints at once, and each chunk is rotated back and Hermitized once, in
-place. A fixed kernel (gksl) is tabulated once for all steps, so its
-chunks are sized by their rotation buffers alone.
+one of three representations of that generator. A fixed kernel (gksl)
+makes the generator time independent, so every step is one d^2 x d^2
+propagator, composed once from the Liouvillian written straight from the
+kernel, whenever that build fits linops.WORKSPACE_BYTES less numpy's
+buffers. A time-dependent kernel takes, for d <= _DENSE_MAX_DIM (the
+measured crossover), the dense Liouvillian, affine in phi, from which a
+chunk's one-step propagators are composed in batch; above it, as does a
+fixed kernel whose propagator does not fit, the factored form. One loop
+steps all three: linops.chunks splits the steps so that a chunk's tables
+fit that same budget, each chunk tabulates a time-dependent generator at
+its grid points and midpoints at once, and each chunk is rotated back and
+Hermitized once, in place. A fixed kernel is tabulated once for all steps,
+so its chunks are sized by their rotation buffers alone.
 """
 
 from __future__ import annotations
@@ -269,14 +273,15 @@ def _second_moment_factors(e: DisorderEnsemble) -> np.ndarray:
 
 
 def _make_rhs(p: MasterEqProblem):
-    """Build tables(ts) and rhs(rho~, xa), the generator of p acting on
+    """Build tables(ts) and rhs(rho~, x, a), the generator of p acting on
     rho~ = V+ rho V in the eigenbasis of H_S.
 
-    tables(ts) stacks, for times (T,), x = [X~_1; ...; X~_r] with
-    X~_j = G_j o phi(t) above a = sum_j G_j X~_j, as one (T, (r + 1) d, d)
-    table xa = [x; a]; the fixed gksl kernel gives one (1, (r + 1) d, d)
-    table whatever ts. rhs(rho~, xa) is -i (E_m - E_n) o rho~ - (B + B+)
-    with B = a rho~ - [G_1 rho~ ... G_r rho~] x, which needs a Hermitian rho~.
+    tables(ts) gives, for times (T,), the pair of stacks x = [X~_1; ...; X~_r]
+    with X~_j = G_j o phi(t), (T, r d, d), and a = sum_j G_j X~_j, (T, d, d),
+    each written whole, so no product writes a strided slice; the fixed gksl
+    kernel gives stacks of one whatever ts. rhs(rho~, x, a) is
+    -i (E_m - E_n) o rho~ - (B + B+) with B = a rho~ - [G_1 rho~ ... G_r rho~] x,
+    which needs a Hermitian rho~.
     """
     g, phi = p.factors, p.kernel
     r, d = g.shape[0], p.dim
@@ -287,51 +292,58 @@ def _make_rhs(p: MasterEqProblem):
     g_cols = g_rows.reshape(d, rd)
     free = -1j * p.eig.gaps
 
-    def tables(ts: np.ndarray) -> np.ndarray:
+    def tables(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         at = phi(ts)
-        xa = np.empty((at.shape[0], r + 1, d, d), dtype=np.complex128)
-        np.multiply(g, at[:, None], out=xa[:, :r])
-        np.matmul(g_cols, xa[:, :r].reshape(len(xa), rd, d), out=xa[:, r])
-        return xa.reshape(len(xa), rd + d, d)
+        x = np.multiply(g, at[:, None]).reshape(len(at), rd, d)
+        return x, g_cols @ x
 
-    def rhs(rho: np.ndarray, xa: np.ndarray) -> np.ndarray:
-        b = xa[rd:] @ rho - (g_rows @ rho).reshape(d, rd) @ xa[:rd]
+    def rhs(rho: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+        b = a @ rho - (g_rows @ rho).reshape(d, rd) @ x
         return free * rho - (b + dagger(b))
 
     return tables, rhs
 
 
+def _dissipators(g: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """Write into out (T, d^2, d^2) the dissipator -sum_j [G_j, [X~_j, .]]
+    of the factors g (r, d, d) at each kernel matrix of phi (T, d, d), with
+    X~_j = G_j o phi, as it acts on the row-major vec of rho~.
+
+    Its entry [(a, b), (c, e)] is K[a, b, c, e] (phi_eb + phi_ac)
+    - A_ac delta_be - delta_ac B_eb, with K[a, b, c, e] = sum_j (G_j)_ac (G_j)_eb,
+    A = sum_j G_j X~_j and B = sum_j X~_j G_j: A_ac = sum_m Q_amc phi_mc and
+    B_eb = sum_m Q_emb phi_em with Q_amc = sum_j (G_j)_am (G_j)_mc. Every
+    term is written in out's own buffer, through np.einsum diagonal views.
+    """
+    k = np.einsum("jac,jeb->abce", g, g)
+    q = np.einsum("jam,jmc->amc", g, g)
+    d = g.shape[1]
+    rows = out.reshape(-1, d, d, d, d)  # axes [t, a, b, c, e]
+    np.add(phi.transpose(0, 2, 1)[:, None, :, None, :], phi[:, :, None, :, None], out=rows)
+    rows *= k
+    np.einsum("tabcb->tabc", rows)[...] -= np.einsum("amc,tmc->tac", q, phi)[:, :, None, :]
+    np.einsum("tabae->tabe", rows)[...] -= np.einsum("emb,tem->tbe", q, phi)[:, None]
+
+
 def _make_liouvillian(p: MasterEqProblem):
     """Build tables(ts), the generator of p as d^2 x d^2 matrices at times ts.
 
-    The matrices act on the row-major vec of rho~ = V+ rho V. Entry
-    [(a, b), (c, e)] of -sum_j [G_j, [X~_j, rho~]] with X~_j = G_j o phi is
-    K[a, b, c, e] (phi_eb + phi_ac) - A_ac delta_be - delta_ac B_eb, with
-    the fixed K[a, b, c, e] = sum_j (G_j)_ac (G_j)_eb, A = sum_j G_j X~_j
-    and B = sum_j X~_j G_j. So the generator is affine in phi whatever the
-    rank r, and a table is one product [vec phi, 1] @ M with a fixed
-    (d^2 + 1, d^4) matrix M, whose last row holds -i[E, rho~].
+    The matrices act on the row-major vec of rho~ = V+ rho V. The
+    dissipator (_dissipators) is linear in phi whatever the rank r, so a
+    table is one product [vec phi, 1] @ M with a fixed (d^2 + 1, d^4) matrix
+    M: row (x, y) is the dissipator at the unit kernel phi_xy = 1, the last
+    row -i[E, rho~].
 
-    tables(ts) is (T, d^2, d^2) for times (T,); for the time-independent
-    gksl generator it is one fixed (1, d^2, d^2) stack, whatever ts.
+    tables(ts) is (T, d^2, d^2) for times (T,).
     """
-    g, phi = p.factors, p.kernel
     d = p.dim
     n = d * d
-    k = np.einsum("jac,jeb->abce", g, g)
-    q = np.einsum("jam,jmc->amc", g, g)  # A_ac = sum_m Q_amc phi_mc, B_eb = sum_m Q_emb phi_em
-    m = np.zeros((n + 1, n * n), dtype=np.complex128)
-    # row (x, y) of M is the generator at phi_xy = 1, the other entries 0;
-    # axes [x, y, a, b, c, e], each term written through a diagonal view
-    rows = m[:n].reshape(d, d, d, d, d, d)
-    np.einsum("xyaycx->xyac", rows)[...] = k.transpose(3, 1, 0, 2)  # phi_eb
-    np.einsum("xyxbye->xybe", rows)[...] += k.transpose(0, 2, 1, 3)  # phi_ac
-    np.einsum("xyabyb->xyab", rows)[...] -= q.transpose(1, 2, 0)[..., None]  # A delta_be
-    np.einsum("xyabax->xyab", rows)[...] -= q[:, :, None, :]  # delta_ac B
+    m = np.empty((n + 1, n * n), dtype=np.complex128)
+    _dissipators(p.factors, np.eye(n, dtype=np.complex128).reshape(n, d, d), m[:n])
     m[n] = (-1j * np.diag(p.eig.gaps.ravel())).ravel()
 
     def tables(ts: np.ndarray) -> np.ndarray:
-        at = phi(ts)
+        at = p.kernel(ts)
         coords = np.concatenate([at.reshape(-1, n), np.ones((at.shape[0], 1))], axis=1)
         return (coords @ m).reshape(-1, n, n)
 
@@ -400,8 +412,9 @@ def master_rhs(p: MasterEqProblem, rho, t: float) -> np.ndarray:
         raise ValueError(f"state shape {rho.shape} does not match problem dimension {p.dim}")
     require_hermitian(rho, name="state")
     tables, rhs = _make_rhs(p)
+    x, a = tables(np.array([float(t)]))
     v = p.eig.basis
-    return v @ rhs(dagger(v) @ rho @ v, tables(np.array([float(t)]))[0]) @ dagger(v)
+    return v @ rhs(dagger(v) @ rho @ v, x[0], a[0]) @ dagger(v)
 
 
 def grid_steps(t_final: float, dt: float) -> int:
@@ -448,27 +461,33 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     """Fixed-step classical Runge-Kutta integration, sampled at every step.
 
     The state is evolved as rho~ = V+ rho V in the eigenbasis of H_S, where
-    every kind is one generator with the problem's kernel factor phi(t).
-    The steps run in linops.chunks chunks, each tabulating the generator at
-    its grid points and midpoints at once, the end table of one step being
-    the start table of the next (a fixed gksl kernel is tabulated once, for
-    every step), in one of two representations, chosen from d alone:
+    every kind is one generator with the problem's kernel factor phi(t), in
+    one of three representations:
 
-    * dense, for d <= _DENSE_MAX_DIM: the d^2 x d^2 Liouvillian, from which
-      the chunk's RK4 one-step propagators are composed in batch (the fixed
-      gksl one once); each step is then one matrix-vector product on the
-      row-major vector of rho~;
+    * propagator, for a fixed kernel (gksl) whose build fits the room below:
+      the generator is time independent, so every RK4 step is one d^2 x d^2
+      propagator P, composed once from the Liouvillian written straight from
+      the kernel; each step is one matrix-vector product on the row-major
+      vector of rho~;
+    * dense, for a time-dependent kernel at d <= _DENSE_MAX_DIM: the d^2 x d^2
+      Liouvillian, from which each chunk's one-step propagators are composed
+      in batch, each step again one product;
     * factored, otherwise: each step makes four master_rhs-style
       evaluations. Their B + B+ form assumes a Hermitian rho~: the
       rounding-level anti-Hermitian part the steps leave is only rotated,
       feeds the Hermitian part at rounding level, and is removed when the
       chunk is Hermitized.
 
-    A chunk's tables, or with a fixed kernel (one table for every step) its
-    rotation buffer, fit linops.WORKSPACE_BYTES less numpy's buffers for the
-    factored tables' product: two broadcast operands and a strided output.
+    The steps run in linops.chunks chunks. A time-dependent kernel is
+    tabulated at each chunk's grid points and midpoints at once, the end
+    table of one step being the start table of the next; a fixed one once,
+    for every step, so its chunks hold only their rotation buffers. A
+    chunk's tables, and P's build, fit linops.WORKSPACE_BYTES less numpy's
+    buffers for one ufunc call with two buffered operands (the factored
+    tables' broadcast product); a fixed kernel whose P does not fit is
+    stepped factored.
 
-    Neither representation re-Hermitizes within a chunk. Each chunk is
+    No representation re-Hermitizes within a chunk. Each chunk is
     rotated back and Hermitized once, in place, so the states after
     states[0] = rho0 are bitwise Hermitian; with the trace-free generator
     this keeps the trace drift at rounding level. A chunk with non-finite
@@ -485,23 +504,15 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     v = p.eig.basis
     vh = dagger(v)
     rho = vh @ rho0 @ v
-    tables, step_bytes, advance = (_dense if p.dim <= _DENSE_MAX_DIM else _factored)(p, dt)
     if p.fixed_kernel:
-        fixed = tables(times[:1])
-        step_tables = lambda grid: (fixed, fixed, fixed)
-        # a step then holds only its rotation buffer below (tracemalloc: 1.0
-        # d x d arrays a step, dense at d = 4, 5 and factored at d = 4, 5, 8)
-        step_bytes = 16 * p.dim * p.dim
+        fits = _PROPAGATOR_ARRAYS * 16 * p.dim**4 <= linops.WORKSPACE_BYTES - linops.buffer_bytes(2)
+        build = _propagator if fits else _factored
     else:
-
-        def step_tables(grid):
-            # the table at the end of one step is the one at the start of the next
-            at_grid = tables(grid)
-            return at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:]
-
-    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES - linops.buffer_bytes(3)):
+        build = _dense if p.dim <= _DENSE_MAX_DIM else _factored
+    step_tables, step_bytes, advance = build(p, dt)
+    for sl in linops.chunks(times.size - 1, step_bytes, linops.WORKSPACE_BYTES - linops.buffer_bytes(2)):
         block = states[sl.start + 1 : sl.stop + 1]
-        advance(rho, *step_tables(times[sl.start : sl.stop + 1]), block)
+        advance(rho, step_tables(times[sl.start : sl.stop + 1]), block)
         rho = block[-1].copy()
         # block <- V block V+, then (block + block+) / 2, beside one buffer,
         # freed before the finiteness mask is made
@@ -521,21 +532,21 @@ def integrate(p: MasterEqProblem, rho0, t_final: float, dt: float) -> TimeSeries
     return TimeSeries(times=times, states=states)
 
 
-# Largest d integrated with the dense Liouvillian. A dense step costs three
-# batched d^2 x d^2 products to compose, growing as d^6, plus a few small
-# numpy calls; a factored step is about 70 small numpy calls whatever d, on
-# products that shrink with the rank r. Per step, dense against factored,
-# redfield then gksl (2-core Xeon, 2000 steps, 16 full-rank terms: r = 15,
-# the form chosen by setting this constant, as the tests do; three
-# processes, two warm runs each, leaving out one first run of 512 us at
-# d = 4): d = 4: 12-15 / 3-5 us against 55-115 / 50-79 us; d = 5: 27-39 /
-# 3-6 against 59-92 / 60-98; d = 6: 62-82 / 3-5 against 62-88 / 58-97;
-# d = 7: 183-278 / 4-9 against 82-143 / 67-122; d = 8: 506-771 / 6-7
-# against 85-123 / 65-96. Redfield's two forms tie at d = 6 and the
-# factored one wins from d = 7; gksl's fixed dense step wins at every d up
-# to 8. At r = 1 the factored cost falls: on gauss-d8 (d = 8) traced runs
-# took 75-96 / 82-88 us (quartiles). At d <= 6 one step's dense tables take
-# at most 6 * 6^4 * 16 B (122 KiB), well within the budget.
+# Largest d at which a time-dependent kernel (redfield, dephasing) is
+# integrated with the dense Liouvillian; a fixed one takes its propagator
+# whenever that fits the budget. A dense step costs three batched d^2 x d^2
+# products to compose, growing as d^6, plus a few small numpy calls; a
+# factored step is about 70 small numpy calls whatever d, on products that
+# shrink with the rank r. Per redfield step, dense against factored (2-core
+# Xeon, 2000 steps, 16 full-rank terms: r = 15, the form chosen by setting
+# this constant, as the tests do; three processes, two warm runs each,
+# leaving out one first run of 512 us at d = 4): d = 4: 12-15 against
+# 55-115 us; d = 5: 27-39 against 59-92; d = 6: 62-82 against 62-88;
+# d = 7: 183-278 against 82-143; d = 8: 506-771 against 85-123. The two
+# forms tie at d = 6 and the factored one wins from d = 7. At r = 1 the
+# factored cost falls: on gauss-d8 (d = 8) traced runs took 75-96 us a
+# step (quartiles). At d <= 6 one step's dense tables take at most
+# 6 * 6^4 * 16 B (122 KiB), well within the budget.
 _DENSE_MAX_DIM = 6
 
 # complex d^2 x d^2 arrays per step at the peak of a dense chunk: the
@@ -543,45 +554,92 @@ _DENSE_MAX_DIM = 6
 # RK4 stage and a product (tracemalloc, redfield: 5.3 to 5.9 at d = 2, 4, 5)
 _DENSE_TABLES = 6
 
+# complex d^2 x d^2 arrays at the peak of the fixed propagator's build: the
+# generator beside P and two RK4 stages, after K and Q are freed, and one to
+# spare (tracemalloc: 4.0 to 4.7 at d = 4, 8 and 10, r = 1; at r = 15 the
+# einsums for K and Q add numpy's buffers, which the budget leaves out). So
+# P is built for d <= 9 at 1 MiB, for d <= 7 at 512 KiB
+_PROPAGATOR_ARRAYS = 5
+
+
+def _propagate(rho, props, block):
+    """Write to block the states after each of its steps from rho~, each step
+    one product with its one-step propagator in props (one propagator, for a
+    fixed kernel, serving every step) on the row-major vector of rho~."""
+    n = rho.size
+    props = np.broadcast_to(props, (len(block), n, n))
+    vec = rho.reshape(-1)
+    rows = block.reshape(len(block), n)
+    for j in range(len(block)):
+        vec = props[j] @ vec
+        rows[j] = vec
+
+
+def _propagator(p: MasterEqProblem, dt: float):
+    """The propagator representation of a fixed kernel: step_tables(grid),
+    which gives the one RK4 propagator of every step, composed here from the
+    Liouvillian at the kernel (read once, at t = 0); the bytes a step holds,
+    its rotation buffer; and advance(rho~, props, block), which writes to
+    block the states after each of its steps."""
+    n = p.dim * p.dim
+    generator = np.empty((1, n, n), dtype=np.complex128)
+    _dissipators(p.factors, p.kernel(np.zeros(1)), generator)
+    np.einsum("ii->i", generator[0])[...] += -1j * p.eig.gaps.ravel()
+    props = _rk4_propagators(generator, generator, generator, dt)
+    return lambda grid: props, 16 * n, _propagate
+
 
 def _dense(p: MasterEqProblem, dt: float):
-    """The dense representation: tables(ts) of _make_liouvillian, the bytes
-    of one step's tables, and advance(rho~, start, mid, end, block), which
-    writes to block the states after each of its steps from rho~, given the
-    tables at the steps' starts, midpoints and ends (one table, for a fixed
-    kernel, serving every step)."""
+    """The dense representation of a time-dependent kernel, as _propagator:
+    step_tables(grid) composes a chunk's one-step propagators from the
+    tables of _make_liouvillian at its grid points and midpoints."""
+    tables = _make_liouvillian(p)
     n = p.dim * p.dim
 
-    def advance(rho, start, mid, end, block):
-        props = np.broadcast_to(_rk4_propagators(start, mid, end, dt), (len(block), n, n))
-        vec = rho.reshape(-1)  # rho~ row-major
-        rows = block.reshape(len(block), n)
-        for j in range(len(block)):
-            vec = props[j] @ vec
-            rows[j] = vec
+    def step_tables(grid):
+        # the table at the end of one step is the one at the start of the next
+        at_grid = tables(grid)
+        return _rk4_propagators(at_grid[:-1], tables(grid[:-1] + 0.5 * dt), at_grid[1:], dt)
 
-    return _make_liouvillian(p), _DENSE_TABLES * n * n * 16, advance
+    return step_tables, _DENSE_TABLES * n * n * 16, _propagate
 
 
 def _factored(p: MasterEqProblem, dt: float):
-    """The factored representation, as _dense: tables(ts) and rhs of
-    _make_rhs, and advance making the four RK4 stages of each step."""
+    """The factored representation, as _propagator: step_tables(grid) gives
+    the tables of _make_rhs at a chunk's step starts, midpoints and ends (one
+    table, for a fixed kernel, serving every step), and advance makes the
+    four RK4 stages of each step."""
     tables, rhs = _make_rhs(p)
     r, d = p.factors.shape[:2]
+    if p.fixed_kernel:
+        fixed = tables(np.zeros(1))
+        step_tables = lambda grid: (fixed, fixed, fixed)
+        # a step then holds only its rotation buffer (tracemalloc: 1.0
+        # d x d arrays a step, at d = 4, 5 and 8)
+        step_bytes = 16 * d * d
+    else:
 
-    def advance(rho, start, mid, end, block):
-        start, mid, end = (
-            np.broadcast_to(t, (len(block), *t.shape[1:])) for t in (start, mid, end)
+        def step_tables(grid):
+            # the table at the end of one step is the one at the start of the next
+            (x, a), mid = tables(grid), tables(grid[:-1] + 0.5 * dt)
+            return (x[:-1], a[:-1]), mid, (x[1:], a[1:])
+
+        # a table's (r + 1) d rows of d complex entries, twice a step, and
+        # one more d x d array while the midpoint tables are built
+        # (tracemalloc: 2 (r + 1) + 1.0 d x d arrays a step at d = 4, 5, 8
+        # and r = 1, 15)
+        step_bytes = (2 * r + 3) * d * d * 16
+
+    def advance(rho, step, block):
+        (x1, a1), (x2, a2), (x4, a4) = (
+            [np.broadcast_to(t, (len(block), *t.shape[1:])) for t in table] for table in step
         )
         for j in range(len(block)):
-            k1 = rhs(rho, start[j])
-            k2 = rhs(rho + 0.5 * dt * k1, mid[j])
-            k3 = rhs(rho + 0.5 * dt * k2, mid[j])
-            k4 = rhs(rho + dt * k3, end[j])
+            k1 = rhs(rho, x1[j], a1[j])
+            k2 = rhs(rho + 0.5 * dt * k1, x2[j], a2[j])
+            k3 = rhs(rho + 0.5 * dt * k2, x2[j], a2[j])
+            k4 = rhs(rho + dt * k3, x4[j], a4[j])
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             block[j] = rho
 
-    # a table's (r + 1) d rows of d complex entries, twice a step, and one
-    # more d x d array while the midpoint tables are built (tracemalloc:
-    # 2 (r + 1) + 1.0 d x d arrays a step at d = 4, 5, 8 and r = 1, 15)
-    return tables, (2 * r + 3) * d * d * 16, advance
+    return step_tables, step_bytes, advance

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import PLUS, SX, SZ, random_hermitian, random_unitary, random_weights
 
-from rndunit.channel import evolve_average
+from rndunit.channel import evolve_average, evolve_average_series
 from rndunit.ensemble import (
     ENSEMBLE_LAWS,
     DisorderEnsemble,
@@ -172,6 +172,64 @@ def test_gauss_hermite_exact_until_solves_the_bound():
     # (2n)! overflows a double from n = 86; the bound is solved in logs
     assert math.isfinite(GaussianLaw(SZ, 0.2, 300).exact_until(1e-3))
     assert GaussianLaw(SZ, 0.0, 32).exact_until(1e-3) == math.inf
+
+
+def _gauss_d8_law() -> tuple[np.ndarray, GaussianLaw]:
+    # the benchmark's gauss-d8 scenario at seed 1: H_S of spectral radius 4
+    # and a base of spectral radius 1, from default_rng([1, 8]), with
+    # sigma = 0.5 on 32 nodes
+    rng = np.random.default_rng([1, 8])
+
+    def unit(h):
+        return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+
+    hs = 4.0 * unit(random_hermitian(rng, 8))
+    return hs, GaussianLaw(unit(random_hermitian(rng, 8)), 0.5, 32)
+
+
+@pytest.mark.parametrize("scenario", ["demo", "gauss-d8"])
+def test_exact_until_precedes_the_doubling_estimate(scenario):
+    # the a-posteriori estimate |Q_n - Q_2n| of the n-node rule's error, the
+    # trace distance between the n- and 2n-node averages, first exceeds
+    # 1e-3 no earlier than the a-priori t_q: at 20.10 against 15.48 on the
+    # gaussian-dephasing demo, and at 18.10 against 6.19 on gauss-d8
+    if scenario == "demo":
+        hs, law, t_final = 0.5 * SZ, GaussianLaw(SZ, 0.2, 32), 40.0
+    else:
+        (hs, law), t_final = _gauss_d8_law(), 20.0
+    d = hs.shape[0]
+    rho0 = np.full((d, d), 1.0 / d, dtype=complex)  # the "plus" preset
+    times = np.arange(round(t_final / 0.05) + 1) * 0.05
+    doubled = GaussianLaw(law.base, law.sigma, 2 * law.n_nodes)
+    estimate = trace_distance(
+        evolve_average_series(hs, law.build(), rho0, times),
+        evolve_average_series(hs, doubled.build(), rho0, times),
+    )
+    crossing = times[np.argmax(estimate > 1e-3)]
+    assert estimate.max() > 1e-3  # the estimate does cross within the grid
+    assert law.exact_until(1e-3) <= crossing
+
+
+@pytest.mark.parametrize("n_nodes", [4, 8, 32])
+def test_commuting_series_meets_the_gaussian_law_within_the_bound(n_nodes):
+    # B = sigma_z commutes with H_S = sigma_z / 2, so the Gaussian average
+    # is known in closed form: the populations stay, and the coherence of
+    # |+> is e^(-it) e^(-2 sigma^2 t^2) / 2. Up to t_q the n-node series is
+    # within the a-priori bound n! / (2^n (2n)!) a^(2n), a = 2 sqrt(2) sigma
+    # t, in trace norm, beside rounding
+    sigma = 0.2
+    law = GaussianLaw(SZ, sigma, n_nodes)
+    times = np.linspace(0.0, law.exact_until(1e-3), 2001)
+    coherence = 0.5 * np.exp(-1j * times) * np.exp(-2 * sigma**2 * times**2)
+    gaussian = np.empty((times.size, 2, 2), dtype=complex)
+    gaussian[:, 0, 0] = gaussian[:, 1, 1] = 0.5
+    gaussian[:, 0, 1], gaussian[:, 1, 0] = coherence, coherence.conj()
+    series = evolve_average_series(0.5 * SZ, law.build(), PLUS, times)
+    error = 2.0 * trace_distance(series, gaussian)
+    a = 2 * math.sqrt(2) * sigma * times
+    bound = math.factorial(n_nodes) / (2**n_nodes * math.factorial(2 * n_nodes)) * a ** (2 * n_nodes)
+    assert bound[-1] == pytest.approx(1e-3, rel=1e-9)
+    assert np.all(error <= bound + 1e-14)
 
 
 def test_law_knows_its_size_before_it_builds():

@@ -206,6 +206,33 @@ def test_trace_distance_triangle_and_symmetry(seed):
     assert 0.0 <= trace_distance(a, b) <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_trace_distance_equals_the_singular_value_form(dim):
+    # a - b is Hermitian, so its singular values are the magnitudes of its
+    # eigenvalues: random Hermitian stacks, and differences of states
+    rng = np.random.default_rng(220 + dim)
+    a = np.stack([random_hermitian(rng, dim, 1.0 / dim) for _ in range(50)])
+    b = np.stack([random_density(rng, dim) for _ in range(50)])
+    for x, y in ((a, b), (b[::-1], b)):
+        want = 0.5 * np.linalg.svd(x - y, compute_uv=False).sum(axis=-1)
+        np.testing.assert_allclose(trace_distance(x, y), want, rtol=0, atol=1e-14)
+
+
+def test_trace_distance_refuses_a_non_hermitian_difference():
+    rng = np.random.default_rng(230)
+    a, b = random_density(rng, 3), random_density(rng, 3)
+    # a rounding-level anti-Hermitian part is taken as Hermitian
+    trace_distance(a + 1e-15j * np.eye(3), b)
+    # 1e-6 i 1 is anti-Hermitian, as one matrix and as one entry of a stack
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_distance(a + 1e-6j * np.eye(3), b)
+    skewed = np.stack([a] * 4)
+    skewed[3, 0, 1] += 1e-6
+    skewed[3, 1, 0] -= 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_distance(skewed, np.stack([b] * 4))
+
+
 def test_chunks_cover_the_range_in_order():
     def spans(*args):
         return [(sl.start, sl.stop) for sl in chunks(*args)]
@@ -400,8 +427,9 @@ def test_workspace_budget_is_passed_whole_to_chunks():
     # bounds a run's transient memory. Each read of it must be the budget of
     # a chunks call, itself or less a fixed part (the averaged series'
     # realization blocks and the dilation's column blocks sit beside one
-    # sample's own arrays): no loop scales or divides it
-    # into a share, directly or through another name
+    # sample's own arrays), or the same whole budget that a one-off build
+    # must fit (size <= budget): no loop scales or divides it into a share,
+    # directly or through another name
     def is_budget(node, parent):
         return (
             isinstance(parent, ast.Call)
@@ -409,6 +437,14 @@ def test_workspace_budget_is_passed_whole_to_chunks():
             and parent.args[2] is node
             and (getattr(parent.func, "id", None) or getattr(parent.func, "attr", None))
             == "chunks"
+        )
+
+    def is_bound(node, parent):
+        return (
+            isinstance(parent, ast.Compare)
+            and len(parent.ops) == 1
+            and isinstance(parent.ops[0], ast.LtE)
+            and parent.comparators[0] is node
         )
 
     reads, misused = 0, []
@@ -423,12 +459,13 @@ def test_workspace_budget_is_passed_whole_to_chunks():
             parent = parents[node]
             if isinstance(parent, ast.BinOp) and isinstance(parent.op, ast.Sub):
                 node, parent = parent, parents[parent]
-            if not is_budget(node, parent):
+            if not (is_budget(node, parent) or is_bound(node, parent)):
                 misused.append(f"{path.stem}:{node.lineno}")
     # the averaged series' samples and realization blocks, the dilation's
-    # samples and factor columns, the integrator's one chunk loop, the trace
-    # distances, the CSV writer and the check row blocks
-    assert reads == 8
+    # samples and factor columns, the integrator's one chunk loop and its
+    # fixed propagator's build, the trace distances, the CSV writer and the
+    # check row blocks
+    assert reads == 9
     assert misused == []
 
 

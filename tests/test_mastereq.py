@@ -462,33 +462,36 @@ def _select(monkeypatch, representation: str, d: int) -> None:
     assert (d <= mastereq._DENSE_MAX_DIM) == (representation == "dense")
 
 
-def _chunk_sizes(monkeypatch) -> list[int]:
-    # the steps of each chunk either representation advances, in order
-    sizes = []
-    for name in ("_dense", "_factored"):
+def _chunk_sizes(monkeypatch) -> dict[str, list[int]]:
+    # the steps of each chunk each representation advances, in order, keyed
+    # by the representation
+    sizes = {}
+    for name in ("_propagator", "_dense", "_factored"):
 
-        def spy(p, dt, build=getattr(mastereq, name)):
-            tables, table_bytes, advance = build(p, dt)
+        def spy(p, dt, name=name, build=getattr(mastereq, name)):
+            step_tables, step_bytes, advance = build(p, dt)
 
-            def counted(rho, start, mid, end, block):
-                sizes.append(len(block))
-                return advance(rho, start, mid, end, block)
+            def counted(rho, tables, block):
+                sizes.setdefault(name, []).append(len(block))
+                return advance(rho, tables, block)
 
-            return tables, table_bytes, counted
+            return step_tables, step_bytes, counted
 
         monkeypatch.setattr(mastereq, name, spy)
     return sizes
 
 
-# budget beside numpy's buffers and chunks of the 100 steps below, dense
-# then factored: a time-dependent kernel's tables take 7776 bytes a step
-# dense and 1008 factored (r = 2), while a fixed one's step holds only its
-# 144-byte rotation buffer either way, so it takes a smaller budget to split
-# the steps
+# budgets beside numpy's buffers, dense then factored, and the
+# representation that runs with its chunks of the 100 steps below: a
+# time-dependent kernel's tables take 7776 bytes a step dense and 1008
+# factored (r = 2). A fixed kernel's step holds only its 144-byte rotation
+# buffer, so it takes a smaller budget to split the steps; it is stepped by
+# its propagator where the budget holds P's build (6480 bytes at d = 3),
+# whatever _DENSE_MAX_DIM, and factored below that
 CHUNKS = {
-    "redfield": (16_000, (50, 7)),
-    "dephasing": (16_000, (50, 7)),
-    "gksl": (2_000, (8, 8)),
+    "redfield": ((16_000, 16_000), (("_dense", 50), ("_factored", 7))),
+    "dephasing": ((16_000, 16_000), (("_dense", 50), ("_factored", 7))),
+    "gksl": ((7_200, 2_000), (("_propagator", 2), ("_factored", 8))),
 }
 
 
@@ -507,18 +510,19 @@ def test_integrate_matches_paper_formula_across_chunks(kind, monkeypatch):
     rho0 = random_density(rng, 3)
     want = _paper_rk4(hs, e, kind, p.epsilon, rho0, 1.0, 0.01)
     assert p.factors.shape[0] == 2
-    budget, chunks = CHUNKS[kind]
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(3) + budget)
+    budgets, chunks = CHUNKS[kind]
     sizes = _chunk_sizes(monkeypatch)
-    counts = []
-    for representation in REPRESENTATIONS:
+    runs = []
+    for representation, budget in zip(REPRESENTATIONS, budgets):
+        monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(2) + budget)
         _select(monkeypatch, representation, 3)
         sizes.clear()
         ts = integrate(p, rho0, 1.0, 0.01)
         np.testing.assert_allclose(ts.states, want, rtol=0, atol=1e-13, err_msg=representation)
-        assert sum(sizes) == 100
-        counts.append(len(sizes))
-    assert tuple(counts) == chunks
+        ((ran, steps),) = sizes.items()
+        assert sum(steps) == 100
+        runs.append((ran, len(steps)))
+    assert tuple(runs) == chunks
 
 
 def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
@@ -539,10 +543,11 @@ def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
             grids.clear()
             integrate(p, rho0, 0.5, 0.01)
             assert grids and min(grids) > 0, (kind, representation)
-    # a fixed kernel's factored chunks hold only their rotation buffers: at
-    # d = 12 and r = 59 the tables of a time-dependent kernel would take
-    # 279 kB a step, over the whole budget of 256 KiB beside numpy's buffers
-    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(3) + 2**18)
+    # a fixed kernel whose propagator's build is over the budget is stepped
+    # factored, and its chunks hold only their rotation buffers: at d = 12
+    # and r = 59 the tables of a time-dependent kernel would take 279 kB a
+    # step, over the whole budget of 256 KiB beside numpy's buffers
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(2) + 2**18)
     d, n = 12, 60
     hams = np.stack([random_hermitian(rng, d) for _ in range(n)])
     _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(n, 1 / n)))
@@ -551,7 +556,8 @@ def test_integrate_reads_a_fixed_kernel_from_the_problem(monkeypatch):
     sizes = _chunk_sizes(monkeypatch)
     _select(monkeypatch, "factored", d)
     integrate(p, random_density(rng, d), 0.025, 0.005)
-    assert sum(sizes) == 5 and len(sizes) < 5
+    assert list(sizes) == ["_factored"]
+    assert sum(sizes["_factored"]) == 5 and len(sizes["_factored"]) < 5
 
 
 @pytest.mark.parametrize("kind", ["redfield", "gksl"])
@@ -641,6 +647,75 @@ def test_integrate_keeps_to_the_budget(dim, terms, steps, kind, budget, monkeypa
         tracemalloc.stop()
     assert len(held) == 1
     assert peak - held[0] <= linops.WORKSPACE_BYTES
+
+
+def _gauss_d8_shape(rng, kind: str):
+    # the benchmark's gauss-d8 shape: d = 8, H_S of spectral radius 4 and
+    # disorder 0.5 B along one base B of spectral radius 1 (r = 1)
+    def unit(h):
+        return h / np.max(np.abs(np.linalg.eigvalsh(h)))
+
+    hs = 4.0 * unit(random_hermitian(rng, 8))
+    return make_problem(hs, two_point_ensemble(unit(random_hermitian(rng, 8)), 0.5), kind)
+
+
+def test_fixed_propagator_matches_the_factored_steps(monkeypatch):
+    # gksl at gauss-d8's shape steps by its one propagator at the shipped
+    # budget, and factored at a budget one byte below P's build
+    rng = np.random.default_rng(48)
+    p = _gauss_d8_shape(rng, "gksl")
+    assert p.factors.shape[0] == 1
+    rho0 = random_density(rng, 8)
+    sizes = _chunk_sizes(monkeypatch)
+    propagated = integrate(p, rho0, 10.0, 0.01).states
+    below = mastereq._PROPAGATOR_ARRAYS * 16 * 8**4 - 1
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", linops.buffer_bytes(2) + below)
+    factored = integrate(p, rho0, 10.0, 0.01).states
+    assert list(sizes) == ["_propagator", "_factored"]
+    np.testing.assert_allclose(propagated, factored, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("budget", [2**20, 2**19], ids=["1MiB", "512KiB"])
+@pytest.mark.parametrize(("dim", "terms"), [(4, 16), (8, 1)])
+def test_fixed_propagator_is_built_and_stepped_within_the_budget(dim, terms, budget, monkeypatch):
+    # a fixed kernel's propagator is built within the budget, beside what
+    # integrate held before (its states, the grid), and its chunks are
+    # stepped within it beside P: d = 4 on 16 full-rank terms (r = 15), and
+    # d = 8 on one, where P's build fits 1 MiB but not 512 KiB, so the
+    # factored steps run there
+    rng = np.random.default_rng(49)
+    if terms == 1:
+        p = _gauss_d8_shape(rng, "gksl")
+    else:
+        hams = 0.1 * np.stack([random_hermitian(rng, dim) for _ in range(terms)])
+        _, e = center(DisorderEnsemble(hamiltonians=hams, weights=np.full(terms, 1 / terms)))
+        p = make_problem(0.2 * random_hermitian(rng, dim), e, "gksl", epsilon=0.2)
+    monkeypatch.setattr(linops, "WORKSPACE_BYTES", budget)
+    steps = 2000
+    marks = []
+    chunks = linops.chunks
+
+    def start(count, item_size, budget):
+        if count == steps:
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return chunks(count, item_size, budget)
+
+    monkeypatch.setattr(linops, "chunks", start)
+    sizes = _chunk_sizes(monkeypatch)
+    rho0 = random_density(rng, dim)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        integrate(p, rho0, steps * 0.01, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ((held, build_peak),) = marks
+    states_and_grid = (steps + 1) * (16 * dim * dim + 8)
+    assert build_peak - before - states_and_grid <= budget
+    assert peak - held <= budget
+    assert list(sizes) == ["_factored" if (dim, budget) == (8, 2**19) else "_propagator"]
 
 
 def test_dense_liouvillian_is_built_within_the_workspace():

@@ -91,3 +91,29 @@ def test_rows_text_keeps_the_csv_budget_on_distinct_magnitudes(distinct):
     assert text.decode("ascii").split(CSV_TERMINATOR)[7].split(",") == list(
         map(repr, block[7].tolist())
     )
+
+
+@pytest.mark.parametrize("kind", ["bits", "grid"])
+def test_rows_text_keeps_the_csv_budget_on_repr_and_short_values(kind):
+    # a block whose magnitudes are random bit patterns, about half of them
+    # outside the kernel's range [1e-250, 1e55) or inf or nan, which go to
+    # repr; and one of a time grid's values, short decimals: each keeps to
+    # the budget the writer counts, _CSV_FLOAT_BYTES a float (with all repr
+    # texts made at once and a 15-column table for the short values' trailing
+    # zeros they took 126 and 118 bytes a float beside the block)
+    rows, width = 300, 31
+    if kind == "grid":
+        block = (np.arange(rows * width) * 0.01).reshape(rows, width)
+    else:
+        rng = np.random.default_rng(30)
+        block = np.frombuffer(rng.bytes(8 * rows * width), dtype=np.float64).reshape(rows, width)
+    rows_text(block[:1])  # the formatter's tables are built once per process
+    tracemalloc.start()
+    try:
+        text = rows_text(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes + peak <= block.size * _CSV_FLOAT_BYTES
+    lines = text.decode("ascii").split(CSV_TERMINATOR)
+    assert lines == [",".join(map(repr, row)) for row in block.tolist()] + [""]
