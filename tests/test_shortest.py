@@ -98,9 +98,7 @@ def test_rows_text_keeps_the_csv_budget_on_repr_and_short_values(kind):
     # a block whose magnitudes are random bit patterns, about half of them
     # outside the kernel's range [1e-250, 1e55) or inf or nan, which go to
     # repr; and one of a time grid's values, short decimals: each keeps to
-    # the budget the writer counts, _CSV_FLOAT_BYTES a float (with all repr
-    # texts made at once and a 15-column table for the short values' trailing
-    # zeros they took 126 and 118 bytes a float beside the block)
+    # the budget the writer counts, _CSV_FLOAT_BYTES a float
     rows, width = 300, 31
     if kind == "grid":
         block = (np.arange(rows * width) * 0.01).reshape(rows, width)
